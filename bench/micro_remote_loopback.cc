@@ -1,6 +1,6 @@
 // Microbenchmarks of the network service layer (wall-clock): per-query
 // latency of Execute() in-process vs over a loopback socket, the same
-// with the concurrent cache stacked on top of the remote client (warm
+// with the answer cache stacked on top of the remote client (warm
 // hits never touch the wire), and a full RQ-DB-SKY discovery run both
 // ways. These quantify the transport overhead, not the paper's
 // query-cost metric — loopback equivalence tests already pin query
@@ -13,10 +13,10 @@
 #include "bench/bench_util.h"
 #include "core/rq_db_sky.h"
 #include "dataset/synthetic.h"
-#include "interface/concurrent_caching_database.h"
+#include "interface/caching_database.h"
 #include "interface/ranking.h"
+#include "service/event_server.h"
 #include "service/remote_database.h"
-#include "service/server.h"
 
 namespace {
 
@@ -44,14 +44,18 @@ interface::Query BroadQuery() {
 /// Server + connected client, torn down when the fixture dies.
 struct Loopback {
   std::unique_ptr<interface::TopKInterface> backend;
-  std::unique_ptr<service::DatabaseServer> server;
+  std::unique_ptr<service::EventDrivenServer> server;
   std::unique_ptr<service::RemoteHiddenDatabase> remote;
 
   Loopback() {
     backend =
         bench::MakeInterface(&Data(), interface::MakeSumRanking(), 10);
+    // Without the cross-session cache every query reaches the backend,
+    // as it does in-process, so the difference is the transport alone.
+    service::EventDrivenServer::Options opts;
+    opts.shared_cache = false;
     server = bench::Unwrap(
-        service::DatabaseServer::Start(backend.get(), {}), "serve");
+        service::EventDrivenServer::Start(backend.get(), opts), "serve");
     remote = bench::Unwrap(service::RemoteHiddenDatabase::Connect(
                                "127.0.0.1", server->port(), {}),
                            "connect");
@@ -81,7 +85,7 @@ void BM_ExecuteOverLoopback(benchmark::State& state) {
 
 void BM_ExecuteCachedRemoteWarm(benchmark::State& state) {
   Loopback net;
-  interface::ConcurrentCachingDatabase cached(net.remote.get());
+  interface::CachingDatabase cached(net.remote.get());
   const interface::Query q = BroadQuery();
   auto warm = cached.Execute(q);  // one wire round trip; then all hits
   benchmark::DoNotOptimize(warm);

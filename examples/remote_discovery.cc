@@ -1,4 +1,4 @@
-// Remote discovery: spawn a DatabaseServer on a loopback socket, connect
+// Remote discovery: spawn an EventDrivenServer on a loopback socket, connect
 // a RemoteHiddenDatabase client to it, and run SQ-DB-SKY through the
 // wire protocol — exactly as it would run in-process. Because
 // RemoteHiddenDatabase implements interface::HiddenDatabase, the
@@ -9,7 +9,7 @@
 //   ./examples/remote_discovery
 //
 // The public API surface used here:
-//   service::DatabaseServer        — serves any HiddenDatabase over TCP
+//   service::EventDrivenServer     — serves any HiddenDatabase over TCP
 //   service::RemoteHiddenDatabase  — HiddenDatabase backed by a socket
 //   core::SqDbSky                  — discovery, unchanged over the wire
 //   skyline::SkylineSFS            — local ground truth (we own the data)
@@ -22,8 +22,8 @@
 #include "dataset/synthetic.h"
 #include "interface/ranking.h"
 #include "interface/top_k_interface.h"
+#include "service/event_server.h"
 #include "service/remote_database.h"
-#include "service/server.h"
 #include "skyline/compute.h"
 
 int main() {
@@ -60,9 +60,9 @@ int main() {
   auto iface = std::move(iface_result).value();
 
   // Serve it on an ephemeral loopback port.
-  service::DatabaseServer::Options server_options;
+  service::EventDrivenServer::Options server_options;
   auto server_result =
-      service::DatabaseServer::Start(iface.get(), server_options);
+      service::EventDrivenServer::Start(iface.get(), server_options);
   if (!server_result.ok()) {
     std::fprintf(stderr, "serve: %s\n",
                  server_result.status().ToString().c_str());

@@ -71,8 +71,9 @@ Status FinishWrite(std::ostream& out) {
 }
 
 Result<std::unordered_map<std::string, QueryResult>> ReadAll(
-    std::istream& in, int width) {
+    std::istream& in, int width, int k) {
   if (width <= 0) return Status::InvalidArgument("width must be positive");
+  if (k <= 0) return Status::InvalidArgument("k must be positive");
   std::string magic;
   size_t count = 0;
   if (!(in >> magic) || magic != kMagic) {
@@ -100,6 +101,9 @@ Result<std::unordered_map<std::string, QueryResult>> ReadAll(
     }
     if (overflow != 0 && overflow != 1) {
       return Status::IOError("overflow flag must be 0 or 1");
+    }
+    if (num_ids > static_cast<size_t>(k)) {
+      return Status::IOError("cache entry holds more than k tuples");
     }
     QueryResult result;
     result.overflow = overflow != 0;

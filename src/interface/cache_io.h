@@ -1,10 +1,8 @@
-// Shared serialization for the client-side answer caches.
+// Serialization of the client-side answer cache (CachingDatabase).
 //
-// CachingDatabase and ConcurrentCachingDatabase persist the same
-// versioned text format ("hdsky-cache-v1"), so a cache saved by one can
-// be loaded by the other — a serial discovery session's cache warms a
-// parallel one and vice versa. This header is the single owner of that
-// format.
+// This header is the single owner of the versioned text format
+// ("hdsky-cache-v1"): a cache saved by one discovery session, serial or
+// parallel, warms the next.
 //
 // Layout: a header line `hdsky-cache-v1 <count>`, then one line per
 // entry: hex-encoded query signature, overflow flag, tuple count, and for
@@ -35,10 +33,12 @@ void WriteEntry(std::ostream& out, const std::string& key,
 common::Status FinishWrite(std::ostream& out);
 
 /// Parses a full cache stream previously produced by the writers above.
-/// `width` is the schema's attribute count (tuple arity). Fails — and
-/// returns nothing — on a malformed stream.
+/// `width` is the schema's attribute count (tuple arity) and `k` the
+/// interface's page size: an entry holding more than k tuples could
+/// never have been a top-k answer. Fails — and returns nothing — on a
+/// malformed stream.
 common::Result<std::unordered_map<std::string, QueryResult>> ReadAll(
-    std::istream& in, int width);
+    std::istream& in, int width, int k);
 
 }  // namespace cache_io
 }  // namespace interface

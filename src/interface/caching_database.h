@@ -3,8 +3,8 @@
 // A real discovery client caches the web responses it has paid for:
 // re-issuing an identical query costs no API quota. CachingDatabase
 // wraps ANY backend (the simulator, a CallbackDatabase over a real HTTP
-// client, ...) and serves repeated queries from a local map keyed by the
-// query's predicate signature.
+// client, a RemoteHiddenDatabase, ...) and serves repeated queries from
+// a QueryCache keyed by the query's predicate signature.
 //
 // Combined with the algorithms' determinism this yields RESUMABLE
 // discovery across rate-limit windows and even across processes: persist
@@ -13,28 +13,46 @@
 // queries reach the backend. examples/flight_search.cpp demonstrates the
 // daily-quota workflow.
 //
-// Thread safety: NONE — this decorator is single-threaded by design (no
-// locking on the hot path). Share ConcurrentCachingDatabase across
-// threads instead; both persist the same cache format (cache_io.h), so
-// their Save/Load files are interchangeable. See docs/concurrency.md.
+// Thread safety: Execute may be called concurrently from any number of
+// threads (the parallel trial harness shares one paid-for answer pool
+// this way). The map is QueryCache's sharded single-flight map, so each
+// distinct query reaches the backend at most once however many threads
+// race for it, and a serial caller pays one uncontended shard lock per
+// query. See docs/concurrency.md.
+//
+// Backend discipline: by default every backend fetch runs under one
+// backend mutex, because a HiddenDatabase backend is not required to be
+// thread-safe. Clients that wrap a thread-safe backend can opt out via
+// Options::serialize_backend = false so fetches of different queries
+// overlap.
 
 #ifndef HDSKY_INTERFACE_CACHING_DATABASE_H_
 #define HDSKY_INTERFACE_CACHING_DATABASE_H_
 
+#include <atomic>
 #include <iosfwd>
+#include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "interface/hidden_database.h"
+#include "interface/query_cache.h"
 
 namespace hdsky {
 namespace interface {
 
 class CachingDatabase : public HiddenDatabase {
  public:
-  /// Wraps `backend`, which must outlive this object.
-  explicit CachingDatabase(HiddenDatabase* backend) : backend_(backend) {}
+  struct Options {
+    /// Serialize backend fetches under one mutex (safe for any backend).
+    /// Set false only when the backend itself is thread-safe.
+    bool serialize_backend = true;
+  };
 
+  /// Wraps `backend`, which must outlive this object.
+  explicit CachingDatabase(HiddenDatabase* backend);
+  CachingDatabase(HiddenDatabase* backend, Options options);
+
+  /// Thread-safe; callable concurrently from any number of threads.
   using HiddenDatabase::Execute;
   common::Result<QueryResult> Execute(const Query& q) override;
 
@@ -50,13 +68,20 @@ class CachingDatabase : public HiddenDatabase {
   /// of Execute calls that passed validation. A miss is counted only when
   /// the backend produced an answer; failed fetches (rate limits,
   /// transport errors) count as errors and cache nothing, so a later
-  /// retry of the same query still reaches the backend.
-  int64_t hits() const { return hits_; }
-  int64_t misses() const { return misses_; }
-  int64_t errors() const { return errors_; }
+  /// retry of the same query still reaches the backend. A call that
+  /// joined another thread's in-flight fetch counts as a hit when the
+  /// fetch succeeded and as an error when it failed.
+  int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
+  int64_t misses() const {
+    return misses_.load(std::memory_order_relaxed);
+  }
+  int64_t errors() const {
+    return errors_.load(std::memory_order_relaxed);
+  }
   int64_t size() const { return static_cast<int64_t>(cache_.size()); }
 
-  /// Persists the cache as a versioned text format.
+  /// Persists the cache in the versioned hdsky-cache-v1 text format
+  /// (cache_io.h) from a consistent snapshot.
   common::Status Save(std::ostream& out) const;
   common::Status SaveToFile(const std::string& path) const;
 
@@ -66,11 +91,17 @@ class CachingDatabase : public HiddenDatabase {
   common::Status LoadFromFile(const std::string& path);
 
  private:
+  /// Runs the backend fetch for a flight this call owns.
+  common::Status Fetch(const Query& q, QueryResult* result);
+
   HiddenDatabase* backend_;
-  std::unordered_map<std::string, QueryResult> cache_;
-  int64_t hits_ = 0;
-  int64_t misses_ = 0;
-  int64_t errors_ = 0;
+  Options options_;
+  std::mutex backend_mu_;  // only used when serialize_backend
+  /// Unbounded: every entry is a paid answer.
+  QueryCache cache_{QueryCache::Options{0}};
+  std::atomic<int64_t> hits_{0};
+  std::atomic<int64_t> misses_{0};
+  std::atomic<int64_t> errors_{0};
 };
 
 }  // namespace interface

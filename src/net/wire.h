@@ -23,7 +23,7 @@
 // The sequence number makes retries idempotent: a client re-sends the same
 // seq after a connection failure and the server replays its cached reply
 // instead of re-executing the query, so backend query accounting is exact
-// even under an adversarial network (see src/service/server.h).
+// even under an adversarial network (see src/service/event_server.h).
 //
 // Wire status codes extend common::StatusCode with service-level signals:
 // kBudgetExhausted is a *permanent* "your query budget is spent" (maps to

@@ -25,7 +25,9 @@
 // checkpoints itself between queries), compacting the journal into the
 // next epoch's snapshot.
 //
-// Thread safety: NONE — same single-threaded contract as CachingDatabase.
+// Thread safety: NONE — single-threaded like RemoteHiddenDatabase; a
+// CachingDatabase stacked on top (serialize_backend = true) may share it
+// across threads.
 
 #ifndef HDSKY_RECOVERY_JOURNALING_DATABASE_H_
 #define HDSKY_RECOVERY_JOURNALING_DATABASE_H_

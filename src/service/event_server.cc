@@ -86,9 +86,9 @@ Result<std::unique_ptr<EventDrivenServer>> EventDrivenServer::Start(
   HDSKY_RETURN_IF_ERROR(net::SetNonBlocking(server->listener_.fd()));
 
   if (opts.shared_cache) {
-    SharedQueryCache::Options cache_opts;
+    interface::QueryCache::Options cache_opts;
     cache_opts.max_entries = opts.cache_max_entries;
-    server->cache_ = std::make_unique<SharedQueryCache>(cache_opts);
+    server->cache_ = std::make_unique<interface::QueryCache>(cache_opts);
   }
 
   server->conn_maps_.resize(static_cast<size_t>(opts.num_loops));
@@ -512,15 +512,15 @@ void EventDrivenServer::HandleQuery(Conn* conn, uint64_t seq,
   const std::string key = query.Signature();
   std::shared_ptr<const interface::QueryResult> ready;
   switch (cache_->StartLookup(key, &ready, MakeCompletion(conn, seq))) {
-    case SharedQueryCache::Lookup::kHit:
+    case interface::QueryCache::Lookup::kHit:
       conn->in_flight = false;
       cache_hits_.fetch_add(1);
       Deliver(conn, seq, Status::OK(), ready);
       return;
-    case SharedQueryCache::Lookup::kWait:
+    case interface::QueryCache::Lookup::kWait:
       singleflight_joins_.fetch_add(1);
       return;  // completion arrives via the owner's Complete
-    case SharedQueryCache::Lookup::kOwner:
+    case interface::QueryCache::Lookup::kOwner:
       if (!SubmitBackendTask([this, key, query] {
             interface::QueryResult result;
             const Status s = ExecuteBackend(query, &result);
@@ -554,7 +554,7 @@ Status EventDrivenServer::ExecuteBackend(const interface::Query& query,
   return s;
 }
 
-SharedQueryCache::Callback EventDrivenServer::MakeCompletion(Conn* conn,
+interface::QueryCache::Callback EventDrivenServer::MakeCompletion(Conn* conn,
                                                              uint64_t seq) {
   const size_t li = conn->loop_index;
   const uint64_t id = conn->id;

@@ -1,7 +1,7 @@
-// EventDrivenServer: the multi-tenant, event-driven core of the hidden-
-// database service — the successor of the thread-per-connection
-// DatabaseServer (server.h), built for thousands of concurrent
-// discovery sessions instead of a handful of loopback tests.
+// EventDrivenServer: the multi-tenant, event-driven hidden-database
+// service. It serves any HiddenDatabase over the hdsky wire protocol
+// (net/wire.h) to anything from one loopback test client to thousands of
+// concurrent discovery sessions.
 //
 // Architecture
 //
@@ -9,7 +9,7 @@
 //                          │ round- │      (Execute calls)
 //   conns ◄──► loop 0..L-1 ┘ robin  │
 //        nonblocking sockets        │
-//        read/write buffers    SharedQueryCache (single-flight)
+//        read/write buffers    interface::QueryCache (single-flight)
 //        request pipelining         │
 //        admission control ◄────────┘ completions posted back to the
 //        idle/slow timeouts           owning loop
@@ -36,21 +36,34 @@
 //    additionally stops reading from it (backpressure) until the
 //    backlog drains. Idle connections are evicted after idle_timeout_ms.
 //
+// Sessions, replay and budgets
+//
+//  A connection opens with Hello (client session id) -> Descriptor
+//  (schema, k, remaining budget), then streams Query frames answered by
+//  Result or Status frames. Clients tag queries with a per-session
+//  sequence number; the server remembers, per session, the last sequence
+//  it answered and the encoded reply. A retried sequence (the client
+//  never saw the reply: dropped frame, broken connection) is answered
+//  from that replay cache without touching the backend, so accounting
+//  stays exactly-once under retries. Sessions survive reconnects: the
+//  client re-sends its session id in Hello. per_client_query_budget
+//  enforces the paper's rate-limit model per session; exhaustion is
+//  answered with kBudgetExhausted (permanent), which RemoteHiddenDatabase
+//  surfaces as ResourceExhausted — the code discovery algorithms already
+//  turn into anytime partial results.
+//
 // Shared cross-session query cache
 //
-//  The per-session replay cache (exactly-once accounting under retries,
-//  identical to DatabaseServer's) is kept, and a SharedQueryCache is
-//  layered across sessions: N sessions discovering the same database
-//  pay each distinct backend query once. Per-session budgets charge
-//  *client-visible* answers — a session is charged whether its answer
-//  came from the backend, the cache, or another session's in-flight
-//  execution — so budget accounting is indistinguishable from a
-//  cache-less server while backend load drops by the deduped ratio.
-//  Budget rejections and replays behave exactly as before.
+//  An interface::QueryCache is layered across sessions: N sessions
+//  discovering the same database pay each distinct backend query once.
+//  Per-session budgets charge *client-visible* answers — a session is
+//  charged whether its answer came from the backend, the cache, or
+//  another session's in-flight execution — so budget accounting is
+//  indistinguishable from a cache-less server while backend load drops
+//  by the deduped ratio. Replays are never charged.
 //
-// Wire compatibility: speaks the same protocol as DatabaseServer, so
-// RemoteHiddenDatabase and all PR 4 resume machinery work unchanged;
-// additionally answers kStatsRequest frames with live ServiceStats so
+// Wire protocol: RemoteHiddenDatabase and the journal's resume machinery
+// speak it; kStatsRequest frames are answered with live ServiceStats so
 // load generators can compute the queries-deduped ratio remotely.
 
 #ifndef HDSKY_SERVICE_EVENT_SERVER_H_
@@ -71,10 +84,10 @@
 
 #include "common/status.h"
 #include "interface/hidden_database.h"
+#include "interface/query_cache.h"
 #include "net/event_loop.h"
 #include "net/socket.h"
 #include "runtime/thread_pool.h"
-#include "service/shared_cache.h"
 
 namespace hdsky {
 namespace service {
@@ -228,7 +241,7 @@ class EventDrivenServer {
   /// Runs the query on the backend (optionally serialized) and counts it.
   common::Status ExecuteBackend(const interface::Query& query,
                                 interface::QueryResult* result);
-  SharedQueryCache::Callback MakeCompletion(Conn* conn, uint64_t seq);
+  interface::QueryCache::Callback MakeCompletion(Conn* conn, uint64_t seq);
   Session* GetSession(uint64_t session_id);
 
   Conn* FindConn(size_t loop_index, uint64_t conn_id);
@@ -244,7 +257,7 @@ class EventDrivenServer {
   std::mutex sessions_mu_;
   std::unordered_map<uint64_t, std::unique_ptr<Session>> sessions_;
 
-  std::unique_ptr<SharedQueryCache> cache_;
+  std::unique_ptr<interface::QueryCache> cache_;
 
   std::mutex backend_mu_;  // only used when serialize_backend
 

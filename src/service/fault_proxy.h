@@ -1,5 +1,5 @@
 // FaultInjectingProxy: a frame-aware man-in-the-middle for robustness
-// testing. It listens like a DatabaseServer, forwards every frame to a
+// testing. It listens like an EventDrivenServer, forwards every frame to a
 // real upstream server, and injects faults by policy:
 //
 //   * drop      — swallow a frame and kill the connection (the client sees

@@ -1,5 +1,5 @@
 // RemoteHiddenDatabase: the client half of the network service — a
-// HiddenDatabase whose Execute travels over TCP to a DatabaseServer
+// HiddenDatabase whose Execute travels over TCP to an EventDrivenServer
 // (tools/hdsky_serve). Because every discovery algorithm programs against
 // the HiddenDatabase interface, SQ/RQ/PQ/MIXED/MQ-DB-SKY and the sky-band
 // variants run over the network *unchanged*.
@@ -26,13 +26,13 @@
 //
 // Retries cannot double-count queries: every query carries a session-scoped
 // sequence number and the server replays its cached answer for a sequence
-// it has already executed (see service/server.h).
+// it has already executed (see service/event_server.h).
 //
 // Thread safety: NOT thread-safe (one connection, one in-flight query).
 // Share one remote session across threads by stacking
-// interface::ConcurrentCachingDatabase on top with serialize_backend =
-// true — which also short-circuits repeated queries before they touch the
-// network.
+// interface::CachingDatabase on top (serialize_backend = true, the
+// default) — which also short-circuits repeated queries before they
+// touch the network.
 
 #ifndef HDSKY_SERVICE_REMOTE_DATABASE_H_
 #define HDSKY_SERVICE_REMOTE_DATABASE_H_

@@ -58,9 +58,9 @@ expect_usage "budget-negative" "$DISCOVER" --demo route --budget -1
 expect_usage "serve-port-garbage" "$SERVE" --demo route --port 80h
 expect_usage "serve-max-conn-zero" "$SERVE" --demo route --max-connections 0
 
-# Event-driven engine flags: unknown engine names and malformed knobs.
-expect_usage "serve-unknown-engine" "$SERVE" --demo route --engine fibers
-expect_usage "serve-engine-dangling" "$SERVE" --demo route --engine
+# Server knobs: there is one engine, so --engine is an unknown flag;
+# malformed values of the real knobs are rejected.
+expect_usage "serve-engine-removed" "$SERVE" --demo route --engine threaded
 expect_usage "serve-loops-garbage" "$SERVE" --demo route --loops 2x
 expect_usage "serve-loops-negative" "$SERVE" --demo route --loops -1
 expect_usage "serve-max-pending-garbage" "$SERVE" --demo route --max-pending p

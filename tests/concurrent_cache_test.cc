@@ -1,8 +1,8 @@
 // Concurrency tests for the shareable client-side substrate:
-// ConcurrentCachingDatabase under real multi-threaded load (the TSan CI
-// job's main target) plus its accounting invariants, persistence-format
-// interop with CachingDatabase, and the thread-safe query accounting of
-// TopKInterface itself.
+// CachingDatabase under real multi-threaded load (the TSan CI job's main
+// target) plus its accounting invariants, persistence round trips
+// between caches filled serially and in parallel, and the thread-safe
+// query accounting of TopKInterface itself.
 
 #include <atomic>
 #include <cstdio>
@@ -15,7 +15,6 @@
 
 #include "dataset/synthetic.h"
 #include "interface/caching_database.h"
-#include "interface/concurrent_caching_database.h"
 #include "interface/ranking.h"
 #include "interface/top_k_interface.h"
 #include "runtime/parallel_for.h"
@@ -73,7 +72,7 @@ TEST(ConcurrentCachingDatabaseTest, MatchesSerialCacheAnswers) {
 
   // 8 threads, each executing every query against one shared decorator.
   auto backend = MakeBackend(&t);
-  ConcurrentCachingDatabase cached(backend.get());
+  CachingDatabase cached(backend.get());
   runtime::ThreadPool pool(kThreads);
   std::atomic<int> mismatches{0};
   runtime::ParallelFor(
@@ -107,9 +106,9 @@ TEST(ConcurrentCachingDatabaseTest, NonSerializedBackendStaysCoherent) {
   const std::vector<Query> queries = MakeQueries(t.schema(), 32);
   auto backend = MakeBackend(&t);
 
-  ConcurrentCachingDatabase::Options opts;
+  CachingDatabase::Options opts;
   opts.serialize_backend = false;
-  ConcurrentCachingDatabase cached(backend.get(), opts);
+  CachingDatabase cached(backend.get(), opts);
 
   auto ref_backend = MakeBackend(&t);
   std::vector<QueryResult> expected;
@@ -139,7 +138,7 @@ TEST(ConcurrentCachingDatabaseTest, ErrorAccountingUnderBudget) {
   const std::vector<Query> queries = MakeQueries(t.schema(), 16);
   const int64_t budget = 4;
   auto backend = MakeBackend(&t, 5, budget);
-  ConcurrentCachingDatabase cached(backend.get());
+  CachingDatabase cached(backend.get());
 
   runtime::ThreadPool pool(kThreads);
   std::atomic<int64_t> ok_count{0}, exhausted_count{0};
@@ -171,9 +170,9 @@ TEST(ConcurrentCachingDatabaseTest,
   const data::Table t = MakeTable(500);
   const int64_t budget = 24;
   auto backend = MakeBackend(&t, 5, budget);
-  ConcurrentCachingDatabase::Options opts;
+  CachingDatabase::Options opts;
   opts.serialize_backend = false;  // TopKInterface is thread-safe
-  ConcurrentCachingDatabase cached(backend.get(), opts);
+  CachingDatabase cached(backend.get(), opts);
 
   runtime::ThreadPool pool(kThreads);
   std::atomic<int64_t> ok_count{0}, exhausted_count{0}, other{0};
@@ -209,7 +208,7 @@ TEST(ConcurrentCachingDatabaseTest, SaveLoadInteropWithSerialCache) {
 
   // Populate the concurrent cache in parallel, save it.
   auto backend = MakeBackend(&t);
-  ConcurrentCachingDatabase cached(backend.get());
+  CachingDatabase cached(backend.get());
   runtime::ThreadPool pool(kThreads);
   runtime::ParallelFor(
       pool, 0, static_cast<int64_t>(queries.size()), [&](int64_t i) {
@@ -234,7 +233,7 @@ TEST(ConcurrentCachingDatabaseTest, SaveLoadInteropWithSerialCache) {
   std::stringstream serial_saved;
   ASSERT_TRUE(serial.Save(serial_saved).ok());
   auto another_backend = MakeBackend(&t);
-  ConcurrentCachingDatabase reloaded(another_backend.get());
+  CachingDatabase reloaded(another_backend.get());
   ASSERT_TRUE(reloaded.Load(serial_saved).ok());
   EXPECT_EQ(reloaded.size(), static_cast<int64_t>(queries.size()));
   for (const Query& q : queries) {
@@ -247,7 +246,7 @@ TEST(ConcurrentCachingDatabaseTest, SaveLoadInteropWithSerialCache) {
 TEST(ConcurrentCachingDatabaseTest, RejectsMalformedStreamAtomically) {
   const data::Table t = MakeTable(100);
   auto backend = MakeBackend(&t);
-  ConcurrentCachingDatabase cached(backend.get());
+  CachingDatabase cached(backend.get());
   std::stringstream bogus("not-a-cache 3\n");
   EXPECT_TRUE(cached.Load(bogus).IsIOError());
   EXPECT_EQ(cached.size(), 0);

@@ -473,7 +473,8 @@ TEST(CacheIoTest, RoundTripsThroughText) {
   const Table t = MakeMixedTable();
   const std::string text = SavedCacheText(t);
   std::istringstream in(text);
-  auto loaded = cache_io::ReadAll(in, t.schema().num_attributes());
+  const int k = TopKOptions().k;
+  auto loaded = cache_io::ReadAll(in, t.schema().num_attributes(), k);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->size(), 4u);
   // Re-serializing the loaded map yields a stream that loads again to
@@ -485,7 +486,7 @@ TEST(CacheIoTest, RoundTripsThroughText) {
   }
   ASSERT_TRUE(cache_io::FinishWrite(out).ok());
   std::istringstream in2(out.str());
-  auto reloaded = cache_io::ReadAll(in2, t.schema().num_attributes());
+  auto reloaded = cache_io::ReadAll(in2, t.schema().num_attributes(), k);
   ASSERT_TRUE(reloaded.ok());
   EXPECT_EQ(reloaded->size(), loaded->size());
   for (const auto& [key, result] : *loaded) {
@@ -555,7 +556,9 @@ TEST(CacheIoTest, RejectsCorruptedFields) {
   // Signature length disagrees with the schema width.
   {
     std::istringstream in(text);
-    EXPECT_TRUE(cache_io::ReadAll(in, width + 1).status().IsIOError());
+    EXPECT_TRUE(cache_io::ReadAll(in, width + 1, TopKOptions().k)
+                    .status()
+                    .IsIOError());
   }
   // Non-hex signature, odd-length signature.
   ExpectAtomicRejection(
@@ -585,6 +588,10 @@ TEST(CacheIoTest, RejectsCorruptedFields) {
     ExpectAtomicRejection(
         t, "hdsky-cache-v1 1\n" + sig + " 0 1 -5 1 2 3 4\n",
         "negative tuple id");
+    // More tuples than the interface's k (1 here): never a top-k answer.
+    ExpectAtomicRejection(
+        t, "hdsky-cache-v1 1\n" + sig + " 0 2 1 1 2 3 4 2 1 2 3 4\n",
+        "more than k tuples");
   }
 }
 

@@ -17,9 +17,9 @@
 #include "interface/ranking.h"
 #include "interface/top_k_interface.h"
 #include "recovery/journaling_database.h"
+#include "service/event_server.h"
 #include "service/fault_proxy.h"
 #include "service/remote_database.h"
-#include "service/server.h"
 
 namespace hdsky {
 namespace recovery {
@@ -27,7 +27,7 @@ namespace {
 
 using interface::TopKInterface;
 using interface::TopKOptions;
-using service::DatabaseServer;
+using service::EventDrivenServer;
 using service::FaultInjectingProxy;
 using service::RemoteHiddenDatabase;
 
@@ -91,10 +91,10 @@ TEST(RecoveryRemoteTest, InterruptedSessionResumesWithoutDoubleCharging) {
   ASSERT_TRUE(clean->complete);
 
   auto backend = MakeBackend(&t);
-  DatabaseServer::Options sopts;
+  EventDrivenServer::Options sopts;
   sopts.per_client_query_budget = kBudget;
   auto server =
-      std::move(DatabaseServer::Start(backend.get(), sopts)).value();
+      std::move(EventDrivenServer::Start(backend.get(), sopts)).value();
   FaultInjectingProxy::Policy policy;
   policy.seed = 11;
   policy.drop_prob = 0.02;
@@ -182,7 +182,7 @@ TEST(RecoveryRemoteTest, InterruptedSessionResumesWithoutDoubleCharging) {
   // Exactly-once accounting at the backend: one execution per journaled
   // answer — retried sequences were replayed from the server's session
   // cache, and the resumed run re-charged nothing.
-  const DatabaseServer::Stats sstats = server->stats();
+  const EventDrivenServer::Stats sstats = server->stats();
   EXPECT_EQ(sstats.queries_served, journaled_entries);
   EXPECT_EQ(backend->stats().queries_issued, journaled_entries);
 }

@@ -1,4 +1,4 @@
-// Tests for the cross-session SharedQueryCache: single-flight ownership,
+// Tests for the single-flight QueryCache: ownership,
 // waiter resolution, error non-memoization, eviction bounds, and a
 // multi-threaded stampede (the TSan CI job's SharedCache stress).
 
@@ -10,13 +10,14 @@
 
 #include <gtest/gtest.h>
 
-#include "service/shared_cache.h"
+#include "interface/query_cache.h"
 
 namespace hdsky {
 namespace service {
 namespace {
 
 using common::Status;
+using interface::QueryCache;
 using interface::QueryResult;
 
 std::shared_ptr<const QueryResult> MakeResult(int64_t id) {
@@ -26,7 +27,7 @@ std::shared_ptr<const QueryResult> MakeResult(int64_t id) {
 }
 
 TEST(SharedCacheTest, FirstLookupOwnsLaterLookupsHit) {
-  SharedQueryCache cache;
+  QueryCache cache;
   std::shared_ptr<const QueryResult> out;
   int owner_cb = 0;
   ASSERT_EQ(cache.StartLookup(
@@ -37,12 +38,12 @@ TEST(SharedCacheTest, FirstLookupOwnsLaterLookupsHit) {
                   EXPECT_EQ(r->ids[0], 7);
                   ++owner_cb;
                 }),
-            SharedQueryCache::Lookup::kOwner);
+            QueryCache::Lookup::kOwner);
   cache.Complete("q1", Status::OK(), MakeResult(7));
   EXPECT_EQ(owner_cb, 1);
 
   ASSERT_EQ(cache.StartLookup("q1", &out, nullptr),
-            SharedQueryCache::Lookup::kHit);
+            QueryCache::Lookup::kHit);
   ASSERT_NE(out, nullptr);
   EXPECT_EQ(out->ids[0], 7);
   EXPECT_EQ(cache.size(), 1u);
@@ -51,7 +52,7 @@ TEST(SharedCacheTest, FirstLookupOwnsLaterLookupsHit) {
 }
 
 TEST(SharedCacheTest, WaitersJoinTheFlightAndAllResolve) {
-  SharedQueryCache cache;
+  QueryCache cache;
   std::shared_ptr<const QueryResult> out;
   int resolved = 0;
   auto cb = [&](const Status& s, const auto& r) {
@@ -61,10 +62,10 @@ TEST(SharedCacheTest, WaitersJoinTheFlightAndAllResolve) {
     ++resolved;
   };
   ASSERT_EQ(cache.StartLookup("k", &out, cb),
-            SharedQueryCache::Lookup::kOwner);
+            QueryCache::Lookup::kOwner);
   for (int i = 0; i < 5; ++i) {
     ASSERT_EQ(cache.StartLookup("k", &out, cb),
-              SharedQueryCache::Lookup::kWait);
+              QueryCache::Lookup::kWait);
   }
   EXPECT_EQ(resolved, 0);  // nothing fires before Complete
   cache.Complete("k", Status::OK(), MakeResult(3));
@@ -73,7 +74,7 @@ TEST(SharedCacheTest, WaitersJoinTheFlightAndAllResolve) {
 }
 
 TEST(SharedCacheTest, ErrorsResolveWaitersButAreNotMemoized) {
-  SharedQueryCache cache;
+  QueryCache cache;
   std::shared_ptr<const QueryResult> out;
   int failures = 0;
   auto cb = [&](const Status& s, const auto& r) {
@@ -82,9 +83,9 @@ TEST(SharedCacheTest, ErrorsResolveWaitersButAreNotMemoized) {
     ++failures;
   };
   ASSERT_EQ(cache.StartLookup("k", &out, cb),
-            SharedQueryCache::Lookup::kOwner);
+            QueryCache::Lookup::kOwner);
   ASSERT_EQ(cache.StartLookup("k", &out, cb),
-            SharedQueryCache::Lookup::kWait);
+            QueryCache::Lookup::kWait);
   cache.Complete("k", Status::IOError("backend down"), nullptr);
   EXPECT_EQ(failures, 2);
   EXPECT_EQ(cache.size(), 0u);
@@ -94,27 +95,27 @@ TEST(SharedCacheTest, ErrorsResolveWaitersButAreNotMemoized) {
                 "k", &out, [&](const Status& s, const auto&) {
                   EXPECT_TRUE(s.ok());
                 }),
-            SharedQueryCache::Lookup::kOwner);
+            QueryCache::Lookup::kOwner);
   cache.Complete("k", Status::OK(), MakeResult(1));
   ASSERT_EQ(cache.StartLookup("k", &out, nullptr),
-            SharedQueryCache::Lookup::kHit);
+            QueryCache::Lookup::kHit);
 }
 
 TEST(SharedCacheTest, CompleteForUnknownKeyIsANoOp) {
-  SharedQueryCache cache;
+  QueryCache cache;
   cache.Complete("never-started", Status::OK(), MakeResult(1));
   EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(SharedCacheTest, EvictionKeepsReadyEntriesBounded) {
-  SharedQueryCache::Options options;
+  QueryCache::Options options;
   options.max_entries = 32;
-  SharedQueryCache cache(options);
+  QueryCache cache(options);
   std::shared_ptr<const QueryResult> out;
   for (int i = 0; i < 1000; ++i) {
     const std::string key = "key-" + std::to_string(i);
     ASSERT_EQ(cache.StartLookup(key, &out, nullptr),
-              SharedQueryCache::Lookup::kOwner);
+              QueryCache::Lookup::kOwner);
     cache.Complete(key, Status::OK(), MakeResult(i));
   }
   // Per-shard slack allows a little overshoot, but the cache must stay
@@ -126,7 +127,7 @@ TEST(SharedCacheTest, EvictionKeepsReadyEntriesBounded) {
 TEST(SharedCacheTest, ConcurrentStampedePaysBackendOnce) {
   // 8 threads race 200 keys; every key must get exactly one owner, and
   // every participant must observe the owner's result.
-  SharedQueryCache cache;
+  QueryCache cache;
   constexpr int kThreads = 8;
   constexpr int kKeys = 200;
   std::atomic<int> owners{0};
@@ -147,14 +148,14 @@ TEST(SharedCacheTest, ConcurrentStampedePaysBackendOnce) {
             resolved.fetch_add(1);
           };
           switch (cache.StartLookup(key, &out, cb)) {
-            case SharedQueryCache::Lookup::kOwner:
+            case QueryCache::Lookup::kOwner:
               owners.fetch_add(1);
               // The "backend execution": complete with the key's value.
               cache.Complete(key, Status::OK(), MakeResult(i));
               break;
-            case SharedQueryCache::Lookup::kWait:
+            case QueryCache::Lookup::kWait:
               break;
-            case SharedQueryCache::Lookup::kHit:
+            case QueryCache::Lookup::kHit:
               ASSERT_NE(out, nullptr);
               EXPECT_EQ(out->ids[0], i);
               hits.fetch_add(1);

@@ -118,7 +118,7 @@
 #include "dataset/google_flights.h"
 #include "dataset/yahoo_autos.h"
 #include "federation/federated_discovery.h"
-#include "interface/concurrent_caching_database.h"
+#include "interface/caching_database.h"
 #include "interface/ranking.h"
 #include "interface/top_k_interface.h"
 #include "net/socket.h"
@@ -1302,10 +1302,10 @@ int main(int argc, char** argv) {
   // --cache memoizes repeat queries before they hit the source — for a
   // remote source, before they touch the network at all. It stacks over
   // the journal: a cache hit does not even cost a journal lookup.
-  std::unique_ptr<interface::ConcurrentCachingDatabase> cache;
+  std::unique_ptr<interface::CachingDatabase> cache;
   interface::HiddenDatabase* iface = source;
   if (args.cache) {
-    cache = std::make_unique<interface::ConcurrentCachingDatabase>(source);
+    cache = std::make_unique<interface::CachingDatabase>(source);
     if (!args.cache_file.empty()) {
       struct stat st;
       if (::stat(args.cache_file.c_str(), &st) == 0) {

@@ -27,15 +27,12 @@
 //   --seed S               generator seed for --demo
 //   --port P               TCP port; 0 picks an ephemeral one (default 0)
 //   --bind ADDR            IPv4 bind address (default 127.0.0.1)
-//   --max-connections C    concurrent connections served (default 8 for
-//                          the threaded engine, 4096 for epoll)
-//   --engine E             epoll (event-driven, default) | threaded
-//                          (the original thread-per-connection server)
-//   --loops L              epoll event-loop threads (0 = auto)
-//   --workers W            epoll backend executor threads (0 = auto)
-//   --no-shared-cache      disable the cross-session query cache (epoll)
-//   --max-pending P        backend admission limit before BUSY (epoll)
-//   --idle-timeout-ms T    idle connection eviction, 0 = never (epoll)
+//   --max-connections C    concurrent connections served (default 4096)
+//   --loops L              event-loop threads (0 = auto)
+//   --workers W            backend executor threads (0 = auto)
+//   --no-shared-cache      disable the cross-session query cache
+//   --max-pending P        backend admission limit before BUSY
+//   --idle-timeout-ms T    idle connection eviction, 0 = never
 //
 // Prints exactly one "listening on ADDR:PORT" line to stdout once ready
 // (scripts parse it to learn an ephemeral port), then serves until
@@ -61,7 +58,6 @@
 #include "interface/ranking.h"
 #include "interface/top_k_interface.h"
 #include "service/event_server.h"
-#include "service/server.h"
 
 namespace {
 
@@ -89,8 +85,7 @@ struct Args {
   uint64_t seed = 42;
   int64_t port = 0;
   std::string bind = "127.0.0.1";
-  int64_t max_connections = -1;  // engine-dependent default
-  std::string engine = "epoll";
+  int64_t max_connections = 4096;
   int64_t loops = 0;
   int64_t workers = 0;
   bool shared_cache = true;
@@ -121,11 +116,9 @@ void Usage() {
       "  --seed S             demo generator seed\n"
       "  --port P             TCP port, 0 = ephemeral (default 0)\n"
       "  --bind ADDR          IPv4 bind address (default 127.0.0.1)\n"
-      "  --max-connections C  concurrent connections (default: 8\n"
-      "                       threaded, 4096 epoll)\n"
-      "  --engine E           epoll (default) | threaded\n"
-      "  --loops L            epoll event-loop threads (0 = auto)\n"
-      "  --workers W          epoll backend workers (0 = auto)\n"
+      "  --max-connections C  concurrent connections (default 4096)\n"
+      "  --loops L            event-loop threads (0 = auto)\n"
+      "  --workers W          backend workers (0 = auto)\n"
       "  --no-shared-cache    disable the cross-session query cache\n"
       "  --max-pending P      backend admission limit (default 1024)\n"
       "  --idle-timeout-ms T  idle eviction, 0 = never (default 60000)\n");
@@ -201,12 +194,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->bind = value;
     } else if (flag == "--max-connections") {
       if (!int_flag(1, 65536, &args->max_connections)) return false;
-    } else if (flag == "--engine" && need_value(&value)) {
-      if (value != "epoll" && value != "threaded") {
-        std::fprintf(stderr, "unknown engine '%s'\n", value.c_str());
-        return false;
-      }
-      args->engine = value;
     } else if (flag == "--loops") {
       if (!int_flag(0, 256, &args->loops)) return false;
     } else if (flag == "--workers") {
@@ -369,49 +356,26 @@ int main(int argc, char** argv) {
   // TopKInterface with a static-order ranking is thread-safe (see
   // docs/concurrency.md); both built-in rankings qualify, so connections
   // may hit the backend concurrently.
-  std::unique_ptr<service::DatabaseServer> threaded_server;
-  std::unique_ptr<service::EventDrivenServer> epoll_server;
-  uint16_t bound_port = 0;
-  if (args.engine == "threaded") {
-    service::DatabaseServer::Options server_options;
-    server_options.bind_address = args.bind;
-    server_options.port = static_cast<uint16_t>(args.port);
-    server_options.max_connections = static_cast<int>(
-        args.max_connections < 0 ? 8 : args.max_connections);
-    server_options.per_client_query_budget = args.client_budget;
-    server_options.serialize_backend = false;
-    auto server_result =
-        service::DatabaseServer::Start(iface.get(), server_options);
-    if (!server_result.ok()) {
-      std::fprintf(stderr, "serve: %s\n",
-                   server_result.status().ToString().c_str());
-      return 1;
-    }
-    threaded_server = std::move(server_result).value();
-    bound_port = threaded_server->port();
-  } else {
-    service::EventDrivenServer::Options server_options;
-    server_options.bind_address = args.bind;
-    server_options.port = static_cast<uint16_t>(args.port);
-    server_options.max_connections = static_cast<int>(
-        args.max_connections < 0 ? 4096 : args.max_connections);
-    server_options.per_client_query_budget = args.client_budget;
-    server_options.num_loops = static_cast<int>(args.loops);
-    server_options.num_workers = static_cast<int>(args.workers);
-    server_options.shared_cache = args.shared_cache;
-    server_options.max_pending_queries = static_cast<int>(args.max_pending);
-    server_options.idle_timeout_ms = static_cast<int>(args.idle_timeout_ms);
-    server_options.serialize_backend = false;
-    auto server_result =
-        service::EventDrivenServer::Start(iface.get(), server_options);
-    if (!server_result.ok()) {
-      std::fprintf(stderr, "serve: %s\n",
-                   server_result.status().ToString().c_str());
-      return 1;
-    }
-    epoll_server = std::move(server_result).value();
-    bound_port = epoll_server->port();
+  service::EventDrivenServer::Options server_options;
+  server_options.bind_address = args.bind;
+  server_options.port = static_cast<uint16_t>(args.port);
+  server_options.max_connections = static_cast<int>(args.max_connections);
+  server_options.per_client_query_budget = args.client_budget;
+  server_options.num_loops = static_cast<int>(args.loops);
+  server_options.num_workers = static_cast<int>(args.workers);
+  server_options.shared_cache = args.shared_cache;
+  server_options.max_pending_queries = static_cast<int>(args.max_pending);
+  server_options.idle_timeout_ms = static_cast<int>(args.idle_timeout_ms);
+  server_options.serialize_backend = false;
+  auto server_result =
+      service::EventDrivenServer::Start(iface.get(), server_options);
+  if (!server_result.ok()) {
+    std::fprintf(stderr, "serve: %s\n",
+                 server_result.status().ToString().c_str());
+    return 1;
   }
+  std::unique_ptr<service::EventDrivenServer> server =
+      std::move(server_result).value();
 
   if (paged != nullptr) {
     std::fprintf(stderr,
@@ -426,8 +390,7 @@ int main(int argc, char** argv) {
                  static_cast<long long>(table.num_rows()),
                  table.schema().ToString().c_str());
   }
-  std::fprintf(stderr, "engine  : %s\n", args.engine.c_str());
-  std::printf("listening on %s:%u\n", args.bind.c_str(), bound_port);
+  std::printf("listening on %s:%u\n", args.bind.c_str(), server->port());
   std::fflush(stdout);
 
   struct sigaction sa{};
@@ -438,38 +401,25 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
 
-  if (threaded_server != nullptr) {
-    threaded_server->Stop();
-    const service::DatabaseServer::Stats stats = threaded_server->stats();
-    std::fprintf(stderr,
-                 "served  : %lld queries (%lld replayed, %lld budget "
-                 "rejections) over %lld connections (%lld rejected)\n",
-                 static_cast<long long>(stats.queries_served),
-                 static_cast<long long>(stats.queries_replayed),
-                 static_cast<long long>(stats.budget_rejections),
-                 static_cast<long long>(stats.connections_accepted),
-                 static_cast<long long>(stats.connections_rejected));
-  } else {
-    epoll_server->Stop();
-    const service::EventDrivenServer::Stats stats = epoll_server->stats();
-    std::fprintf(stderr,
-                 "served  : %lld queries (%lld replayed, %lld budget "
-                 "rejections, %lld busy) over %lld connections "
-                 "(%lld rejected, %lld shed)\n",
-                 static_cast<long long>(stats.queries_served),
-                 static_cast<long long>(stats.queries_replayed),
-                 static_cast<long long>(stats.budget_rejections),
-                 static_cast<long long>(stats.busy_rejections),
-                 static_cast<long long>(stats.connections_accepted),
-                 static_cast<long long>(stats.connections_rejected),
-                 static_cast<long long>(stats.connections_shed));
-    std::fprintf(stderr,
-                 "cache   : %lld hits, %lld single-flight joins, %lld "
-                 "backend executions\n",
-                 static_cast<long long>(stats.cache_hits),
-                 static_cast<long long>(stats.singleflight_joins),
-                 static_cast<long long>(stats.backend_executions));
-  }
+  server->Stop();
+  const service::EventDrivenServer::Stats stats = server->stats();
+  std::fprintf(stderr,
+               "served  : %lld queries (%lld replayed, %lld budget "
+               "rejections, %lld busy) over %lld connections "
+               "(%lld rejected, %lld shed)\n",
+               static_cast<long long>(stats.queries_served),
+               static_cast<long long>(stats.queries_replayed),
+               static_cast<long long>(stats.budget_rejections),
+               static_cast<long long>(stats.busy_rejections),
+               static_cast<long long>(stats.connections_accepted),
+               static_cast<long long>(stats.connections_rejected),
+               static_cast<long long>(stats.connections_shed));
+  std::fprintf(stderr,
+               "cache   : %lld hits, %lld single-flight joins, %lld "
+               "backend executions\n",
+               static_cast<long long>(stats.cache_hits),
+               static_cast<long long>(stats.singleflight_joins),
+               static_cast<long long>(stats.backend_executions));
   const interface::AccessStats access = iface->stats();
   std::fprintf(stderr, "backend : %lld queries issued, %lld tuples returned\n",
                static_cast<long long>(access.queries_issued),
