@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "net/wire.h"
 
@@ -37,7 +39,7 @@ bool SkylineCollector::IsDominatedOrDuplicate(const Tuple& t) const {
   return index_.DominatedOrEqual(t);
 }
 
-void SkylineCollector::Finish(DiscoveryResult* result) {
+void SkylineCollector::Finish(DiscoveryResult* result) const {
   std::vector<size_t> perm(ids_.size());
   std::iota(perm.begin(), perm.end(), 0);
   std::sort(perm.begin(), perm.end(),
@@ -62,7 +64,8 @@ void SkylineCollector::SaveState(std::string* out) const {
   }
 }
 
-Status SkylineCollector::RestoreState(std::string_view blob) {
+Status SkylineCollector::RestoreState(std::string_view blob,
+                                      int num_attributes) {
   if (!ids_.empty()) {
     return Status::Internal("RestoreState on a non-empty SkylineCollector");
   }
@@ -78,6 +81,12 @@ Status SkylineCollector::RestoreState(std::string_view blob) {
     if (!dec.GetU32(&width) ||
         static_cast<size_t>(width) * 8 > dec.remaining()) {
       return Status::IOError("truncated collector state tuple");
+    }
+    if (width != static_cast<uint32_t>(num_attributes)) {
+      return Status::IOError("collector state tuple width " +
+                             std::to_string(width) + " does not match the " +
+                             std::to_string(num_attributes) +
+                             "-attribute schema");
     }
     Tuple t(width);
     for (uint32_t a = 0; a < width; ++a) dec.GetI64(&t[a]);
@@ -186,7 +195,8 @@ Status DiscoveryRun::RestoreState(std::string_view blob) {
   if (!dec.GetString(&collector_blob) || !dec.exhausted()) {
     return Status::IOError("truncated discovery-run state");
   }
-  HDSKY_RETURN_IF_ERROR(collector_.RestoreState(collector_blob));
+  HDSKY_RETURN_IF_ERROR(collector_.RestoreState(
+      collector_blob, iface_->schema().num_attributes()));
   queries_issued_ = static_cast<int64_t>(queries);
   exhausted_ = exhausted != 0;
   // Replace the constructor's initial {0,0} point with the saved trace
@@ -204,6 +214,40 @@ DiscoveryResult DiscoveryRun::Finish() {
   trace_.push_back({queries_issued_, collector_.size()});
   result.trace = std::move(trace_);
   return result;
+}
+
+ResumableDiscovery::ResumableDiscovery(interface::HiddenDatabase* iface,
+                                       DiscoveryOptions options)
+    : options_(std::move(options)), run_(iface, options_) {}
+
+Status ResumableDiscovery::Continue() {
+  run_.ClearExhausted();
+  return Traverse();
+}
+
+Result<bool> ResumableDiscovery::RestoreResume(
+    const std::function<Status(std::string_view)>& decode_frontier) {
+  if (!options_.resume_frontier.has_value()) return false;
+  if (options_.resume_run_state.has_value()) {
+    HDSKY_RETURN_IF_ERROR(run_.RestoreState(*options_.resume_run_state));
+  }
+  HDSKY_RETURN_IF_ERROR(decode_frontier(*options_.resume_frontier));
+  // The blobs are decoded once; the live state is the traversal's own.
+  options_.resume_run_state.reset();
+  options_.resume_frontier.reset();
+  return true;
+}
+
+void ResumableDiscovery::CheckpointTick() {
+  if (!options_.on_checkpoint) return;
+  options_.on_checkpoint(run_,
+                         [this](std::string* out) { SaveFrontier(out); });
+}
+
+Result<DiscoveryResult> RunToEnd(ResumableDiscovery& discovery) {
+  const Status s = discovery.Continue();
+  if (!s.ok() && !discovery.run().exhausted()) return s;
+  return discovery.run().Finish();
 }
 
 }  // namespace core

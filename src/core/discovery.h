@@ -25,6 +25,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -127,9 +128,9 @@ class SkylineCollector {
   const std::vector<data::Tuple>& tuples() const { return tuples_; }
   const std::vector<int>& ranking_attrs() const { return ranking_attrs_; }
 
-  /// Moves the collected skyline into `result` (ids sorted, tuples
+  /// Copies the collected skyline into `result` (ids sorted, tuples
   /// aligned).
-  void Finish(DiscoveryResult* result);
+  void Finish(DiscoveryResult* result) const;
 
   /// Serializes the confirmed skyline (ids + tuples, insertion order) for
   /// checkpoint snapshots.
@@ -137,8 +138,9 @@ class SkylineCollector {
 
   /// Rebuilds a collector from SaveState bytes. Only legal on an empty
   /// collector. Restored ids are marked observed, so replayed answers
-  /// re-classify without re-confirming.
-  common::Status RestoreState(std::string_view blob);
+  /// re-classify without re-confirming. A tuple whose width is not
+  /// `num_attributes` (the live schema's) is rejected with IOError.
+  common::Status RestoreState(std::string_view blob, int num_attributes);
 
  private:
   std::vector<int> ranking_attrs_;
@@ -180,6 +182,9 @@ class DiscoveryRun {
   interface::HiddenDatabase* iface() { return iface_; }
   int64_t queries_issued() const { return queries_issued_; }
   bool exhausted() const { return exhausted_; }
+  /// Re-arms a run that stopped on ResourceExhausted, so it may issue
+  /// queries again (ResumableDiscovery::Continue).
+  void ClearExhausted() { exhausted_ = false; }
 
   /// Packages the final DiscoveryResult.
   DiscoveryResult Finish();
@@ -203,6 +208,64 @@ class DiscoveryRun {
   bool exhausted_ = false;
   ProgressTrace trace_;
 };
+
+/// A frontier-driven traversal (SQ- or RQ-DB-SKY) held in memory between
+/// slices of work, so a caller that runs it in pieces (the federation's
+/// scheduling rounds) never encodes or decodes its state in between.
+///
+/// Invariant: the frontier changes only after an answer arrives. An
+/// iteration pops its node, records its signature and remembers its
+/// tuples only once its query has been answered. So when a query fails,
+/// the state is exactly what an on_checkpoint frontier taken at the top
+/// of that iteration describes, and the next Continue() re-issues the
+/// failed query.
+///
+/// Not thread-safe; a caller may hand it from thread to thread between
+/// Continue() calls when it orders them (e.g. a thread-pool barrier).
+class ResumableDiscovery {
+ public:
+  virtual ~ResumableDiscovery() = default;
+  ResumableDiscovery(const ResumableDiscovery&) = delete;
+  ResumableDiscovery& operator=(const ResumableDiscovery&) = delete;
+
+  /// Clears run().exhausted() and runs the traversal until its frontier
+  /// drains (OK) or a query fails (that query's status; ResourceExhausted
+  /// for a spent budget, max_queries or an interrupt).
+  common::Status Continue();
+
+  /// Encodes the frontier with the driver's checkpoint codec: the blob
+  /// DiscoveryOptions::resume_frontier takes, next to run().SaveState.
+  virtual void SaveFrontier(std::string* out) const = 0;
+
+  DiscoveryRun& run() { return run_; }
+
+ protected:
+  ResumableDiscovery(interface::HiddenDatabase* iface,
+                     DiscoveryOptions options);
+
+  /// Restores the options' resume_run_state (when set) into run() and
+  /// decodes their resume_frontier with `decode_frontier`, then drops
+  /// both blobs. True when a frontier was restored; false when the caller
+  /// should start from the root.
+  common::Result<bool> RestoreResume(
+      const std::function<common::Status(std::string_view)>&
+          decode_frontier);
+
+  /// on_checkpoint tick for the top of the traversal loop.
+  void CheckpointTick();
+
+  /// The traversal loop behind Continue().
+  virtual common::Status Traverse() = 0;
+
+ private:
+  DiscoveryOptions options_;  // precedes run_, which keeps a reference
+  DiscoveryRun run_;
+};
+
+/// Body of the single-site entry points: one Continue() to the end. A
+/// budget stop yields the anytime partial result (complete = false);
+/// any other failed query is the returned error.
+common::Result<DiscoveryResult> RunToEnd(ResumableDiscovery& discovery);
 
 }  // namespace core
 }  // namespace hdsky

@@ -1,7 +1,10 @@
 #include "core/rq_db_sky.h"
 
+#include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "net/wire.h"
@@ -60,7 +63,8 @@ void EncodeRqFrontier(const std::vector<Node>& stack,
   for (const std::string& sig : processed) enc.PutString(sig);
 }
 
-Status DecodeRqFrontier(std::string_view blob, std::vector<Node>* stack,
+Status DecodeRqFrontier(std::string_view blob, int num_attributes,
+                        std::vector<Node>* stack,
                         std::vector<TupleId>* seen_order,
                         std::vector<Tuple>* seen_tuples,
                         std::unordered_set<std::string>* processed) {
@@ -76,6 +80,11 @@ Status DecodeRqFrontier(std::string_view blob, std::vector<Node>* stack,
         !net::DecodeQueryBody(&dec, &n.rq)) {
       return Status::IOError("malformed RQ frontier node");
     }
+    if (n.sq.num_attributes() != num_attributes ||
+        n.rq.num_attributes() != num_attributes) {
+      return Status::IOError("RQ frontier node width does not match the "
+                             "schema");
+    }
     stack->push_back(std::move(n));
   }
   uint64_t seen_len = 0;
@@ -89,6 +98,10 @@ Status DecodeRqFrontier(std::string_view blob, std::vector<Node>* stack,
     if (!dec.GetU32(&width) ||
         static_cast<size_t>(width) * 8 > dec.remaining()) {
       return Status::IOError("malformed RQ frontier seen tuple");
+    }
+    if (width != static_cast<uint32_t>(num_attributes)) {
+      return Status::IOError("RQ frontier seen tuple width does not match "
+                             "the schema");
     }
     Tuple t(width);
     for (uint32_t a = 0; a < width; ++a) dec.GetI64(&t[a]);
@@ -113,14 +126,172 @@ Status DecodeRqFrontier(std::string_view blob, std::vector<Node>* stack,
   return Status::OK();
 }
 
+// Depth-first preorder over the query tree via an explicit stack, held
+// in memory between Continue() calls.
+class RqDbSkyDiscovery : public ResumableDiscovery {
+ public:
+  RqDbSkyDiscovery(HiddenDatabase* iface, const RqDbSkyOptions& options,
+                   std::vector<int> branch_attrs)
+      : ResumableDiscovery(iface, options.common),
+        schema_(iface->schema()),
+        k_(iface->k()),
+        skip_impossible_children_(options.skip_impossible_children),
+        disable_early_termination_(options.disable_early_termination),
+        skip_duplicate_nodes_(options.skip_duplicate_nodes),
+        ranking_(std::move(branch_attrs)) {}
+
+  Status Start() {
+    HDSKY_ASSIGN_OR_RETURN(
+        const bool resumed, RestoreResume([this](std::string_view blob) {
+          return DecodeRqFrontier(blob, schema_.num_attributes(), &stack_,
+                                  &seen_order_, &seen_tuples_,
+                                  &processed_regions_);
+        }));
+    if (resumed) {
+      // Crash-consistent resume: progress, the DFS stack, and the seen
+      // memo come from a checkpoint instead of the root.
+      seen_ids_.insert(seen_order_.begin(), seen_order_.end());
+    } else {
+      Node root;
+      root.sq = run().MakeBaseQuery();
+      root.rq = root.sq;
+      stack_.push_back(std::move(root));
+    }
+    return Status::OK();
+  }
+
+  void SaveFrontier(std::string* out) const override {
+    EncodeRqFrontier(stack_, seen_order_, seen_tuples_, processed_regions_,
+                     out);
+  }
+
+ protected:
+  Status Traverse() override {
+    while (!stack_.empty()) {
+      // Top of the loop is frontier-consistent: the node about to run is
+      // still on the stack.
+      CheckpointTick();
+      std::string signature;
+      if (skip_duplicate_nodes_) {
+        signature = stack_.back().sq.Signature();
+        if (processed_regions_.count(signature) > 0) {
+          stack_.pop_back();  // an identical region's subtree already ran
+          continue;
+        }
+      }
+      // Early termination (Algorithm 2): when a seen tuple matches q,
+      // issue the mutually exclusive R(q) instead.
+      const Node& top = stack_.back();
+      const bool plain = disable_early_termination_ || !SeenMatches(top.sq);
+      HDSKY_RETURN_IF_ERROR(run().Execute(plain ? top.sq : top.rq, &answer_));
+      // Answered: only now does the node leave the frontier.
+      const Node node = std::move(stack_.back());
+      stack_.pop_back();
+      if (skip_duplicate_nodes_) {
+        processed_regions_.insert(std::move(signature));
+      }
+      const QueryResult& t = answer_;
+      if (plain) {
+        Remember(t);
+        if (t.size() == k_) PushChildren(node, t.tuples[0]);
+        continue;
+      }
+      if (t.empty()) continue;  // subtree holds nothing new: prune
+      Remember(t);
+      if (t.size() == k_) {
+        // Pivot on a confirmed-skyline dominator of T0 when one exists
+        // (Algorithm 2 lines 10-12), otherwise on T0 itself.
+        const Tuple& t0 = t.tuples[0];
+        const Tuple* pivot = &t0;
+        for (const Tuple& s : run().collector().tuples()) {
+          if (skyline::Dominates(s, t0, ranking_)) {
+            pivot = &s;
+            break;
+          }
+        }
+        PushChildren(node, *pivot);
+      }
+    }
+    return Status::OK();
+  }
+
+ private:
+  // Records every returned tuple in the seen memo and the collector.
+  void Remember(const QueryResult& t) {
+    for (int i = 0; i < t.size(); ++i) {
+      const TupleId id = t.ids[static_cast<size_t>(i)];
+      if (seen_ids_.insert(id).second) {
+        seen_order_.push_back(id);
+        seen_tuples_.push_back(t.tuples[static_cast<size_t>(i)]);
+      }
+      run().Observe(id, t.tuples[static_cast<size_t>(i)]);
+    }
+  }
+
+  // The seen-match test of Algorithm 2 line 3.
+  bool SeenMatches(const Query& q) const {
+    for (const Tuple& t : seen_tuples_) {
+      if (q.MatchesTuple(t)) return true;
+    }
+    return false;
+  }
+
+  void PushChildren(const Node& node, const Tuple& pivot) {
+    // Children are pushed in reverse so the Ai-ascending branch order of
+    // the paper is preserved under stack-based preorder. Each child i
+    // carries sq = node.sq + (Ai < pivot[Ai]) and rq additionally
+    // excludes earlier branches with Aj >= pivot[Aj], j < i.
+    std::vector<Node> children;
+    children.reserve(ranking_.size());
+    Query rq_prefix = node.rq;
+    for (size_t i = 0; i < ranking_.size(); ++i) {
+      const int attr = ranking_[i];
+      Node child;
+      child.sq = node.sq;
+      child.sq.AddLessThan(attr, pivot[static_cast<size_t>(attr)]);
+      child.rq = rq_prefix;
+      child.rq.AddLessThan(attr, pivot[static_cast<size_t>(attr)]);
+      if (schema_.attribute(attr).supports_lower_bound()) {
+        rq_prefix.AddAtLeast(attr, pivot[static_cast<size_t>(attr)]);
+      }
+      if (skip_impossible_children_ &&
+          ChildImpossible(child.sq, schema_.attribute(attr), attr)) {
+        continue;
+      }
+      children.push_back(std::move(child));
+    }
+    for (auto it = children.rbegin(); it != children.rend(); ++it) {
+      stack_.push_back(std::move(*it));
+    }
+  }
+
+  const Schema& schema_;
+  const int k_;
+  const bool skip_impossible_children_;
+  const bool disable_early_termination_;
+  const bool skip_duplicate_nodes_;
+  const std::vector<int> ranking_;
+  std::vector<Node> stack_;
+  // All tuples ever returned. seen_order_ keeps ids aligned with
+  // seen_tuples_ so checkpoints serialize the memo deterministically.
+  std::vector<Tuple> seen_tuples_;
+  std::vector<TupleId> seen_order_;
+  std::unordered_set<TupleId> seen_ids_;
+  std::unordered_set<std::string> processed_regions_;
+  // One QueryResult lives across the whole walk: the buffer-reuse
+  // Execute overload refills it in place, so the query loop stops
+  // allocating once the buffers reach steady-state size.
+  QueryResult answer_;
+};
+
 }  // namespace
 
-Result<DiscoveryResult> RqDbSky(HiddenDatabase* iface,
-                                const RqDbSkyOptions& options) {
+Result<std::unique_ptr<ResumableDiscovery>> MakeRqDbSky(
+    HiddenDatabase* iface, const RqDbSkyOptions& options) {
   const Schema& schema = iface->schema();
-  const std::vector<int> branch_attrs = options.branch_attrs.empty()
-                                            ? schema.ranking_attributes()
-                                            : options.branch_attrs;
+  std::vector<int> branch_attrs = options.branch_attrs.empty()
+                                      ? schema.ranking_attributes()
+                                      : options.branch_attrs;
   for (int attr : branch_attrs) {
     if (attr < 0 || attr >= schema.num_attributes() ||
         !schema.attribute(attr).is_ranking()) {
@@ -144,140 +315,17 @@ Result<DiscoveryResult> RqDbSky(HiddenDatabase* iface,
     HDSKY_RETURN_IF_ERROR(
         iface->ValidateQuery(*options.common.base_filter));
   }
+  auto discovery = std::make_unique<RqDbSkyDiscovery>(
+      iface, options, std::move(branch_attrs));
+  HDSKY_RETURN_IF_ERROR(discovery->Start());
+  return std::unique_ptr<ResumableDiscovery>(std::move(discovery));
+}
 
-  DiscoveryRun run(iface, options.common);
-  const int k = iface->k();
-  const std::vector<int>& ranking = branch_attrs;
-
-  // All tuples ever returned; the seen-match test of Algorithm 2 line 3.
-  // seen_order keeps ids aligned with seen_tuples so checkpoints can
-  // serialize the memo deterministically.
-  std::vector<Tuple> seen_tuples;
-  std::vector<TupleId> seen_order;
-  std::unordered_set<TupleId> seen_ids;
-  auto remember = [&](const QueryResult& t) {
-    for (int i = 0; i < t.size(); ++i) {
-      const TupleId id = t.ids[static_cast<size_t>(i)];
-      if (seen_ids.insert(id).second) {
-        seen_order.push_back(id);
-        seen_tuples.push_back(t.tuples[static_cast<size_t>(i)]);
-      }
-      run.Observe(id, t.tuples[static_cast<size_t>(i)]);
-    }
-  };
-  auto seen_matches = [&](const Query& q) {
-    for (const Tuple& t : seen_tuples) {
-      if (q.MatchesTuple(t)) return true;
-    }
-    return false;
-  };
-
-  // Depth-first preorder via an explicit stack. One QueryResult lives
-  // across the whole walk: the buffer-reuse Execute overload refills it
-  // in place, so the query loop stops allocating once the buffers reach
-  // steady-state size.
-  QueryResult answer;
-  std::unordered_set<std::string> processed_regions;
-  std::vector<Node> stack;
-  if (options.common.resume_frontier.has_value()) {
-    // Crash-consistent resume: progress, the DFS stack, and the seen
-    // memo come from a checkpoint instead of the root.
-    if (options.common.resume_run_state.has_value()) {
-      HDSKY_RETURN_IF_ERROR(
-          run.RestoreState(*options.common.resume_run_state));
-    }
-    HDSKY_RETURN_IF_ERROR(
-        DecodeRqFrontier(*options.common.resume_frontier, &stack,
-                         &seen_order, &seen_tuples, &processed_regions));
-    seen_ids.insert(seen_order.begin(), seen_order.end());
-  } else {
-    Node root;
-    root.sq = run.MakeBaseQuery();
-    root.rq = root.sq;
-    stack.push_back(std::move(root));
-  }
-
-  auto push_children = [&](const Node& node, const Tuple& pivot) {
-    // Children are pushed in reverse so the Ai-ascending branch order of
-    // the paper is preserved under stack-based preorder. Each child i
-    // carries sq = node.sq + (Ai < pivot[Ai]) and rq additionally
-    // excludes earlier branches with Aj >= pivot[Aj], j < i.
-    std::vector<Node> children;
-    children.reserve(ranking.size());
-    Query rq_prefix = node.rq;
-    for (size_t i = 0; i < ranking.size(); ++i) {
-      const int attr = ranking[i];
-      Node child;
-      child.sq = node.sq;
-      child.sq.AddLessThan(attr, pivot[static_cast<size_t>(attr)]);
-      child.rq = rq_prefix;
-      child.rq.AddLessThan(attr, pivot[static_cast<size_t>(attr)]);
-      if (schema.attribute(attr).supports_lower_bound()) {
-        rq_prefix.AddAtLeast(attr, pivot[static_cast<size_t>(attr)]);
-      }
-      if (options.skip_impossible_children &&
-          ChildImpossible(child.sq, schema.attribute(attr), attr)) {
-        continue;
-      }
-      children.push_back(std::move(child));
-    }
-    for (auto it = children.rbegin(); it != children.rend(); ++it) {
-      stack.push_back(std::move(*it));
-    }
-  };
-
-  while (!stack.empty()) {
-    if (options.common.on_checkpoint) {
-      // Top of the loop is frontier-consistent: the node about to run is
-      // still on the stack.
-      options.common.on_checkpoint(run, [&](std::string* out) {
-        EncodeRqFrontier(stack, seen_order, seen_tuples, processed_regions,
-                         out);
-      });
-    }
-    const Node node = std::move(stack.back());
-    stack.pop_back();
-    if (options.skip_duplicate_nodes &&
-        !processed_regions.insert(node.sq.Signature()).second) {
-      continue;  // an identical region's subtree already ran
-    }
-
-    if (options.disable_early_termination || !seen_matches(node.sq)) {
-      const Status st = run.Execute(node.sq, &answer);
-      if (!st.ok()) {
-        if (run.exhausted()) break;
-        return st;
-      }
-      const QueryResult& t = answer;
-      remember(t);
-      if (t.size() == k) push_children(node, t.tuples[0]);
-      continue;
-    }
-
-    // Early-termination branch: issue the mutually exclusive R(q).
-    const Status st = run.Execute(node.rq, &answer);
-    if (!st.ok()) {
-      if (run.exhausted()) break;
-      return st;
-    }
-    const QueryResult& t = answer;
-    if (t.empty()) continue;  // subtree holds nothing new: prune
-    remember(t);
-    if (t.size() == k) {
-      // Pivot on a confirmed-skyline dominator of T0 when one exists
-      // (Algorithm 2 lines 10-12), otherwise on T0 itself.
-      const Tuple& t0 = t.tuples[0];
-      const Tuple* pivot = &t0;
-      for (const Tuple& s : run.collector().tuples()) {
-        if (skyline::Dominates(s, t0, ranking)) {
-          pivot = &s;
-          break;
-        }
-      }
-      push_children(node, *pivot);
-    }
-  }
-  return run.Finish();
+Result<DiscoveryResult> RqDbSky(HiddenDatabase* iface,
+                                const RqDbSkyOptions& options) {
+  HDSKY_ASSIGN_OR_RETURN(std::unique_ptr<ResumableDiscovery> discovery,
+                         MakeRqDbSky(iface, options));
+  return RunToEnd(*discovery);
 }
 
 }  // namespace core

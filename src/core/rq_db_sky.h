@@ -12,6 +12,8 @@
 #ifndef HDSKY_CORE_RQ_DB_SKY_H_
 #define HDSKY_CORE_RQ_DB_SKY_H_
 
+#include <memory>
+
 #include "core/discovery.h"
 
 namespace hdsky {
@@ -48,9 +50,15 @@ struct RqDbSkyOptions {
   bool require_two_ended = true;
 };
 
-/// Runs RQ-DB-SKY against `iface`. Every ranking attribute must support
-/// two-ended ranges (RQ). Budget exhaustion yields the anytime partial
-/// skyline with complete = false.
+/// Starts RQ-DB-SKY against `iface` without issuing a query: validates
+/// the interface and options and restores options.common's resume
+/// blobs. Drive it with Continue(); see ResumableDiscovery.
+common::Result<std::unique_ptr<ResumableDiscovery>> MakeRqDbSky(
+    interface::HiddenDatabase* iface, const RqDbSkyOptions& options = {});
+
+/// Runs RQ-DB-SKY against `iface` to the end (MakeRqDbSky + RunToEnd).
+/// Every ranking attribute must support two-ended ranges (RQ). Budget
+/// exhaustion yields the anytime partial skyline with complete = false.
 common::Result<DiscoveryResult> RqDbSky(interface::HiddenDatabase* iface,
                                         const RqDbSkyOptions& options = {});
 

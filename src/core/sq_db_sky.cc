@@ -1,8 +1,11 @@
 #include "core/sq_db_sky.h"
 
 #include <deque>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_set>
+#include <utility>
 
 #include "net/wire.h"
 
@@ -40,7 +43,8 @@ void EncodeSqFrontier(const std::deque<Query>& queue,
   for (const std::string& sig : processed) enc.PutString(sig);
 }
 
-Status DecodeSqFrontier(std::string_view blob, std::deque<Query>* queue,
+Status DecodeSqFrontier(std::string_view blob, int num_attributes,
+                        std::deque<Query>* queue,
                         std::unordered_set<std::string>* processed) {
   net::Decoder dec(blob);
   uint8_t tag = 0;
@@ -52,6 +56,10 @@ Status DecodeSqFrontier(std::string_view blob, std::deque<Query>* queue,
     Query q;
     if (!net::DecodeQueryBody(&dec, &q)) {
       return Status::IOError("malformed SQ frontier query");
+    }
+    if (q.num_attributes() != num_attributes) {
+      return Status::IOError("SQ frontier query width does not match the "
+                             "schema");
     }
     queue->push_back(std::move(q));
   }
@@ -72,10 +80,95 @@ Status DecodeSqFrontier(std::string_view blob, std::deque<Query>* queue,
   return Status::OK();
 }
 
+// The breadth-first drain of the query tree, held in memory between
+// Continue() calls.
+class SqDbSkyDiscovery : public ResumableDiscovery {
+ public:
+  SqDbSkyDiscovery(HiddenDatabase* iface, const SqDbSkyOptions& options)
+      : ResumableDiscovery(iface, options.common),
+        schema_(iface->schema()),
+        k_(iface->k()),
+        skip_impossible_children_(options.skip_impossible_children),
+        skip_duplicate_nodes_(options.skip_duplicate_nodes) {}
+
+  Status Start() {
+    HDSKY_ASSIGN_OR_RETURN(
+        const bool resumed, RestoreResume([this](std::string_view blob) {
+          return DecodeSqFrontier(blob, schema_.num_attributes(), &queue_,
+                                  &processed_regions_);
+        }));
+    // Crash-consistent resume continues the checkpointed frontier
+    // (docs/robustness.md); a fresh run starts at the root.
+    if (!resumed) queue_.push_back(run().MakeBaseQuery());
+    return Status::OK();
+  }
+
+  void SaveFrontier(std::string* out) const override {
+    EncodeSqFrontier(queue_, processed_regions_, out);
+  }
+
+ protected:
+  Status Traverse() override {
+    while (!queue_.empty()) {
+      // Top of the loop is frontier-consistent: every answer funneled
+      // into the collector came from a node no longer in the queue.
+      CheckpointTick();
+      std::string signature;
+      if (skip_duplicate_nodes_) {
+        signature = queue_.front().Signature();
+        if (processed_regions_.count(signature) > 0) {
+          queue_.pop_front();  // an identical region's subtree already ran
+          continue;
+        }
+      }
+      HDSKY_RETURN_IF_ERROR(run().Execute(queue_.front(), &answer_));
+      // Answered: only now does the node leave the frontier.
+      const Query q = std::move(queue_.front());
+      queue_.pop_front();
+      if (skip_duplicate_nodes_) {
+        processed_regions_.insert(std::move(signature));
+      }
+      const QueryResult& t = answer_;
+      // Every returned tuple not dominated by anything seen is a skyline
+      // tuple (downward-closed query space; see core/discovery.h).
+      for (int i = 0; i < t.size(); ++i) {
+        run().Observe(t.ids[static_cast<size_t>(i)],
+                      t.tuples[static_cast<size_t>(i)]);
+      }
+      if (t.size() == k_) {
+        // The paper's overflow test: a full page spawns one child per
+        // ranking attribute, pivoted on the top-ranked tuple.
+        const data::Tuple& pivot = t.tuples[0];
+        for (int attr : schema_.ranking_attributes()) {
+          Query child = q;
+          child.AddLessThan(attr, pivot[static_cast<size_t>(attr)]);
+          if (skip_impossible_children_ &&
+              ChildImpossible(child, schema_.attribute(attr), attr)) {
+            continue;
+          }
+          queue_.push_back(std::move(child));
+        }
+      }
+    }
+    return Status::OK();
+  }
+
+ private:
+  const Schema& schema_;
+  const int k_;
+  const bool skip_impossible_children_;
+  const bool skip_duplicate_nodes_;
+  std::deque<Query> queue_;
+  std::unordered_set<std::string> processed_regions_;
+  // One QueryResult lives across the whole traversal; the buffer-reuse
+  // Execute overload refills it in place each iteration.
+  QueryResult answer_;
+};
+
 }  // namespace
 
-Result<DiscoveryResult> SqDbSky(HiddenDatabase* iface,
-                                const SqDbSkyOptions& options) {
+Result<std::unique_ptr<ResumableDiscovery>> MakeSqDbSky(
+    HiddenDatabase* iface, const SqDbSkyOptions& options) {
   const Schema& schema = iface->schema();
   for (int attr : schema.ranking_attributes()) {
     if (!schema.attribute(attr).supports_upper_bound()) {
@@ -89,69 +182,16 @@ Result<DiscoveryResult> SqDbSky(HiddenDatabase* iface,
     HDSKY_RETURN_IF_ERROR(
         iface->ValidateQuery(*options.common.base_filter));
   }
+  auto discovery = std::make_unique<SqDbSkyDiscovery>(iface, options);
+  HDSKY_RETURN_IF_ERROR(discovery->Start());
+  return std::unique_ptr<ResumableDiscovery>(std::move(discovery));
+}
 
-  DiscoveryRun run(iface, options.common);
-  const int k = iface->k();
-  std::unordered_set<std::string> processed_regions;
-  std::deque<Query> queue;
-  if (options.common.resume_frontier.has_value()) {
-    // Crash-consistent resume: progress and the BFS frontier come from a
-    // checkpoint instead of the root (docs/robustness.md).
-    if (options.common.resume_run_state.has_value()) {
-      HDSKY_RETURN_IF_ERROR(
-          run.RestoreState(*options.common.resume_run_state));
-    }
-    HDSKY_RETURN_IF_ERROR(DecodeSqFrontier(*options.common.resume_frontier,
-                                           &queue, &processed_regions));
-  } else {
-    queue.push_back(run.MakeBaseQuery());
-  }
-
-  // One QueryResult lives across the whole traversal; the buffer-reuse
-  // Execute overload refills it in place each iteration.
-  QueryResult answer;
-  while (!queue.empty()) {
-    if (options.common.on_checkpoint) {
-      // Top of the loop is frontier-consistent: every answer funneled into
-      // the collector came from a node no longer in the queue.
-      options.common.on_checkpoint(run, [&](std::string* out) {
-        EncodeSqFrontier(queue, processed_regions, out);
-      });
-    }
-    const Query q = std::move(queue.front());
-    queue.pop_front();
-    if (options.skip_duplicate_nodes &&
-        !processed_regions.insert(q.Signature()).second) {
-      continue;  // an identical region's subtree already ran
-    }
-    const Status st = run.Execute(q, &answer);
-    if (!st.ok()) {
-      if (run.exhausted()) break;  // anytime: return the partial skyline
-      return st;
-    }
-    const QueryResult& t = answer;
-    // Every returned tuple not dominated by anything seen is a skyline
-    // tuple (downward-closed query space; see core/discovery.h).
-    for (int i = 0; i < t.size(); ++i) {
-      run.Observe(t.ids[static_cast<size_t>(i)],
-                  t.tuples[static_cast<size_t>(i)]);
-    }
-    if (t.size() == k) {
-      // The paper's overflow test: a full page spawns one child per
-      // ranking attribute, pivoted on the top-ranked tuple.
-      const data::Tuple& pivot = t.tuples[0];
-      for (int attr : schema.ranking_attributes()) {
-        Query child = q;
-        child.AddLessThan(attr, pivot[static_cast<size_t>(attr)]);
-        if (options.skip_impossible_children &&
-            ChildImpossible(child, schema.attribute(attr), attr)) {
-          continue;
-        }
-        queue.push_back(std::move(child));
-      }
-    }
-  }
-  return run.Finish();
+Result<DiscoveryResult> SqDbSky(HiddenDatabase* iface,
+                                const SqDbSkyOptions& options) {
+  HDSKY_ASSIGN_OR_RETURN(std::unique_ptr<ResumableDiscovery> discovery,
+                         MakeSqDbSky(iface, options));
+  return RunToEnd(*discovery);
 }
 
 }  // namespace core

@@ -13,6 +13,8 @@
 #ifndef HDSKY_CORE_SQ_DB_SKY_H_
 #define HDSKY_CORE_SQ_DB_SKY_H_
 
+#include <memory>
+
 #include "core/discovery.h"
 
 namespace hdsky {
@@ -33,10 +35,17 @@ struct SqDbSkyOptions {
   bool skip_duplicate_nodes = false;
 };
 
-/// Runs SQ-DB-SKY against `iface`. Every ranking attribute must support
-/// an upper-bound predicate (SQ or RQ). A budget exhaustion (either the
-/// interface's or options.common.max_queries) yields complete = false
-/// with the partial skyline discovered so far — the anytime property.
+/// Starts SQ-DB-SKY against `iface` without issuing a query: validates
+/// the interface and options and restores options.common's resume
+/// blobs. Drive it with Continue(); see ResumableDiscovery.
+common::Result<std::unique_ptr<ResumableDiscovery>> MakeSqDbSky(
+    interface::HiddenDatabase* iface, const SqDbSkyOptions& options = {});
+
+/// Runs SQ-DB-SKY against `iface` to the end (MakeSqDbSky + RunToEnd).
+/// Every ranking attribute must support an upper-bound predicate (SQ or
+/// RQ). A budget exhaustion (either the interface's or
+/// options.common.max_queries) yields complete = false with the partial
+/// skyline discovered so far — the anytime property.
 common::Result<DiscoveryResult> SqDbSky(interface::HiddenDatabase* iface,
                                         const SqDbSkyOptions& options = {});
 

@@ -31,15 +31,12 @@ struct BackendState {
   /// Backend-local ranking attribute indices in canonical order.
   std::vector<int> ranking_attrs;
 
-  /// Frontier + run state of the last pause; resumed from next round.
-  std::string run_state;
-  std::string frontier;
-  bool has_resume = false;
-
-  /// Cumulative confirmed tuples (the run's collector is cumulative
-  /// across rounds through resume, so each round's result replaces).
-  std::vector<data::TupleId> cand_ids;
-  std::vector<data::Tuple> cand_tuples;
+  /// The backend's traversal, live for the whole session: every round
+  /// Continue()s it behind the pruner. Its collector holds the backend's
+  /// confirmed candidates.
+  std::unique_ptr<core::ResumableDiscovery> discovery;
+  /// Collector tuples already inserted into the shared frozen index.
+  size_t indexed = 0;
 
   int64_t prev_confirmed = 0;
   int64_t prev_paid = 0;
@@ -53,7 +50,8 @@ struct BackendState {
 
   /// Health state machine (HEALTHY -> DEGRADED -> DEAD, with DEGRADED ->
   /// HEALTHY on a successful re-probe). A degraded backend keeps its
-  /// paused frontier and waits out a deterministic round-count backoff.
+  /// traversal in memory and waits out a deterministic round-count
+  /// backoff.
   BackendHealth health = BackendHealth::kHealthy;
   int64_t probe_attempts = 0;
   int64_t next_probe_round = 0;
@@ -64,12 +62,14 @@ struct BackendState {
 
   /// Written by the round's worker task, read after the barrier.
   bool ran_this_round = false;
-  bool round_ok = false;
+  /// The traversal was continued this round (false when a re-probe
+  /// callback failed first).
+  bool continued = false;
   Status round_status;
-  core::DiscoveryResult round_result;
-  std::string pending_run_state;
-  std::string pending_frontier;
-  bool pending_saved = false;
+
+  const core::SkylineCollector& confirmed() const {
+    return discovery->run().collector();
+  }
 };
 
 /// Picks the discovery driver a backend's interface taxonomy supports.
@@ -104,51 +104,29 @@ Status PickAlgorithm(const data::Schema& schema, const std::string& requested,
                                  requested + "' (auto | sq | rq)");
 }
 
-/// One backend's slice of a scheduling round: arm the pruner, run the
-/// discovery driver from the resumed frontier, capture the pause state.
-void RunBackendRound(BackendState* st, const skyline::DominanceIndex* frozen,
-                     int64_t allowance, const FederationOptions& options) {
-  st->pruner->StartRound(allowance, options.cross_prune ? frozen : nullptr);
-  st->pending_saved = false;
-  st->round_ok = false;
-
+/// Builds the backend's traversal behind its pruner: from the root, or
+/// from a round checkpoint's frontier. The only place a federated run
+/// decodes driver state.
+Status StartDiscovery(BackendState* st, const FederationOptions& options,
+                      const recovery::FederatedBackendState* resume) {
   core::DiscoveryOptions opts;
   opts.interrupt = options.interrupt;
-  if (st->has_resume) {
-    opts.resume_run_state = st->run_state;
-    opts.resume_frontier = st->frontier;
+  if (resume != nullptr && resume->has_resume) {
+    opts.resume_run_state = resume->run_state;
+    opts.resume_frontier = resume->frontier;
   }
-  PruningDatabase* pruner = st->pruner.get();
-  opts.on_checkpoint = [st, pruner](core::DiscoveryRun& run,
-                                    const core::FrontierSaver& save) {
-    // Both drivers issue at most one paid query per loop iteration, so a
-    // snapshot at every starved iteration top means the last one before
-    // the pausing query reflects every paid query — resuming re-pays
-    // nothing.
-    if (pruner->remaining() != 0) return;
-    st->pending_run_state.clear();
-    st->pending_frontier.clear();
-    run.SaveState(&st->pending_run_state);
-    save(&st->pending_frontier);
-    st->pending_saved = true;
-  };
-
-  Result<core::DiscoveryResult> r = Status::Internal("not run");
   if (st->algorithm == "rq") {
     core::RqDbSkyOptions o;
-    o.common = opts;
-    r = core::RqDbSky(pruner, o);
+    o.common = std::move(opts);
+    HDSKY_ASSIGN_OR_RETURN(st->discovery,
+                           core::MakeRqDbSky(st->pruner.get(), o));
   } else {
     core::SqDbSkyOptions o;
-    o.common = opts;
-    r = core::SqDbSky(pruner, o);
+    o.common = std::move(opts);
+    HDSKY_ASSIGN_OR_RETURN(st->discovery,
+                           core::MakeSqDbSky(st->pruner.get(), o));
   }
-  st->round_ok = r.ok();
-  if (r.ok()) {
-    st->round_result = std::move(r).value();
-  } else {
-    st->round_status = r.status();
-  }
+  return Status::OK();
 }
 
 data::Tuple Project(const data::Tuple& t, const std::vector<int>& attrs) {
@@ -180,7 +158,9 @@ int64_t ProbeDelayRounds(const FederationOptions& options, size_t backend,
 
 /// The coordinator's barrier state, exactly as the resume path consumes
 /// it. Called only between rounds, where every persisted value is
-/// consistent with every backend journal.
+/// consistent with every backend journal; the only place a federated run
+/// encodes driver state. A backend that will run again persists its live
+/// traversal; a finished one only its candidates.
 recovery::FederationSessionState BuildCheckpoint(
     const FederationOptions& options, const std::vector<BackendState>& states,
     int64_t rounds, int64_t total_remaining) {
@@ -194,11 +174,15 @@ recovery::FederationSessionState BuildCheckpoint(
     recovery::FederatedBackendState b;
     b.name = st.name;
     b.algorithm = st.algorithm;
-    b.has_resume = st.has_resume;
-    b.run_state = st.run_state;
-    b.frontier = st.frontier;
-    b.cand_ids = st.cand_ids;
-    b.cand_tuples = st.cand_tuples;
+    b.has_resume = st.active;
+    if (st.active) {
+      st.discovery->run().SaveState(&b.run_state);
+      st.discovery->SaveFrontier(&b.frontier);
+    }
+    core::DiscoveryResult cands;  // id-sorted, tuples aligned
+    st.confirmed().Finish(&cands);
+    b.cand_ids = std::move(cands.skyline_ids);
+    b.cand_tuples = std::move(cands.skyline);
     b.prev_confirmed = st.prev_confirmed;
     b.prev_paid = st.prev_paid;
     b.last_round_paid = st.last_round_paid;
@@ -222,7 +206,8 @@ recovery::FederationSessionState BuildCheckpoint(
 }
 
 /// Rehydrates the coordinator from a round checkpoint, validating that
-/// the live federation matches the one that saved it.
+/// the live federation matches the one that saved it, and starts every
+/// backend's traversal from its persisted frontier.
 Status RestoreFederation(const recovery::FederationSessionState& rs,
                          const FederationOptions& options,
                          std::vector<BackendState>* states, int64_t* rounds,
@@ -263,11 +248,11 @@ Status RestoreFederation(const recovery::FederationSessionState& rs,
         }
       }
     }
-    st.has_resume = b.has_resume;
-    st.run_state = b.run_state;
-    st.frontier = b.frontier;
-    st.cand_ids = b.cand_ids;
-    st.cand_tuples = b.cand_tuples;
+    if (b.cand_ids.size() != b.cand_tuples.size()) {
+      return Status::IOError(st.name +
+                             ": federation state candidate ids and tuples "
+                             "differ in count");
+    }
     st.prev_confirmed = b.prev_confirmed;
     st.prev_paid = b.prev_paid;
     st.last_round_paid = b.last_round_paid;
@@ -286,6 +271,16 @@ Status RestoreFederation(const recovery::FederationSessionState& rs,
     st.active = !b.complete && !b.failed && !b.backend_exhausted;
     st.pruner->RestoreAccounting(b.paid, b.pruned, b.backend_exhausted);
     st.pruner->RestoreObserved(b.observed_ids, b.observed_tuples);
+    HDSKY_RETURN_IF_ERROR(
+        StartDiscovery(&st, options, st.active ? &b : nullptr));
+    // The candidates are the backend's confirmed set at the barrier. A
+    // live traversal's restored collector already holds every one of
+    // them (AddConfirmed ignores known ids); a finished backend's
+    // traversal never runs again and only carries them to the merge.
+    core::SkylineCollector& collector = st.discovery->run().collector();
+    for (size_t j = 0; j < b.cand_ids.size(); ++j) {
+      collector.AddConfirmed(b.cand_ids[j], b.cand_tuples[j]);
+    }
   }
   *rounds = rs.rounds;
   if (options.total_budget > 0) *total_remaining = rs.total_remaining;
@@ -441,7 +436,25 @@ Result<FederatedResult> RunFederatedDiscovery(
     HDSKY_RETURN_IF_ERROR(RestoreFederation(*options.resume_state, options,
                                             &states, &out.rounds,
                                             &total_remaining));
+  } else {
+    for (BackendState& st : states) {
+      HDSKY_RETURN_IF_ERROR(StartDiscovery(&st, options, nullptr));
+    }
   }
+
+  // The shared dominance snapshot, in canonical ranking space. It only
+  // grows: each round first inserts the tuples every backend's collector
+  // confirmed since the previous barrier, then stays read-only for the
+  // whole round, shared by every worker. Confirmations never revert and
+  // DominatedOrEqual depends only on the set of inserted tuples, so this
+  // decides every region exactly as a snapshot rebuilt from all
+  // candidates would. Confirmed tuples suffice as witnesses: each
+  // backend's confirmed set is the local skyline — the dominance closure
+  // — of everything it has observed, so a raw observed tuple can never
+  // dominate a region corner that a confirmed tuple does not already
+  // dominate (verified empirically: indexing the full observed pool
+  // changes no prune decision).
+  skyline::DominanceIndex frozen(canonical_attrs);
 
   const auto interrupted = [&] {
     return options.interrupt && options.interrupt();
@@ -489,62 +502,60 @@ Result<FederatedResult> RunFederatedDiscovery(
     const std::vector<int64_t> alloc =
         AllocateBudget(yields, budget, options.min_share);
 
-    // Freeze the round's shared dominance snapshot: every candidate any
-    // backend has confirmed, in canonical ranking space. Read-only for
-    // the whole round, shared by every worker. Confirmed tuples suffice
-    // as witnesses: each backend's confirmed set is the local skyline —
-    // the dominance closure — of everything it has observed, so a raw
-    // observed tuple can never dominate a region corner that a confirmed
-    // tuple does not already dominate (verified empirically: indexing
-    // the full observed pool changes no prune decision).
-    skyline::DominanceIndex frozen(canonical_attrs);
     if (cross_prune) {
-      for (const BackendState& st : states) {
-        for (const data::Tuple& t : st.cand_tuples) {
-          frozen.Insert(Project(t, st.ranking_attrs));
+      for (BackendState& st : states) {
+        const std::vector<data::Tuple>& confirmed = st.confirmed().tuples();
+        for (; st.indexed < confirmed.size(); ++st.indexed) {
+          frozen.Insert(Project(confirmed[st.indexed], st.ranking_attrs));
         }
       }
     }
 
-    for (BackendState& st : states) st.ran_this_round = false;
+    for (BackendState& st : states) {
+      st.ran_this_round = false;
+      st.continued = false;
+    }
     for (size_t i = 0; i < states.size(); ++i) {
       if (!states[i].participates || alloc[i] <= 0) continue;
       BackendState* st = &states[i];
+      st->ran_this_round = true;
       if (st->health == BackendHealth::kDegraded &&
           options.on_backend_reprobe) {
         // Settle any dangling journal intent from the failed attempt
-        // before the driver restarts against a newer frozen snapshot.
+        // before the traversal re-issues the failed query (or, if the
+        // grown snapshot now prunes it, moves on to a different one).
         // A failure here IS the probe result: the backend is still
         // unreachable, so record a failed probe round and let the
         // health machine back off again.
         const common::Status ps = options.on_backend_reprobe(i);
         if (!ps.ok()) {
-          st->ran_this_round = true;
-          st->round_ok = false;
           st->round_status = ps;
           continue;
         }
       }
       const int64_t allowance = alloc[i];
-      st->ran_this_round = true;
-      pool.Submit([st, &frozen, allowance, &options] {
-        RunBackendRound(st, &frozen, allowance, options);
+      st->continued = true;
+      const skyline::DominanceIndex* snapshot =
+          cross_prune ? &frozen : nullptr;
+      pool.Submit([st, snapshot, allowance] {
+        // The traversal picks up exactly where it stopped last round.
+        st->pruner->StartRound(allowance, snapshot);
+        st->round_status = st->discovery->Continue();
       });
     }
     pool.WaitIdle();  // the round barrier
 
     // A round some backend left mid-flight (the cooperative interrupt
-    // fired inside a driver) is torn: the backend's frontier snapshot
-    // does not cover its payments, so adopting or persisting it would
-    // desynchronize the coordinator from the backend journals. Discard
-    // the whole round — the journals keep every paid answer, and a
-    // resumed session re-executes the round from the previous barrier,
-    // replaying those payments for free.
+    // fired inside a driver) is torn: neither paused by its allowance nor
+    // stopped by its backend's budget. Persisting it would cut the
+    // session at a point no barrier describes, so the loop stops here —
+    // the journals keep every paid answer, and a resumed session
+    // re-executes the round from the previous barrier, replaying those
+    // payments for free.
     bool torn = false;
     for (const BackendState& st : states) {
-      if (!st.ran_this_round || !st.round_ok) continue;
-      if (!st.round_result.complete && !st.pruner->round_paused() &&
-          !st.pruner->backend_exhausted()) {
+      if (st.continued && st.round_status.IsResourceExhausted() &&
+          !st.pruner->round_paused() && !st.pruner->backend_exhausted()) {
         torn = true;
         break;
       }
@@ -560,14 +571,16 @@ Result<FederatedResult> RunFederatedDiscovery(
       st.last_round_paid = st.pruner->paid() - st.prev_paid;
       st.prev_paid = st.pruner->paid();
       paid_this_round += st.last_round_paid;
-      if (!st.round_ok) {
-        // Health machine: a transient failure keeps the frontier (it
-        // was not touched this round) and schedules a re-probe; a
-        // permanent error or a spent probe budget drops the backend.
-        st.error = st.round_status.ToString();
+      const Status& s = st.round_status;
+      if (!st.continued || (!s.ok() && !s.IsResourceExhausted())) {
+        // Health machine: a transient failure keeps the traversal in
+        // memory, stopped at the query that failed (the answered queries
+        // before it are kept and never paid for again), and schedules a
+        // re-probe; a permanent error or a spent probe budget drops the
+        // backend.
+        st.error = s.ToString();
         st.probe_attempts += 1;
-        const bool transient = st.round_status.IsIOError() ||
-                               st.round_status.IsUnavailable();
+        const bool transient = s.IsIOError() || s.IsUnavailable();
         if (!transient || st.probe_attempts > options.max_probe_attempts) {
           st.health = BackendHealth::kDead;
           st.failed = true;
@@ -588,14 +601,10 @@ Result<FederatedResult> RunFederatedDiscovery(
         st.recoveries += 1;
         st.error.clear();
       }
-      st.last_round_new =
-          static_cast<int64_t>(st.round_result.skyline.size()) -
-          st.prev_confirmed;
-      st.prev_confirmed =
-          static_cast<int64_t>(st.round_result.skyline.size());
-      st.cand_ids = std::move(st.round_result.skyline_ids);
-      st.cand_tuples = std::move(st.round_result.skyline);
-      if (st.round_result.complete) {
+      const int64_t confirmed = st.confirmed().size();
+      st.last_round_new = confirmed - st.prev_confirmed;
+      st.prev_confirmed = confirmed;
+      if (s.ok()) {
         st.complete = true;
         st.active = false;
       } else if (st.pruner->backend_exhausted()) {
@@ -603,18 +612,10 @@ Result<FederatedResult> RunFederatedDiscovery(
         // region may hide union-skyline tuples. Coverage is flagged at
         // the end of the run.
         st.active = false;
-      } else if (st.pruner->round_paused()) {
-        if (st.pending_saved) {
-          st.run_state = std::move(st.pending_run_state);
-          st.frontier = std::move(st.pending_frontier);
-          st.has_resume = true;
-        }
-        // else: paused before any starved checkpoint fired (cannot
-        // happen with the one-query-per-iteration drivers; if it ever
-        // does, the stale resume state re-explores, never corrupts).
       }
-      // (complete / backend-exhausted / paused is exhaustive here: torn
-      // rounds were discarded above.)
+      // else: paused by the round allowance; the traversal waits in
+      // memory for the next round. (complete / backend-exhausted /
+      // paused is exhaustive here: torn rounds were discarded above.)
     }
     if (options.total_budget > 0) total_remaining -= paid_this_round;
     HDSKY_RETURN_IF_ERROR(checkpoint());
@@ -633,7 +634,7 @@ Result<FederatedResult> RunFederatedDiscovery(
     report.name = st.name;
     report.paid_queries = st.pruner->paid();
     report.pruned_queries = st.pruner->pruned();
-    report.confirmed = static_cast<int64_t>(st.cand_tuples.size());
+    report.confirmed = st.confirmed().size();
     report.rounds = st.rounds;
     report.complete = st.complete;
     report.failed = st.failed;
@@ -657,12 +658,14 @@ Result<FederatedResult> RunFederatedDiscovery(
   std::vector<Candidate> candidates;
   for (size_t i = 0; i < states.size(); ++i) {
     const BackendState& st = states[i];
-    for (size_t j = 0; j < st.cand_tuples.size(); ++j) {
+    core::DiscoveryResult cands;  // id-sorted, tuples aligned
+    st.confirmed().Finish(&cands);
+    for (size_t j = 0; j < cands.skyline.size(); ++j) {
       Candidate c;
       c.backend = static_cast<int>(i);
-      c.id = st.cand_ids[j];
-      c.tuple = st.cand_tuples[j];
-      c.rank_values = Project(st.cand_tuples[j], st.ranking_attrs);
+      c.id = cands.skyline_ids[j];
+      c.rank_values = Project(cands.skyline[j], st.ranking_attrs);
+      c.tuple = std::move(cands.skyline[j]);
       candidates.push_back(std::move(c));
     }
   }

@@ -5,21 +5,25 @@
 //   1. The budget scheduler splits the round's query budget across the
 //      backends still exploring (cost-model marginal cost blended with
 //      each backend's observed yield; src/federation/budget_scheduler).
-//   2. The shared dominance index is frozen: a read-only snapshot built
-//      from every tuple any backend has confirmed so far. (Confirmed
+//   2. The shared dominance index catches up and freezes: one index for
+//      the whole session, grown by the tuples each backend confirmed
+//      since the previous barrier, read-only for the round. (Confirmed
 //      tuples are the dominance closure of everything observed, so a
 //      richer witness pool would not prune a single extra query.)
-//   3. Every active backend runs its own DiscoveryRun (SQ- or RQ-DB-SKY
-//      picked per backend interface) on the runtime ThreadPool, behind a
-//      PruningDatabase that (a) answers queries whose region the frozen
-//      index dominates with a free empty result — a point one backend's
-//      results dominate is never paid for on another — and (b) pauses
-//      the run via the anytime ResourceExhausted path once the round
-//      allowance is spent. Paused runs checkpoint their frontier (the
-//      PR 4 SaveState/frontier codecs) and resume exactly there next
-//      round, so the round slicing costs zero repeated queries.
-//   4. A barrier merge folds each backend's confirmed tuples into the
-//      global candidate set and the per-backend yield statistics.
+//   3. Every active backend's traversal (SQ- or RQ-DB-SKY picked per
+//      backend interface, a core::ResumableDiscovery kept in memory for
+//      the whole session) is Continue()d on the runtime ThreadPool,
+//      behind a PruningDatabase that (a) answers queries whose region
+//      the frozen index dominates with a free empty result — a point one
+//      backend's results dominate is never paid for on another — and
+//      (b) pauses the traversal via the anytime ResourceExhausted path
+//      once the round allowance is spent. The refused query stays on
+//      the frontier and is the first one issued next round, so the round
+//      slicing costs zero repeated queries and nothing is encoded or
+//      decoded between rounds.
+//   4. A barrier folds each backend's round into the per-backend yield
+//      statistics; each traversal's collector is its backend's
+//      candidate set.
 //
 // Rounds are barriers, the scheduler is deterministic, and the frozen
 // index only changes between rounds, so the result is independent of
@@ -30,21 +34,24 @@
 // past the retry budget, crash) is NOT dropped outright: the coordinator
 // runs a health state machine per backend — HEALTHY, DEGRADED, DEAD. A
 // transient failure (IOError / Unavailable) moves the backend to
-// DEGRADED: its paused frontier and candidates are kept, and the
-// coordinator re-probes it after a deterministic jittered backoff
-// (rounds, not wall clock — determinism survives). A successful probe
-// reintegrates the backend: it resumes its frontier against the CURRENT
-// frozen dominance snapshot, and if every backend eventually finishes
-// the result is FULL coverage, not partial. Only a permanent error or an
+// DEGRADED: its traversal stays in memory, stopped at the query that
+// failed, with every answer of the torn round kept, and the coordinator
+// re-probes it after a deterministic jittered backoff (rounds, not wall
+// clock — determinism survives). A successful probe reintegrates the
+// backend: its traversal continues at the failed query against the
+// CURRENT frozen dominance snapshot, never paying twice for a query, and
+// if every backend eventually finishes the result is FULL coverage, not
+// partial. Only a permanent error or an
 // exhausted probe budget moves a backend to DEAD (dropped, coverage
 // flagged partial) — graceful degradation, never a stall.
 //
 // Durable sessions (on_round_checkpoint / resume_state): the coordinator
 // hands a recovery::FederationSessionState snapshot of every round
-// barrier to the caller, and can be restarted from one. Snapshots are
+// barrier to the caller — the only time it encodes a traversal — and
+// can be restarted from one, the only time it decodes one. Snapshots are
 // taken ONLY at consistent barriers; a round some backend left mid-
-// flight (the cooperative interrupt fired inside a driver) is discarded
-// whole, so a resumed coordinator re-executes the torn round from
+// flight (the cooperative interrupt fired inside a driver) ends the run
+// without one, so a resumed coordinator re-executes the torn round from
 // identical inputs and per-backend journals replay its payments for
 // free (docs/federation.md, "Durable federation").
 //
@@ -77,7 +84,8 @@ namespace federation {
 /// Health state machine of one backend (see the file comment).
 enum class BackendHealth : uint8_t {
   kHealthy = 0,
-  /// Failed transiently; frontier kept, re-probe scheduled.
+  /// Failed transiently; the traversal waits in memory at the failed
+  /// query (answers before it kept), re-probe scheduled.
   kDegraded = 1,
   /// Permanently dropped (permanent error or probe budget exhausted).
   kDead = 2,
@@ -100,7 +108,8 @@ struct FederationOptions {
   /// model mispredicts can still prove it (default 4).
   int64_t min_share = 4;
   /// Worker threads for the per-round backend fan-out (0 = one per
-  /// backend, capped by hardware).
+  /// backend, capped by hardware). A backend's traversal may run on a
+  /// different worker each round; the round barrier orders them.
   int num_threads = 0;
   /// Hard cap on scheduling rounds (0 = none): a safety net for
   /// misconfigured budgets, not a tuning knob.
@@ -131,9 +140,10 @@ struct FederationOptions {
   /// a re-probe round. hdsky_discover wires this to
   /// JournalingDatabase::ResolvePending: a dangling intent from the
   /// failed attempt is settled under its original wire sequence number
-  /// (the server replays or charges exactly once) before the driver
-  /// restarts against a newer dominance snapshot, so the re-probe's
-  /// first fresh query is never misread as journal divergence. A
+  /// (the server replays or charges exactly once) before the traversal
+  /// continues against a newer dominance snapshot, which may prune the
+  /// failed query, so the re-probe's first fresh query is never misread
+  /// as journal divergence. A
   /// returned error counts as a failed probe (the backend stays
   /// DEGRADED and backs off again) rather than aborting the run.
   std::function<common::Status(size_t backend_index)> on_backend_reprobe;

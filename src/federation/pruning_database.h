@@ -26,8 +26,8 @@
 //  * Each scheduling round grants the backend a query allowance. A
 //    forwarded (paid) query spends one unit; pruned queries are free.
 //    When the allowance is spent, Execute fails with ResourceExhausted —
-//    the discovery run unwinds through its anytime path and the
-//    coordinator resumes it from its checkpointed frontier next round.
+//    the traversal stops with the refused query still on its frontier,
+//    and the coordinator continues it there next round.
 //
 // Thread safety: NOT thread-safe; the coordinator touches each backend
 // from one task per round. The frozen index is shared read-only across

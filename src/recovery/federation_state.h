@@ -48,14 +48,16 @@ struct FederatedBackendState {
   std::string name;
   std::string algorithm;  // resolved driver: "sq" or "rq"
 
-  /// PR 4 pause state: DiscoveryRun::SaveState blob + the algorithm's
-  /// frontier codec, captured at the last starved checkpoint.
+  /// The backend's live traversal at the barrier: DiscoveryRun::SaveState
+  /// blob + the algorithm's frontier codec. Set for every backend that
+  /// will run again; a finished backend keeps only its candidates.
   bool has_resume = false;
   std::string run_state;
   std::string frontier;
 
   /// Confirmed candidates at the barrier (the backend's local skyline),
-  /// the coordinator's input to the frozen dominance snapshot.
+  /// id-sorted: what a resumed coordinator seeds its frozen dominance
+  /// snapshot with.
   std::vector<data::TupleId> cand_ids;
   std::vector<data::Tuple> cand_tuples;
 

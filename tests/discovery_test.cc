@@ -1,7 +1,12 @@
 // Unit tests for the core/discovery.h layer (SkylineCollector,
-// DiscoveryRun) and for the algorithm options added on top of the paper
-// (duplicate-node skipping, impossible-child pruning): behaviours not
-// already pinned down by the end-to-end algorithm suites.
+// DiscoveryRun, ResumableDiscovery) and for the algorithm options added on
+// top of the paper (duplicate-node skipping, impossible-child pruning):
+// behaviours not already pinned down by the end-to-end algorithm suites.
+
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -187,6 +192,147 @@ TEST(ImpossibleChildTest, NonCornerTupleStillBranches) {
   // Root + two possible (but data-empty) children.
   EXPECT_EQ(r->query_cost, 3);
   EXPECT_EQ(r->skyline.size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// ResumableDiscovery: a traversal paused and continued in memory, or
+// rebuilt from its checkpoint blobs at every pause, issues exactly the
+// queries of an uninterrupted run.
+
+/// Delegating interface that answers `allowance` queries per slice, then
+/// refuses with ResourceExhausted until re-armed (a federation round
+/// allowance in miniature). Records every answered query in order.
+class SlicedDatabase : public interface::HiddenDatabase {
+ public:
+  explicit SlicedDatabase(interface::HiddenDatabase* inner) : inner_(inner) {}
+  const data::Schema& schema() const override { return inner_->schema(); }
+  int k() const override { return inner_->k(); }
+  /// Grants `allowance` answers (< 0 = unlimited).
+  void Rearm(int64_t allowance) { remaining_ = allowance; }
+  common::Result<interface::QueryResult> Execute(const Query& q) override {
+    if (remaining_ == 0) return common::Status::ResourceExhausted("sliced");
+    auto r = inner_->Execute(q);
+    if (r.ok()) {
+      if (remaining_ > 0) --remaining_;
+      issued_.push_back(q.Signature());
+    }
+    return r;
+  }
+  const std::vector<std::string>& issued() const { return issued_; }
+
+ private:
+  interface::HiddenDatabase* inner_;
+  int64_t remaining_ = -1;
+  std::vector<std::string> issued_;
+};
+
+struct Sliced {
+  std::vector<std::string> issued;
+  DiscoveryResult result;
+};
+
+using MakeDiscovery =
+    std::function<common::Result<std::unique_ptr<ResumableDiscovery>>(
+        interface::HiddenDatabase*, const DiscoveryOptions&)>;
+
+/// Runs `make`'s traversal in slices of `slice` answers (0 = one
+/// uninterrupted Continue). With `via_blobs`, every pause saves the run
+/// state and frontier and a fresh traversal restored from them continues.
+Sliced RunSliced(const data::Table& t, const MakeDiscovery& make,
+                 int64_t slice, bool via_blobs) {
+  auto iface = MakeInterface(&t, MakeSumRanking(), 4);
+  SlicedDatabase db(iface.get());
+  auto d = make(&db, DiscoveryOptions{});
+  EXPECT_TRUE(d.ok()) << d.status();
+  std::unique_ptr<ResumableDiscovery> discovery = std::move(d).value();
+  int pauses = 0;
+  for (;;) {
+    db.Rearm(slice > 0 ? slice : -1);
+    const common::Status s = discovery->Continue();
+    if (s.ok()) break;
+    EXPECT_TRUE(s.IsResourceExhausted()) << s;
+    EXPECT_TRUE(discovery->run().exhausted());
+    ++pauses;
+    if (!via_blobs) continue;
+    DiscoveryOptions resume;
+    std::string run_state, frontier;
+    discovery->run().SaveState(&run_state);
+    discovery->SaveFrontier(&frontier);
+    resume.resume_run_state = run_state;
+    resume.resume_frontier = frontier;
+    auto fresh = make(&db, resume);
+    EXPECT_TRUE(fresh.ok()) << fresh.status();
+    discovery = std::move(fresh).value();
+  }
+  if (slice > 0) {
+    EXPECT_GT(pauses, 1);
+  }
+  return {db.issued(), discovery->run().Finish()};
+}
+
+void ExpectSameAsUninterrupted(const data::Table& t,
+                               const MakeDiscovery& make) {
+  const Sliced reference = RunSliced(t, make, 0, false);
+  ASSERT_GT(reference.issued.size(), 10u);
+  EXPECT_TRUE(reference.result.complete);
+  for (const int64_t slice : {1, 2, 3}) {
+    for (const bool via_blobs : {false, true}) {
+      SCOPED_TRACE("slice " + std::to_string(slice) +
+                   (via_blobs ? " via blobs" : " in memory"));
+      const Sliced run = RunSliced(t, make, slice, via_blobs);
+      EXPECT_EQ(run.issued, reference.issued);
+      EXPECT_TRUE(run.result.complete);
+      EXPECT_EQ(run.result.query_cost, reference.result.query_cost);
+      EXPECT_EQ(run.result.skyline_ids, reference.result.skyline_ids);
+      EXPECT_EQ(run.result.skyline, reference.result.skyline);
+      ASSERT_EQ(run.result.trace.size(), reference.result.trace.size());
+      for (size_t i = 0; i < run.result.trace.size(); ++i) {
+        EXPECT_EQ(run.result.trace[i].queries_issued,
+                  reference.result.trace[i].queries_issued);
+        EXPECT_EQ(run.result.trace[i].skyline_discovered,
+                  reference.result.trace[i].skyline_discovered);
+      }
+    }
+  }
+}
+
+data::Table ResumeTable() {
+  dataset::SyntheticOptions o;
+  o.num_tuples = 400;
+  o.num_attributes = 3;
+  o.domain_size = 10;  // small domain: duplicate regions occur
+  o.distribution = dataset::Distribution::kAntiCorrelated;
+  o.iface = data::InterfaceType::kRQ;
+  o.seed = 17;
+  return std::move(dataset::GenerateSynthetic(o)).value();
+}
+
+TEST(ResumableDiscoveryTest, RqPausedRunsMatchUninterrupted) {
+  const data::Table t = ResumeTable();
+  for (const bool dedup : {false, true}) {
+    SCOPED_TRACE(dedup ? "skip_duplicate_nodes" : "plain");
+    ExpectSameAsUninterrupted(
+        t, [dedup](interface::HiddenDatabase* db, const DiscoveryOptions& c) {
+          RqDbSkyOptions o;
+          o.common = c;
+          o.skip_duplicate_nodes = dedup;
+          return MakeRqDbSky(db, o);
+        });
+  }
+}
+
+TEST(ResumableDiscoveryTest, SqPausedRunsMatchUninterrupted) {
+  const data::Table t = ResumeTable();
+  for (const bool dedup : {false, true}) {
+    SCOPED_TRACE(dedup ? "skip_duplicate_nodes" : "plain");
+    ExpectSameAsUninterrupted(
+        t, [dedup](interface::HiddenDatabase* db, const DiscoveryOptions& c) {
+          SqDbSkyOptions o;
+          o.common = c;
+          o.skip_duplicate_nodes = dedup;
+          return MakeSqDbSky(db, o);
+        });
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -379,6 +380,79 @@ TEST(FederatedDiscoveryTest, ResultIndependentOfThreadCount) {
     EXPECT_EQ(results[0].backends[i].pruned_queries,
               results[1].backends[i].pruned_queries);
   }
+}
+
+/// Per-backend accounting pinned from the coordinator that encoded and
+/// decoded every backend's frontier between rounds and rebuilt the prune
+/// snapshot from all candidates each round. Keeping traversals in memory
+/// and growing one snapshot must not move a single prune decision.
+struct PinnedBackend {
+  int64_t paid;
+  int64_t pruned;
+  int64_t rounds;
+  int64_t confirmed;
+};
+
+void ExpectPinnedAccounting(const std::vector<Table>& sites,
+                            const std::string& algorithm,
+                            int64_t round_budget, int64_t rounds,
+                            const std::vector<PinnedBackend>& pinned) {
+  SCOPED_TRACE(algorithm + " at round_budget " +
+               std::to_string(round_budget));
+  std::vector<std::unique_ptr<interface::TopKInterface>> ifaces;
+  std::vector<interface::HiddenDatabase*> backends;
+  for (const Table& t : sites) {
+    ifaces.push_back(MakeInterface(&t, MakeSumRanking(), 10));
+    backends.push_back(ifaces.back().get());
+  }
+  FederationOptions opts;
+  opts.mode = FederationOptions::Mode::kUnion;
+  opts.round_budget = round_budget;
+  opts.algorithm = algorithm;
+  auto r = RunFederatedDiscovery(backends, opts);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_TRUE(r->complete);
+  EXPECT_EQ(r->rounds, rounds);
+  EXPECT_EQ(FederatedValues(*r), MergedGroundTruth(sites));
+  ASSERT_EQ(r->backends.size(), pinned.size());
+  for (size_t i = 0; i < pinned.size(); ++i) {
+    SCOPED_TRACE("backend " + std::to_string(i));
+    EXPECT_EQ(r->backends[i].paid_queries, pinned[i].paid);
+    EXPECT_EQ(r->backends[i].pruned_queries, pinned[i].pruned);
+    EXPECT_EQ(r->backends[i].rounds, pinned[i].rounds);
+    EXPECT_EQ(r->backends[i].confirmed, pinned[i].confirmed);
+  }
+}
+
+TEST(FederatedDiscoveryTest, RqAccountingIsPinned) {
+  const std::vector<Table> sites = ThreeSites(200);
+  ExpectPinnedAccounting(sites, "rq", 16, 21,
+                         {{107, 1, 21, 134}, {97, 0, 19, 110},
+                          {107, 1, 20, 117}});
+  ExpectPinnedAccounting(sites, "rq", 1, 311,
+                         {{107, 1, 107, 134}, {97, 0, 97, 110},
+                          {107, 1, 107, 117}});
+  // Larger sites prune more: 35 free answers, each decided against the
+  // grown snapshot.
+  ExpectPinnedAccounting(ThreeSites(2000), "rq", 16, 133,
+                         {{699, 11, 120, 415}, {708, 17, 132, 456},
+                          {715, 7, 133, 467}});
+}
+
+TEST(FederatedDiscoveryTest, SqAccountingIsPinned) {
+  // SQ-DB-SKY pays 437,787 queries over ThreeSites(200): 27,363 rounds at
+  // round_budget 16. At round_budget 1 that would be one round per
+  // query, so the one-query slicing is pinned on 40 rows per site.
+  ExpectPinnedAccounting(ThreeSites(200), "sq", 16, 27363,
+                         {{244499, 0, 27363, 134}, {85304, 0, 14218, 110},
+                          {107984, 0, 18318, 117}});
+  const std::vector<Table> small = ThreeSites(40);
+  ExpectPinnedAccounting(small, "sq", 16, 121,
+                         {{435, 0, 76, 30}, {387, 0, 77, 33},
+                          {1098, 0, 121, 31}});
+  ExpectPinnedAccounting(small, "sq", 1, 1920,
+                         {{435, 0, 435, 30}, {387, 0, 387, 33},
+                          {1098, 0, 1098, 31}});
 }
 
 /// Delegating backend that starts failing after `fail_after` queries —
@@ -767,6 +841,103 @@ TEST(FederatedDiscoveryTest, RevivedBackendRestoresFullCoverage) {
   EXPECT_EQ(r->backends[1].health, federation::BackendHealth::kHealthy);
   EXPECT_GE(r->backends[1].recoveries, 1);
   EXPECT_EQ(FederatedValues(*r), MergedGroundTruth(sites));
+}
+
+TEST(FederatedDiscoveryTest, RevivedBackendPaysExactlyItsSoloCost) {
+  const std::vector<Table> sites = ThreeSites(200);
+  std::vector<int64_t> solo;
+  std::vector<std::unique_ptr<interface::TopKInterface>> ifaces;
+  for (const Table& t : sites) {
+    auto alone = MakeInterface(&t, MakeSumRanking(), 10);
+    auto r = core::RqDbSky(alone.get());
+    ASSERT_TRUE(r.ok()) << r.status();
+    solo.push_back(r->query_cost);
+    ifaces.push_back(MakeInterface(&t, MakeSumRanking(), 10));
+  }
+  // At round_budget 16 backend 1 pays 5 queries in each of its first two
+  // rounds and 6 in the third (calls 10..15), so a dark window opening at
+  // call 13 tears the third round after three answered queries.
+  BlackoutBackend flaky(ifaces[1].get(), 13, 17);
+  std::vector<interface::HiddenDatabase*> backends = {
+      ifaces[0].get(), &flaky, ifaces[2].get()};
+
+  FederationOptions opts;
+  opts.mode = FederationOptions::Mode::kUnion;
+  opts.round_budget = 16;
+  opts.max_probe_attempts = 100;
+  opts.probe_backoff_rounds = 1;
+  auto r = RunFederatedDiscovery(backends, opts);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_TRUE(r->complete);
+  EXPECT_FALSE(r->partial_coverage);
+  EXPECT_EQ(FederatedValues(*r), MergedGroundTruth(sites));
+  ASSERT_EQ(r->backends.size(), 3u);
+  EXPECT_GE(r->backends[1].recoveries, 1);
+  // The revived backend resumes at the query that failed: the torn
+  // round's three answers are kept, never paid for again, so every
+  // backend — revived or not — issues exactly its solo traversal.
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(r->backends[i].paid_queries + r->backends[i].pruned_queries,
+              solo[i])
+        << "backend " << i;
+  }
+}
+
+TEST(FederatedDurabilityTest, DegradedBackendResumesAtFailedQuery) {
+  // A barrier taken while a backend is DEGRADED persists its traversal
+  // stopped at the query that failed. A coordinator resumed from that
+  // barrier (against a backend that is back up) keeps the torn round's
+  // answers and lands on the same solo cost as an uninterrupted run.
+  const std::vector<Table> sites = ThreeSites(200);
+  int64_t solo = 0;
+  {
+    auto alone = MakeInterface(&sites[1], MakeSumRanking(), 10);
+    auto r = core::RqDbSky(alone.get());
+    ASSERT_TRUE(r.ok()) << r.status();
+    solo = r->query_cost;
+  }
+  FederationOptions base;
+  base.mode = FederationOptions::Mode::kUnion;
+  base.round_budget = 16;
+  base.max_probe_attempts = 100;
+  base.probe_backoff_rounds = 1;
+
+  std::vector<std::unique_ptr<interface::TopKInterface>> ifaces;
+  for (const Table& t : sites) {
+    ifaces.push_back(MakeInterface(&t, MakeSumRanking(), 10));
+  }
+  BlackoutBackend flaky(ifaces[1].get(), 13, 1000);
+  std::optional<recovery::FederationSessionState> last;
+  FederationOptions first = base;
+  first.max_rounds = 4;
+  first.on_round_checkpoint =
+      [&last](const recovery::FederationSessionState& s) {
+        last = s;
+        return common::Status::OK();
+      };
+  auto stopped = RunFederatedDiscovery(
+      {ifaces[0].get(), &flaky, ifaces[2].get()}, first);
+  ASSERT_TRUE(stopped.ok()) << stopped.status();
+  ASSERT_TRUE(last.has_value());
+  ASSERT_EQ(last->backends[1].health,
+            static_cast<uint8_t>(federation::BackendHealth::kDegraded));
+  EXPECT_TRUE(last->backends[1].has_resume);
+
+  auto restored = recovery::DecodeFederationState(
+      recovery::EncodeFederationState(*last));
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  RecordedFleet second = MakeFleet(sites);
+  FederationOptions resume = base;
+  resume.resume_state = &*restored;
+  auto resumed = RunFederatedDiscovery(second.backends, resume);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_TRUE(resumed->complete);
+  EXPECT_FALSE(resumed->partial_coverage);
+  EXPECT_EQ(FederatedValues(*resumed), MergedGroundTruth(sites));
+  EXPECT_GE(resumed->backends[1].recoveries, 1);
+  EXPECT_EQ(resumed->backends[1].paid_queries +
+                resumed->backends[1].pruned_queries,
+            solo);
 }
 
 TEST(FederatedDiscoveryTest, ProbeBudgetExhaustionStillDegradesGracefully) {

@@ -21,6 +21,7 @@
 #include "dataset/synthetic.h"
 #include "interface/ranking.h"
 #include "interface/top_k_interface.h"
+#include "net/wire.h"
 #include "recovery/checkpoint.h"
 #include "recovery/federation_state.h"
 #include "recovery/journal.h"
@@ -707,13 +708,18 @@ TEST(RunStateTest, CollectorRoundTrip) {
   a.SaveState(&blob);
 
   core::SkylineCollector b({0, 1, 2});
-  ASSERT_TRUE(b.RestoreState(blob).ok());
+  ASSERT_TRUE(b.RestoreState(blob, 3).ok());
   EXPECT_EQ(b.ids(), a.ids());
   EXPECT_EQ(b.tuples(), a.tuples());
   // Restored confirmations still prune: a dominated tuple is rejected.
   EXPECT_FALSE(b.Observe(11, {2, 3, 4}));
   // Restore is only legal on an empty collector.
-  EXPECT_FALSE(b.RestoreState(blob).ok());
+  EXPECT_FALSE(b.RestoreState(blob, 3).ok());
+  // Tuples narrower or wider than the live schema are rejected, never
+  // indexed.
+  core::SkylineCollector narrow({0, 1, 2, 3});
+  EXPECT_TRUE(narrow.RestoreState(blob, 4).IsIOError());
+  EXPECT_EQ(narrow.size(), 0);
 }
 
 TEST(RunStateTest, DiscoveryRunRoundTripPreservesTrace) {
@@ -843,6 +849,61 @@ TEST(FrontierResumeTest, PqDbSky) {
         return core::PqDbSky(iface, opts);
       },
       10);
+}
+
+// A frontier blob narrower than the live schema must be rejected before
+// the driver reads it: a 1-wide seen tuple would make the seen-match test
+// read past its end (and a narrow query body would take predicates past
+// its last attribute).
+TEST(FrontierResumeTest, RejectsFrontierNarrowerThanSchema) {
+  const Table t = MakeRqTable();  // 3 attributes
+  auto iface = MakeInterface(&t, interface::MakeSumRanking(), 5);
+  const auto rq_blob = [](int query_width, uint32_t seen_width) {
+    std::string blob;
+    net::Encoder enc(&blob);
+    enc.PutU8('R');
+    enc.PutU64(1);  // one node: the root
+    net::EncodeQueryBody(Query(query_width), &enc);
+    net::EncodeQueryBody(Query(query_width), &enc);
+    enc.PutU64(1);  // one seen tuple
+    enc.PutI64(0);
+    enc.PutU32(seen_width);
+    for (uint32_t a = 0; a < seen_width; ++a) enc.PutI64(5);
+    enc.PutU64(0);  // no processed regions
+    return blob;
+  };
+  core::RqDbSkyOptions rq;
+  rq.common.resume_frontier = rq_blob(3, 3);
+  ASSERT_TRUE(core::RqDbSky(iface.get(), rq).ok());  // well-formed control
+  rq.common.resume_frontier = rq_blob(3, 1);
+  EXPECT_TRUE(core::RqDbSky(iface.get(), rq).status().IsIOError());
+  rq.common.resume_frontier = rq_blob(1, 3);
+  EXPECT_TRUE(core::RqDbSky(iface.get(), rq).status().IsIOError());
+
+  std::string sq_blob;
+  net::Encoder enc(&sq_blob);
+  enc.PutU8('S');
+  enc.PutU64(1);
+  net::EncodeQueryBody(Query(1), &enc);
+  enc.PutU64(0);
+  core::SqDbSkyOptions sq;
+  sq.common.resume_frontier = sq_blob;
+  EXPECT_TRUE(core::SqDbSky(iface.get(), sq).status().IsIOError());
+
+  // The run-state blob's collector tuples are held to the same width.
+  core::SkylineCollector narrow({0});
+  narrow.AddConfirmed(1, {4});
+  std::string collector_blob;
+  narrow.SaveState(&collector_blob);
+  std::string run_state;
+  net::Encoder run_enc(&run_state);
+  run_enc.PutU64(1);  // queries issued
+  run_enc.PutU8(0);   // not exhausted
+  run_enc.PutU64(0);  // empty trace
+  run_enc.PutString(collector_blob);
+  DiscoveryOptions opts;
+  DiscoveryRun run(iface.get(), opts);
+  EXPECT_TRUE(run.RestoreState(run_state).IsIOError());
 }
 
 }  // namespace
