@@ -4,11 +4,14 @@
 # and must not start doing work.
 #
 # Usage: cli_args_test.sh <hdsky_discover> <hdsky_serve> [hdsky_pack]
+#                         [hdsky_proxy] [hdsky_loadgen]
 set -u
 
 DISCOVER=$1
 SERVE=$2
 PACK=${3:-}
+PROXY=${4:-}
+LOADGEN=${5:-}
 failures=0
 
 # expect_usage <label> <binary> [args...]
@@ -279,6 +282,68 @@ if [ -n "$PACK" ]; then
     failures=$((failures + 1))
   fi
   rm -rf "$tmpdir"
+fi
+
+# Vocabularies are checked at parse time, before any data is generated or
+# any journal is written: a typo'd --algorithm must not leave a MANIFEST
+# that binds the journal directory to the typo.
+tmpv=$(mktemp -d)
+expect_usage "algorithm-unknown" \
+  "$DISCOVER" --demo route --algorithm bogus --journal "$tmpv/j"
+if [ -e "$tmpv/j" ]; then
+  echo "FAIL(algorithm-unknown): journal directory written" >&2
+  failures=$((failures + 1))
+fi
+rm -rf "$tmpv"
+expect_usage "demo-unknown" "$DISCOVER" --demo bogus
+expect_usage "ranking-unknown" "$DISCOVER" --demo route --ranking max
+expect_usage "serve-demo-unknown" "$SERVE" --demo bogus
+expect_usage "serve-ranking-unknown" "$SERVE" --demo route --ranking lex
+# An unknown lex: attribute is a property of the loaded schema: exit 1.
+"$DISCOVER" --demo route --n 50 --ranking lex:no_such_attr >/dev/null 2>&1
+code=$?
+if [ "$code" -ne 1 ]; then
+  echo "FAIL(lex-unknown-attribute): exit $code, want 1" >&2
+  failures=$((failures + 1))
+fi
+
+# Combinations that used to be dropped silently or rejected only after
+# the run had paid for its queries.
+expect_usage "out-with-trials" "$DISCOVER" --demo route --trials 2 --out /tmp/o.csv
+expect_usage "cache-with-trials" "$DISCOVER" --demo route --trials 2 --cache
+expect_usage "federate-join-with-out" \
+  "$DISCOVER" --connect 127.0.0.1:1,127.0.0.1:2 --federate join \
+  --join-attr id --out /tmp/o.csv
+
+if [ -n "$PACK" ]; then
+  expect_usage "pack-demo-unknown" "$PACK" --demo bogus --out /tmp/x.hdb
+  expect_usage "pack-ranking-unknown" \
+    "$PACK" --demo route --out /tmp/x.hdb --ranking max
+fi
+
+if [ -n "$PROXY" ]; then
+  expect_usage "proxy-unknown-flag" "$PROXY" --upstream 127.0.0.1:1 --bogus
+  expect_usage "proxy-dangling-value" "$PROXY" --upstream 127.0.0.1:1 --port
+  expect_usage "proxy-port-garbage" "$PROXY" --upstream 127.0.0.1:1 --port 8x
+  expect_usage "proxy-drop-garbage" "$PROXY" --upstream 127.0.0.1:1 --drop 1.5
+  expect_usage "proxy-no-upstream" "$PROXY"
+  expect_usage "proxy-upstream-malformed" "$PROXY" --upstream localhost
+  expect_usage "proxy-upstream-list" \
+    "$PROXY" --upstream 127.0.0.1:1,127.0.0.1:2
+fi
+
+if [ -n "$LOADGEN" ]; then
+  expect_usage "loadgen-unknown-flag" "$LOADGEN" --bogus
+  expect_usage "loadgen-dangling-value" "$LOADGEN" --sessions
+  expect_usage "loadgen-sessions-garbage" "$LOADGEN" --sessions 10x
+  expect_usage "loadgen-connect-malformed" "$LOADGEN" --connect localhost
+  # The in-process server's knobs mean nothing beside --connect.
+  for f in "--n 5" "--m 3" "--k 5" "--server-loops 1" "--workers 1" \
+      "--no-shared-cache" "--max-pending 8"; do
+    # shellcheck disable=SC2086
+    expect_usage "loadgen-connect-with-${f%% *}" \
+      "$LOADGEN" --connect 127.0.0.1:1 $f
+  done
 fi
 
 if [ "$failures" -ne 0 ]; then

@@ -11,32 +11,19 @@
 //   hdsky_loadgen --sessions 1000 --queries 32 --json BENCH_service.json
 //   hdsky_loadgen --connect 127.0.0.1:7447 --sessions 200
 //
-// Flags:
-//   --sessions N        concurrent sessions (default 1000)
-//   --queries Q         queries per session (default 32)
-//   --pipeline D        pipelined queries per connection (default 8)
-//   --loops L           client event loops (0 = auto)
-//   --server-loops L    in-process server event loops (0 = auto)
-//   --workers W         in-process server backend workers (0 = auto)
-//   --n N               synthetic dataset size (default 20000)
-//   --m M               synthetic attributes (default 3)
-//   --k K               interface page size (default 10)
-//   --no-shared-cache   disable the cross-session cache (dedup -> 0)
-//   --max-pending P     server admission limit (default 1024)
-//   --timeout-ms T      whole-run deadline (default 120000)
-//   --seed S            workload seed (default 42)
-//   --connect HOST:PORT external server instead of in-process
-//   --probe             pre-flight a single RemoteHiddenDatabase client
-//                       before the load and report its wire counters
-//                       (handshake bytes, retries, backoff) to stderr
-//   --json PATH         write a google-benchmark-shaped JSON report
+// Flags: LoadgenFlags in src/session/flags.cc. The in-process server's
+// knobs (--n, --m, --k, --server-loops, --workers, --no-shared-cache,
+// --max-pending) are rejected beside --connect. --probe pre-flights a
+// single RemoteHiddenDatabase client before the load and reports its
+// wire counters (handshake bytes, retries, backoff) to stderr.
 //
 // $HDSKY_SCALE (a float, default 1) multiplies --sessions and --queries,
 // the same knob the bench suite uses, so CI can run a reduced-scale
 // smoke of the exact same binary.
 //
-// Exit status: 0 when the run completed (all sessions served inside the
-// deadline), 1 otherwise — CI treats a nonzero exit as a load failure.
+// Exit status (session::ExitCode): 0 when the run completed (all sessions
+// served inside the deadline), 1 otherwise — CI treats a nonzero exit as
+// a load failure — and 64 on a usage error.
 
 #include <cerrno>
 #include <cinttypes>
@@ -53,120 +40,12 @@
 #include "service/event_server.h"
 #include "service/load_driver.h"
 #include "service/remote_database.h"
+#include "session/flags.h"
 
 namespace {
 
 using namespace hdsky;
-
-struct Args {
-  int64_t sessions = 1000;
-  int64_t queries = 32;
-  int64_t pipeline = 8;
-  int64_t loops = 0;
-  int64_t server_loops = 0;
-  int64_t workers = 0;
-  int64_t n = 20000;
-  int64_t m = 3;
-  int64_t k = 10;
-  bool shared_cache = true;
-  int64_t max_pending = 1024;
-  int64_t timeout_ms = 120000;
-  int64_t seed = 42;
-  std::string connect;
-  bool probe = false;
-  std::string json;
-};
-
-void Usage() {
-  std::fprintf(
-      stderr,
-      "usage: hdsky_loadgen [options]\n"
-      "  --sessions N        concurrent sessions (default 1000)\n"
-      "  --queries Q         queries per session (default 32)\n"
-      "  --pipeline D        pipelined queries per connection (default 8)\n"
-      "  --loops L           client event loops (0 = auto)\n"
-      "  --server-loops L    server event loops (0 = auto)\n"
-      "  --workers W         server backend workers (0 = auto)\n"
-      "  --n N               synthetic dataset size (default 20000)\n"
-      "  --m M               synthetic attributes (default 3)\n"
-      "  --k K               interface page size (default 10)\n"
-      "  --no-shared-cache   disable the cross-session cache\n"
-      "  --max-pending P     server admission limit (default 1024)\n"
-      "  --timeout-ms T      whole-run deadline (default 120000)\n"
-      "  --seed S            workload seed (default 42)\n"
-      "  --connect HOST:PORT target an external server\n"
-      "  --probe             pre-flight one client, report wire counters\n"
-      "  --json PATH         write a google-benchmark-shaped JSON report\n");
-}
-
-bool ParseInt(const std::string& s, int64_t min, int64_t max, int64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end == s.c_str() || *end != '\0') return false;
-  if (v < min || v > max) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseArgs(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto need_value = [&](std::string* dst) {
-      if (i + 1 >= argc) return false;
-      *dst = argv[++i];
-      return true;
-    };
-    auto int_flag = [&](int64_t min, int64_t max, int64_t* dst) {
-      std::string value;
-      if (!need_value(&value) || !ParseInt(value, min, max, dst)) {
-        std::fprintf(stderr, "invalid value for %s\n", flag.c_str());
-        return false;
-      }
-      return true;
-    };
-    std::string value;
-    if (flag == "--sessions") {
-      if (!int_flag(1, 1000000, &args->sessions)) return false;
-    } else if (flag == "--queries") {
-      if (!int_flag(1, 1000000, &args->queries)) return false;
-    } else if (flag == "--pipeline") {
-      if (!int_flag(1, 4096, &args->pipeline)) return false;
-    } else if (flag == "--loops") {
-      if (!int_flag(0, 256, &args->loops)) return false;
-    } else if (flag == "--server-loops") {
-      if (!int_flag(0, 256, &args->server_loops)) return false;
-    } else if (flag == "--workers") {
-      if (!int_flag(0, 256, &args->workers)) return false;
-    } else if (flag == "--n") {
-      if (!int_flag(1, INT64_MAX, &args->n)) return false;
-    } else if (flag == "--m") {
-      if (!int_flag(2, 64, &args->m)) return false;
-    } else if (flag == "--k") {
-      if (!int_flag(1, 1000000, &args->k)) return false;
-    } else if (flag == "--no-shared-cache") {
-      args->shared_cache = false;
-    } else if (flag == "--max-pending") {
-      if (!int_flag(0, 1000000, &args->max_pending)) return false;
-    } else if (flag == "--timeout-ms") {
-      if (!int_flag(1, INT64_MAX, &args->timeout_ms)) return false;
-    } else if (flag == "--seed") {
-      if (!int_flag(0, INT64_MAX, &args->seed)) return false;
-    } else if (flag == "--connect" && need_value(&value)) {
-      args->connect = value;
-    } else if (flag == "--probe") {
-      args->probe = true;
-    } else if (flag == "--json" && need_value(&value)) {
-      args->json = value;
-    } else {
-      std::fprintf(stderr, "unknown or incomplete flag: %s\n",
-                   flag.c_str());
-      return false;
-    }
-  }
-  return true;
-}
+using Args = session::LoadgenConfig;
 
 /// $HDSKY_SCALE scales session/query counts with a floor of 1, mirroring
 /// bench::Scale without dragging google-benchmark into a tool.
@@ -243,9 +122,8 @@ void WriteJson(const std::string& path, const Args& args,
 
 int main(int argc, char** argv) {
   Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    Usage();
-    return 64;
+  if (!session::ParseOrUsage(session::LoadgenFlags(&args), argc, argv)) {
+    return session::kExitUsage;
   }
   const double scale = ScaleFactor();
   args.sessions = Scaled(args.sessions, scale);
@@ -264,9 +142,7 @@ int main(int argc, char** argv) {
     synth.seed = static_cast<uint64_t>(args.seed);
     auto table_result = dataset::GenerateSynthetic(synth);
     if (!table_result.ok()) {
-      std::fprintf(stderr, "dataset: %s\n",
-                   table_result.status().ToString().c_str());
-      return 1;
+      return session::ReportFailure(stderr, "dataset", table_result.status());
     }
     table = std::move(table_result).value();
     interface::TopKOptions topk;
@@ -274,9 +150,7 @@ int main(int argc, char** argv) {
     auto iface_result = interface::TopKInterface::Create(
         &table, interface::MakeSumRanking(), topk);
     if (!iface_result.ok()) {
-      std::fprintf(stderr, "interface: %s\n",
-                   iface_result.status().ToString().c_str());
-      return 1;
+      return session::ReportFailure(stderr, "interface", iface_result.status());
     }
     iface = std::move(iface_result).value();
 
@@ -284,23 +158,17 @@ int main(int argc, char** argv) {
     opts.num_loops = static_cast<int>(args.server_loops);
     opts.num_workers = static_cast<int>(args.workers);
     opts.max_connections = static_cast<int>(args.sessions) + 16;
-    opts.shared_cache = args.shared_cache;
+    opts.shared_cache = !args.no_shared_cache;
     opts.max_pending_queries = static_cast<int>(args.max_pending);
     auto server_result =
         service::EventDrivenServer::Start(iface.get(), opts);
     if (!server_result.ok()) {
-      std::fprintf(stderr, "serve: %s\n",
-                   server_result.status().ToString().c_str());
-      return 1;
+      return session::ReportFailure(stderr, "serve", server_result.status());
     }
     server = std::move(server_result).value();
     port = server->port();
   } else {
-    auto parse = net::ParseHostPort(args.connect, &host, &port);
-    if (!parse.ok()) {
-      std::fprintf(stderr, "--connect: %s\n", parse.ToString().c_str());
-      return 64;
-    }
+    net::ParseHostPort(args.connect[0], &host, &port);
   }
 
   if (args.probe) {
@@ -314,7 +182,7 @@ int main(int argc, char** argv) {
                    probe.status().IsUnavailable()
                        ? " (server shedding load)"
                        : "");
-      return 1;
+      return session::kExitFailure;
     }
     const service::RemoteHiddenDatabase::Stats& ps = (*probe)->stats();
     std::fprintf(stderr,
@@ -338,7 +206,7 @@ int main(int argc, char** argv) {
   auto run = service::RunLoad(load);
   if (!run.ok()) {
     std::fprintf(stderr, "load: %s\n", run.status().ToString().c_str());
-    return 1;
+    return session::kExitFailure;
   }
   const service::LoadReport report = std::move(run).value();
   if (server != nullptr) server->Stop();
@@ -373,7 +241,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "load run incomplete%s\n",
                  report.sessions_failed > 0 ? " (sessions failed)"
                                             : " (timed out)");
-    return 1;
+    return session::kExitFailure;
   }
-  return 0;
+  return session::kExitOk;
 }

@@ -10,204 +10,33 @@
 //   hdsky_pack --demo bluenile --n 1000000 --out bluenile.hdb
 //   hdsky_pack --data listings.csv --ranking lex:price --out listings.hdb
 //
-// Flags:
-//   --data PATH           input CSV (mutually exclusive with --demo)
-//   --demo NAME           flights | bluenile | autos | route
-//   --out FILE            output block file (required)
-//   --n N                 demo dataset size (default: the paper's)
-//   --seed S              generator seed for --demo
-//   --ranking R           sum | lex:<attr_name>   (default sum)
-//   --rows-per-block B    rows per data page (default 4096)
-//   --compress MODE       auto (format v2, per-run FOR/delta/dict
-//                         encoding; default) | off (format v1 raw)
-//   --stats               print pages, zone-map levels, bytes/row, and
-//                         per-attribute compression ratios after packing
+// Flags and their conflicts: PackFlags in src/session/flags.cc.
 //
 // Prints one summary line to stderr and exits 0 on success; exit 64 on
 // usage errors (including --compress with a value type the encoders do
 // not support), 1 on load/pack failures.
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <string>
 
 #include "data/block_file.h"
-#include "dataset/blue_nile.h"
-#include "dataset/csv.h"
-#include "dataset/flights_on_time.h"
-#include "dataset/google_flights.h"
 #include "dataset/pack.h"
-#include "dataset/yahoo_autos.h"
-#include "interface/ranking.h"
-
-namespace {
-
-using namespace hdsky;
-
-struct Args {
-  std::string data;
-  std::string demo;
-  std::string out;
-  int64_t n = 0;
-  uint64_t seed = 42;
-  std::string ranking = "sum";
-  int64_t rows_per_block = 4096;
-  std::string compress = "auto";
-  bool stats = false;
-};
-
-void Usage() {
-  std::fprintf(
-      stderr,
-      "usage: hdsky_pack (--data PATH | --demo NAME) --out FILE [options]\n"
-      "  --demo NAME         flights | bluenile | autos | route\n"
-      "  --out FILE          output block file (required)\n"
-      "  --n N               demo dataset size\n"
-      "  --seed S            demo generator seed\n"
-      "  --ranking R         sum | lex:<attr_name>   (default sum)\n"
-      "  --rows-per-block B  rows per data page (default 4096)\n"
-      "  --compress MODE     auto (format v2, default) | off (format v1)\n"
-      "  --stats             print page/level/compression stats\n");
-}
-
-/// Strict integer parse: the whole token must be a number in [min, max].
-bool ParseInt(const std::string& s, int64_t min, int64_t max, int64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end == s.c_str() || *end != '\0') return false;
-  if (v < min || v > max) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseArgs(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto need_value = [&](std::string* dst) {
-      if (i + 1 >= argc) return false;
-      *dst = argv[++i];
-      return true;
-    };
-    auto int_flag = [&](int64_t min, int64_t max, int64_t* dst) {
-      std::string value;
-      if (!need_value(&value) || !ParseInt(value, min, max, dst)) {
-        std::fprintf(stderr, "invalid value for %s\n", flag.c_str());
-        return false;
-      }
-      return true;
-    };
-    std::string value;
-    if (flag == "--data" && need_value(&value)) {
-      args->data = value;
-    } else if (flag == "--demo" && need_value(&value)) {
-      args->demo = value;
-    } else if (flag == "--out" && need_value(&value)) {
-      args->out = value;
-    } else if (flag == "--n") {
-      if (!int_flag(1, INT64_MAX, &args->n)) return false;
-    } else if (flag == "--seed") {
-      int64_t seed;
-      if (!int_flag(0, INT64_MAX, &seed)) return false;
-      args->seed = static_cast<uint64_t>(seed);
-    } else if (flag == "--ranking" && need_value(&value)) {
-      args->ranking = value;
-    } else if (flag == "--rows-per-block") {
-      if (!int_flag(1, 1 << 20, &args->rows_per_block)) return false;
-    } else if (flag == "--compress" && need_value(&value)) {
-      if (value != "auto" && value != "off") {
-        std::fprintf(stderr, "invalid value for --compress: %s\n",
-                     value.c_str());
-        return false;
-      }
-      args->compress = value;
-    } else if (flag == "--stats") {
-      args->stats = true;
-    } else {
-      std::fprintf(stderr, "unknown or incomplete flag: %s\n",
-                   flag.c_str());
-      return false;
-    }
-  }
-  if (args->data.empty() == args->demo.empty()) {
-    std::fprintf(stderr, "exactly one of --data / --demo is required\n");
-    return false;
-  }
-  if (args->out.empty()) {
-    std::fprintf(stderr, "--out is required\n");
-    return false;
-  }
-  return true;
-}
-
-common::Result<data::Table> LoadTable(const Args& args) {
-  if (!args.data.empty()) return dataset::ReadCsv(args.data);
-  if (args.demo == "flights") {
-    dataset::FlightsOptions o;
-    if (args.n > 0) o.num_tuples = args.n;
-    o.seed = args.seed;
-    return dataset::GenerateFlightsOnTime(o);
-  }
-  if (args.demo == "bluenile") {
-    dataset::BlueNileOptions o;
-    if (args.n > 0) o.num_tuples = args.n;
-    o.seed = args.seed;
-    return dataset::GenerateBlueNile(o);
-  }
-  if (args.demo == "autos") {
-    dataset::YahooAutosOptions o;
-    if (args.n > 0) o.num_tuples = args.n;
-    o.seed = args.seed;
-    return dataset::GenerateYahooAutos(o);
-  }
-  if (args.demo == "route") {
-    dataset::GoogleFlightsOptions o;
-    if (args.n > 0) o.num_flights = args.n;
-    o.seed = args.seed;
-    return dataset::GenerateRoute(o);
-  }
-  return common::Status::InvalidArgument("unknown demo '" + args.demo +
-                                         "'");
-}
-
-common::Result<std::shared_ptr<interface::RankingPolicy>> MakeRanking(
-    const Args& args, const data::Schema& schema) {
-  if (args.ranking == "sum") return interface::MakeSumRanking();
-  if (args.ranking.rfind("lex:", 0) == 0) {
-    HDSKY_ASSIGN_OR_RETURN(const int attr,
-                           schema.IndexOf(args.ranking.substr(4)));
-    return interface::MakeLexicographicRanking({attr});
-  }
-  return common::Status::InvalidArgument("unknown ranking '" +
-                                         args.ranking + "'");
-}
-
-}  // namespace
+#include "session/source.h"
 
 int main(int argc, char** argv) {
-  Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    Usage();
-    return 64;
+  using namespace hdsky;
+  session::PackConfig args;
+  if (!session::ParseOrUsage(session::PackFlags(&args), argc, argv)) {
+    return session::kExitUsage;
   }
-
-  auto table_result = LoadTable(args);
+  auto table_result = session::LoadTable(args.source);
   if (!table_result.ok()) {
-    std::fprintf(stderr, "load: %s\n",
-                 table_result.status().ToString().c_str());
-    return 1;
+    return session::ReportFailure(stderr, "load", table_result.status());
   }
   const data::Table table = std::move(table_result).value();
-
-  auto ranking_result = MakeRanking(args, table.schema());
+  auto ranking_result = session::MakeRanking(args.source, table.schema());
   if (!ranking_result.ok()) {
-    std::fprintf(stderr, "ranking: %s\n",
-                 ranking_result.status().ToString().c_str());
-    return 1;
+    return session::ReportFailure(stderr, "ranking", ranking_result.status());
   }
 
   data::BlockFileOptions options;
@@ -225,7 +54,7 @@ int main(int argc, char** argv) {
                      "--compress=auto: attribute %s has an unsupported "
                      "value type (inverted domain); use --compress=off\n",
                      spec.name.c_str());
-        return 64;
+        return session::kExitUsage;
       }
     }
   }
@@ -233,13 +62,11 @@ int main(int argc, char** argv) {
   auto packed = dataset::PackTable(table, std::move(ranking_result).value(),
                                    args.out, options, &stats);
   if (!packed.ok()) {
-    std::fprintf(stderr, "pack: %s\n",
-                 packed.status().ToString().c_str());
-    return 1;
+    return session::ReportFailure(stderr, "pack", packed.status());
   }
   std::fprintf(stderr, "packed  : %lld rows (%s, ranking %s) -> %s\n",
                static_cast<long long>(packed.value()),
-               table.schema().ToString().c_str(), args.ranking.c_str(),
+               table.schema().ToString().c_str(), args.source.ranking.c_str(),
                args.out.c_str());
   if (args.stats) {
     const double rows = stats.rows > 0 ? static_cast<double>(stats.rows)
@@ -271,5 +98,5 @@ int main(int argc, char** argv) {
                    ratio);
     }
   }
-  return 0;
+  return session::kExitOk;
 }

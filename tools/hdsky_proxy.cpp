@@ -9,23 +9,11 @@
 //
 //   hdsky_proxy --upstream 127.0.0.1:7447 --drop 0.05 --rate-limit 0.1
 //
-// Flags:
-//   --upstream HOST:PORT  the real server to forward to (required)
-//   --port P              TCP port; 0 picks an ephemeral one (default 0)
-//   --bind ADDR           IPv4 bind address (default 127.0.0.1)
-//   --seed S              fault-decision seed (default 1; deterministic)
-//   --drop P              probability a frame is dropped        [0,1]
-//   --truncate P          probability a frame is truncated      [0,1]
-//   --rate-limit P        probability a Query is bounced BUSY   [0,1]
-//   --delay P             probability a frame is delayed        [0,1]
-//   --delay-ms MS         delay length for --delay (default 20)
-//   --blackout-after N    deterministic kill/revive schedule: client
-//                         queries with arrival index [N, N+M) (counted
-//                         across connections, retries included) kill the
-//                         connection as if the backend died; the proxy
-//                         recovers afterwards. -1 disables (default)
-//   --blackout-queries M  blackout window length for --blackout-after
-//   --io-timeout-ms MS    per-connection I/O backstop (default 30000)
+// Flags: ProxyFlags in src/session/flags.cc. --blackout-after N with
+// --blackout-queries M is a deterministic kill/revive schedule: client
+// queries with arrival index [N, N+M) (counted across connections,
+// retries included) kill the connection as if the backend died, and the
+// proxy recovers afterwards.
 //
 // Prints exactly one "listening on ADDR:PORT" line to stdout once ready
 // (the same contract as hdsky_serve, so scripts parse both the same
@@ -33,169 +21,36 @@
 // statistics to stderr.
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 
 #include "net/socket.h"
 #include "service/fault_proxy.h"
+#include "session/flags.h"
 
 namespace {
-
-using namespace hdsky;
 
 std::atomic<bool> g_shutdown{false};
 
 void HandleSignal(int) { g_shutdown.store(true); }
 
-struct Args {
-  std::string upstream;
-  int64_t port = 0;
-  std::string bind = "127.0.0.1";
-  uint64_t seed = 1;
-  double drop = 0.0;
-  double truncate = 0.0;
-  double rate_limit = 0.0;
-  double delay = 0.0;
-  int64_t delay_ms = 20;
-  int64_t blackout_after = -1;
-  int64_t blackout_queries = 0;
-  int64_t io_timeout_ms = 30000;
-};
-
-void Usage() {
-  std::fprintf(
-      stderr,
-      "usage: hdsky_proxy --upstream HOST:PORT [options]\n"
-      "  --port P            TCP port, 0 = ephemeral (default 0)\n"
-      "  --bind ADDR         IPv4 bind address (default 127.0.0.1)\n"
-      "  --seed S            fault-decision seed (default 1)\n"
-      "  --drop P            frame drop probability [0,1]\n"
-      "  --truncate P        frame truncation probability [0,1]\n"
-      "  --rate-limit P      spurious BUSY probability [0,1]\n"
-      "  --delay P           frame delay probability [0,1]\n"
-      "  --delay-ms MS       delay length (default 20)\n"
-      "  --blackout-after N  kill queries [N, N+M) then recover; -1 "
-      "disables\n"
-      "  --blackout-queries M\n"
-      "                      blackout window length (default 0)\n"
-      "  --io-timeout-ms MS  per-connection I/O backstop (default "
-      "30000)\n");
-}
-
-/// Strict integer parse: the whole token must be a number in [min, max].
-bool ParseInt(const std::string& s, int64_t min, int64_t max, int64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end == s.c_str() || *end != '\0') return false;
-  if (v < min || v > max) return false;
-  *out = v;
-  return true;
-}
-
-/// Strict probability parse: a float in [0, 1].
-bool ParseProb(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end == s.c_str() || *end != '\0') return false;
-  if (!(v >= 0.0 && v <= 1.0)) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseArgs(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto need_value = [&](std::string* dst) {
-      if (i + 1 >= argc) return false;
-      *dst = argv[++i];
-      return true;
-    };
-    auto int_flag = [&](int64_t min, int64_t max, int64_t* dst) {
-      std::string value;
-      if (!need_value(&value) || !ParseInt(value, min, max, dst)) {
-        std::fprintf(stderr, "invalid value for %s\n", flag.c_str());
-        return false;
-      }
-      return true;
-    };
-    auto prob_flag = [&](double* dst) {
-      std::string value;
-      if (!need_value(&value) || !ParseProb(value, dst)) {
-        std::fprintf(stderr, "invalid probability for %s\n", flag.c_str());
-        return false;
-      }
-      return true;
-    };
-    std::string value;
-    if (flag == "--upstream" && need_value(&value)) {
-      args->upstream = value;
-    } else if (flag == "--port") {
-      if (!int_flag(0, 65535, &args->port)) return false;
-    } else if (flag == "--bind" && need_value(&value)) {
-      args->bind = value;
-    } else if (flag == "--seed") {
-      int64_t seed;
-      if (!int_flag(0, INT64_MAX, &seed)) return false;
-      args->seed = static_cast<uint64_t>(seed);
-    } else if (flag == "--drop") {
-      if (!prob_flag(&args->drop)) return false;
-    } else if (flag == "--truncate") {
-      if (!prob_flag(&args->truncate)) return false;
-    } else if (flag == "--rate-limit") {
-      if (!prob_flag(&args->rate_limit)) return false;
-    } else if (flag == "--delay") {
-      if (!prob_flag(&args->delay)) return false;
-    } else if (flag == "--delay-ms") {
-      if (!int_flag(0, 60000, &args->delay_ms)) return false;
-    } else if (flag == "--blackout-after") {
-      if (!int_flag(-1, INT64_MAX, &args->blackout_after)) return false;
-    } else if (flag == "--blackout-queries") {
-      if (!int_flag(0, INT64_MAX, &args->blackout_queries)) return false;
-    } else if (flag == "--io-timeout-ms") {
-      if (!int_flag(1, INT64_MAX, &args->io_timeout_ms)) return false;
-    } else {
-      std::fprintf(stderr, "unknown or incomplete flag: %s\n",
-                   flag.c_str());
-      return false;
-    }
-  }
-  if (args->upstream.empty()) {
-    std::fprintf(stderr, "--upstream is required\n");
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    Usage();
-    return 64;
+  using namespace hdsky;
+  session::ProxyConfig args;
+  if (!session::ParseOrUsage(session::ProxyFlags(&args), argc, argv)) {
+    return session::kExitUsage;
   }
-
   std::string upstream_host;
   uint16_t upstream_port = 0;
-  const common::Status parsed =
-      net::ParseHostPort(args.upstream, &upstream_host, &upstream_port);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "upstream: %s\n", parsed.ToString().c_str());
-    return 64;
-  }
+  net::ParseHostPort(args.upstream[0], &upstream_host, &upstream_port);
 
   service::FaultInjectingProxy::Policy policy;
-  policy.seed = args.seed;
+  policy.seed = static_cast<uint64_t>(args.seed);
   policy.drop_prob = args.drop;
   policy.truncate_prob = args.truncate;
   policy.rate_limit_prob = args.rate_limit;
@@ -212,19 +67,17 @@ int main(int argc, char** argv) {
   auto proxy_result = service::FaultInjectingProxy::Start(
       upstream_host, upstream_port, policy, options);
   if (!proxy_result.ok()) {
-    std::fprintf(stderr, "proxy: %s\n",
-                 proxy_result.status().ToString().c_str());
-    return 1;
+    return session::ReportFailure(stderr, "proxy", proxy_result.status());
   }
   auto proxy = std::move(proxy_result).value();
 
   std::fprintf(stderr,
                "upstream: %s (drop %.3f, truncate %.3f, rate-limit %.3f, "
-               "delay %.3f x %lld ms, seed %llu)\n",
-               args.upstream.c_str(), args.drop, args.truncate,
+               "delay %.3f x %lld ms, seed %lld)\n",
+               args.upstream[0].c_str(), args.drop, args.truncate,
                args.rate_limit, args.delay,
                static_cast<long long>(args.delay_ms),
-               static_cast<unsigned long long>(args.seed));
+               static_cast<long long>(args.seed));
   std::printf("listening on %s:%u\n", args.bind.c_str(), proxy->port());
   std::fflush(stdout);
 
@@ -249,5 +102,5 @@ int main(int argc, char** argv) {
                static_cast<long long>(stats.rate_limits_injected),
                static_cast<long long>(stats.delays_injected),
                static_cast<long long>(stats.queries_blacked_out));
-  return 0;
+  return session::kExitOk;
 }
