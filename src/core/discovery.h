@@ -123,6 +123,21 @@ class SkylineCollector {
   /// attributes.
   bool IsDominatedOrDuplicate(const data::Tuple& t) const;
 
+  /// Index into tuples() of the first confirmed tuple, in confirmation
+  /// order, that strictly dominates t over `dims` (positions into
+  /// ranking_attrs(), any subset), or -1.
+  int64_t FirstDominator(const data::Tuple& t,
+                         const std::vector<int>& dims) const {
+    return index_.FirstDominator(t, dims);
+  }
+
+  /// True once `id` has been classified by Observe or marked observed:
+  /// a caller's first-sighting test, so it keeps no id memo of its own.
+  bool observed(data::TupleId id) const { return observed_.count(id) > 0; }
+  /// Marks `id` classified without classifying it (a restored frontier's
+  /// seen ids, whose classification the restored skyline already holds).
+  void MarkObserved(data::TupleId id) { observed_.insert(id); }
+
   int64_t size() const { return static_cast<int64_t>(ids_.size()); }
   const std::vector<data::TupleId>& ids() const { return ids_; }
   const std::vector<data::Tuple>& tuples() const { return tuples_; }

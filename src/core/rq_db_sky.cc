@@ -1,5 +1,6 @@
 #include "core/rq_db_sky.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -7,8 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/seen_index.h"
 #include "net/wire.h"
-#include "skyline/dominance.h"
 
 namespace hdsky {
 namespace core {
@@ -41,9 +42,7 @@ bool ChildImpossible(const Query& q, const AttributeSpec& spec, int attr) {
 // Frontier codec for checkpoint/resume: the DFS stack (each node is its
 // sq/R(q) query pair), the seen-tuple memo, and the processed-region set,
 // tagged 'R' against cross-algorithm blob mixups.
-void EncodeRqFrontier(const std::vector<Node>& stack,
-                      const std::vector<TupleId>& seen_order,
-                      const std::vector<Tuple>& seen_tuples,
+void EncodeRqFrontier(const std::vector<Node>& stack, const SeenIndex& seen,
                       const std::unordered_set<std::string>& processed,
                       std::string* out) {
   net::Encoder enc(out);
@@ -53,20 +52,23 @@ void EncodeRqFrontier(const std::vector<Node>& stack,
     net::EncodeQueryBody(n.sq, &enc);
     net::EncodeQueryBody(n.rq, &enc);
   }
-  enc.PutU64(seen_order.size());
-  for (size_t i = 0; i < seen_order.size(); ++i) {
-    enc.PutI64(seen_order[i]);
-    enc.PutU32(static_cast<uint32_t>(seen_tuples[i].size()));
-    for (data::Value v : seen_tuples[i]) enc.PutI64(v);
+  enc.PutU64(static_cast<uint64_t>(seen.size()));
+  const int width = seen.num_attributes();
+  for (int64_t i = 0; i < seen.size(); ++i) {
+    enc.PutI64(seen.id(i));
+    enc.PutU32(static_cast<uint32_t>(width));
+    for (int a = 0; a < width; ++a) enc.PutI64(seen.values(i)[a]);
   }
   enc.PutU64(processed.size());
   for (const std::string& sig : processed) enc.PutString(sig);
 }
 
+// Decodes a frontier blob. The seen memo comes back as its ids and flat
+// values, in the order they were seen; an id listed twice is rejected.
 Status DecodeRqFrontier(std::string_view blob, int num_attributes,
                         std::vector<Node>* stack,
-                        std::vector<TupleId>* seen_order,
-                        std::vector<Tuple>* seen_tuples,
+                        std::vector<TupleId>* seen_ids,
+                        std::vector<data::Value>* seen_values,
                         std::unordered_set<std::string>* processed) {
   net::Decoder dec(blob);
   uint8_t tag = 0;
@@ -91,6 +93,7 @@ Status DecodeRqFrontier(std::string_view blob, int num_attributes,
   if (!dec.GetU64(&seen_len)) {
     return Status::IOError("malformed RQ frontier blob");
   }
+  std::unordered_set<TupleId> distinct;
   for (uint64_t i = 0; i < seen_len; ++i) {
     int64_t id = 0;
     uint32_t width = 0;
@@ -103,11 +106,17 @@ Status DecodeRqFrontier(std::string_view blob, int num_attributes,
       return Status::IOError("RQ frontier seen tuple width does not match "
                              "the schema");
     }
-    Tuple t(width);
-    for (uint32_t a = 0; a < width; ++a) dec.GetI64(&t[a]);
+    if (!distinct.insert(id).second) {
+      return Status::IOError("RQ frontier lists seen tuple " +
+                             std::to_string(id) + " twice");
+    }
+    for (uint32_t a = 0; a < width; ++a) {
+      data::Value v = 0;
+      dec.GetI64(&v);
+      seen_values->push_back(v);
+    }
     if (!dec.ok()) return Status::IOError("malformed RQ frontier seen tuple");
-    seen_order->push_back(id);
-    seen_tuples->push_back(std::move(t));
+    seen_ids->push_back(id);
   }
   uint64_t processed_len = 0;
   if (!dec.GetU64(&processed_len)) {
@@ -138,19 +147,32 @@ class RqDbSkyDiscovery : public ResumableDiscovery {
         skip_impossible_children_(options.skip_impossible_children),
         disable_early_termination_(options.disable_early_termination),
         skip_duplicate_nodes_(options.skip_duplicate_nodes),
-        ranking_(std::move(branch_attrs)) {}
+        ranking_(std::move(branch_attrs)),
+        seen_(schema_.num_attributes(), ranking_) {
+    // The pivot test's attributes as positions into the collector's
+    // ranking attributes (MakeRqDbSky checked that each is one).
+    const std::vector<int>& all = run().collector().ranking_attrs();
+    for (const int attr : ranking_) {
+      pivot_dims_.push_back(static_cast<int>(
+          std::find(all.begin(), all.end(), attr) - all.begin()));
+    }
+  }
 
   Status Start() {
+    std::vector<TupleId> seen_ids;
+    std::vector<data::Value> seen_values;
     HDSKY_ASSIGN_OR_RETURN(
-        const bool resumed, RestoreResume([this](std::string_view blob) {
+        const bool resumed, RestoreResume([&](std::string_view blob) {
           return DecodeRqFrontier(blob, schema_.num_attributes(), &stack_,
-                                  &seen_order_, &seen_tuples_,
+                                  &seen_ids, &seen_values,
                                   &processed_regions_);
         }));
     if (resumed) {
       // Crash-consistent resume: progress, the DFS stack, and the seen
-      // memo come from a checkpoint instead of the root.
-      seen_ids_.insert(seen_order_.begin(), seen_order_.end());
+      // memo come from a checkpoint instead of the root. The restored
+      // skyline already holds the seen ids' classification.
+      for (const TupleId id : seen_ids) run().collector().MarkObserved(id);
+      seen_.Assign(std::move(seen_ids), std::move(seen_values));
     } else {
       Node root;
       root.sq = run().MakeBaseQuery();
@@ -161,8 +183,7 @@ class RqDbSkyDiscovery : public ResumableDiscovery {
   }
 
   void SaveFrontier(std::string* out) const override {
-    EncodeRqFrontier(stack_, seen_order_, seen_tuples_, processed_regions_,
-                     out);
+    EncodeRqFrontier(stack_, seen_, processed_regions_, out);
   }
 
  protected:
@@ -182,7 +203,7 @@ class RqDbSkyDiscovery : public ResumableDiscovery {
       // Early termination (Algorithm 2): when a seen tuple matches q,
       // issue the mutually exclusive R(q) instead.
       const Node& top = stack_.back();
-      const bool plain = disable_early_termination_ || !SeenMatches(top.sq);
+      const bool plain = disable_early_termination_ || !seen_.AnyMatch(top.sq);
       HDSKY_RETURN_IF_ERROR(run().Execute(plain ? top.sq : top.rq, &answer_));
       // Answered: only now does the node leave the frontier.
       const Node node = std::move(stack_.back());
@@ -202,38 +223,28 @@ class RqDbSkyDiscovery : public ResumableDiscovery {
         // Pivot on a confirmed-skyline dominator of T0 when one exists
         // (Algorithm 2 lines 10-12), otherwise on T0 itself.
         const Tuple& t0 = t.tuples[0];
-        const Tuple* pivot = &t0;
-        for (const Tuple& s : run().collector().tuples()) {
-          if (skyline::Dominates(s, t0, ranking_)) {
-            pivot = &s;
-            break;
-          }
-        }
-        PushChildren(node, *pivot);
+        const int64_t dominator =
+            run().collector().FirstDominator(t0, pivot_dims_);
+        PushChildren(node, dominator < 0
+                               ? t0
+                               : run().collector().tuples()[static_cast<
+                                     size_t>(dominator)]);
       }
     }
     return Status::OK();
   }
 
  private:
-  // Records every returned tuple in the seen memo and the collector.
+  // Records every newly returned tuple in the seen memo and the
+  // collector; the collector's observed ids are the only id memo.
   void Remember(const QueryResult& t) {
     for (int i = 0; i < t.size(); ++i) {
       const TupleId id = t.ids[static_cast<size_t>(i)];
-      if (seen_ids_.insert(id).second) {
-        seen_order_.push_back(id);
-        seen_tuples_.push_back(t.tuples[static_cast<size_t>(i)]);
-      }
-      run().Observe(id, t.tuples[static_cast<size_t>(i)]);
+      if (run().collector().observed(id)) continue;
+      const Tuple& tuple = t.tuples[static_cast<size_t>(i)];
+      seen_.Insert(id, tuple);
+      run().Observe(id, tuple);
     }
-  }
-
-  // The seen-match test of Algorithm 2 line 3.
-  bool SeenMatches(const Query& q) const {
-    for (const Tuple& t : seen_tuples_) {
-      if (q.MatchesTuple(t)) return true;
-    }
-    return false;
   }
 
   void PushChildren(const Node& node, const Tuple& pivot) {
@@ -271,12 +282,11 @@ class RqDbSkyDiscovery : public ResumableDiscovery {
   const bool disable_early_termination_;
   const bool skip_duplicate_nodes_;
   const std::vector<int> ranking_;
+  std::vector<int> pivot_dims_;
   std::vector<Node> stack_;
-  // All tuples ever returned. seen_order_ keeps ids aligned with
-  // seen_tuples_ so checkpoints serialize the memo deterministically.
-  std::vector<Tuple> seen_tuples_;
-  std::vector<TupleId> seen_order_;
-  std::unordered_set<TupleId> seen_ids_;
+  // Every tuple ever returned, in the order first seen: Algorithm 2
+  // line 3's seen-match test and the checkpointed memo.
+  SeenIndex seen_;
   std::unordered_set<std::string> processed_regions_;
   // One QueryResult lives across the whole walk: the buffer-reuse
   // Execute overload refills it in place, so the query loop stops

@@ -1,6 +1,8 @@
 #include "skyline/dominance_index.h"
 
 #include <algorithm>
+#include <limits>
+#include <utility>
 
 namespace hdsky {
 namespace skyline {
@@ -21,25 +23,24 @@ DominanceIndex::DominanceIndex(std::vector<int> ranking_attrs)
       dims_(static_cast<int>(ranking_attrs_.size())) {}
 
 void DominanceIndex::Insert(const Tuple& t) {
-  ++count_;
-  if (dims_ == 0) return;
-  if (dims_ == 1) {
-    min1_ = std::min(min1_, Key(t, 0));
+  if (dims_ == 0) {
+    ++count_;
     return;
   }
-  if (dims_ == 2) {
+  if (dims_ == 1) {
+    min1_ = std::min(min1_, Key(t, 0));
+  } else if (dims_ == 2 && !DominatedOrEqual(t)) {
+    // Only minimal points enter the staircase; points at x or to its
+    // right with y >= this y are no longer minimal.
     const Value x = Key(t, 0);
     const Value y = Key(t, 1);
-    if (DominatedOrEqual(t)) return;  // not minimal; queries unaffected
     auto it = stair_.lower_bound(x);
-    // Points at x or to its right with y >= this y are no longer
-    // minimal.
     while (it != stair_.end() && it->second >= y) {
       it = stair_.erase(it);
     }
     stair_.emplace(x, y);
-    return;
   }
+  ++count_;
   const int32_t idx =
       static_cast<int32_t>(points_.size() / static_cast<size_t>(dims_));
   for (int i = 0; i < dims_; ++i) points_.push_back(Key(t, i));
@@ -60,6 +61,63 @@ bool DominanceIndex::PointBeats(const Value* p, const Tuple& t,
     if (p[i] < tv) strict = true;
   }
   return or_equal || strict;
+}
+
+bool DominanceIndex::PointDominatesOver(const Value* p, const Tuple& t,
+                                        const std::vector<int>& dims) const {
+  bool strict = false;
+  for (const int d : dims) {
+    const Value tv = Key(t, d);
+    if (p[d] > tv) return false;
+    if (p[d] < tv) strict = true;
+  }
+  return strict;
+}
+
+int64_t DominanceIndex::FirstDominator(const Tuple& t,
+                                       const std::vector<int>& dims) const {
+  // Tree points were all inserted before the pending ones, so a
+  // dominator in the tree beats any pending one.
+  int32_t best = std::numeric_limits<int32_t>::max();
+  if (root_ >= 0) FirstInTree(root_, t, dims, &best);
+  if (best != std::numeric_limits<int32_t>::max()) return best;
+  for (int32_t idx : pending_) {
+    if (PointDominatesOver(
+            points_.data() + static_cast<int64_t>(idx) * dims_, t, dims)) {
+      return idx;
+    }
+  }
+  return -1;
+}
+
+void DominanceIndex::FirstInTree(int32_t node_id, const Tuple& t,
+                                 const std::vector<int>& dims,
+                                 int32_t* best) const {
+  const Node& node = nodes_[static_cast<size_t>(node_id)];
+  if (node.first >= *best) return;  // nothing earlier in this subtree
+  for (const int d : dims) {
+    if (node.min_corner[static_cast<size_t>(d)] > Key(t, d)) return;
+  }
+  if (node.is_leaf()) {
+    for (int32_t i = node.begin; i < node.end; ++i) {
+      const int32_t idx = tree_items_[static_cast<size_t>(i)];
+      if (idx < *best &&
+          PointDominatesOver(points_.data() + static_cast<int64_t>(idx) * dims_,
+                             t, dims)) {
+        *best = idx;
+      }
+    }
+    return;
+  }
+  // The subtree holding the earlier point first: its hit prunes more.
+  int32_t a = node.left;
+  int32_t b = node.right;
+  if (nodes_[static_cast<size_t>(b)].first <
+      nodes_[static_cast<size_t>(a)].first) {
+    std::swap(a, b);
+  }
+  FirstInTree(a, t, dims, best);
+  FirstInTree(b, t, dims, best);
 }
 
 bool DominanceIndex::Dominated(const Tuple& t) const {
@@ -120,11 +178,11 @@ int32_t DominanceIndex::BuildNode(int64_t begin, int64_t end, int depth) {
   {
     Node& node = nodes_[static_cast<size_t>(id)];
     node.min_corner.assign(static_cast<size_t>(dims_), data::kNullValue);
+    node.first = std::numeric_limits<int32_t>::max();
     for (int64_t i = begin; i < end; ++i) {
-      const Value* p =
-          points_.data() +
-          static_cast<int64_t>(tree_items_[static_cast<size_t>(i)]) *
-              dims_;
+      const int32_t idx = tree_items_[static_cast<size_t>(i)];
+      node.first = std::min(node.first, idx);
+      const Value* p = points_.data() + static_cast<int64_t>(idx) * dims_;
       for (int d = 0; d < dims_; ++d) {
         node.min_corner[static_cast<size_t>(d)] =
             std::min(node.min_corner[static_cast<size_t>(d)], p[d]);

@@ -18,6 +18,10 @@
 //    linearly and folded into the tree by amortized (logarithmic-method)
 //    rebuilds.
 //
+// FirstDominator needs every inserted point, not just the minimal ones,
+// so the kd-tree is kept at every dimensionality; the 1- and 2-attribute
+// shortcuts above only answer Dominated and DominatedOrEqual.
+//
 // Values compare numerically; NULL (kNullValue = +inf) ranks worst,
 // matching skyline::Compare. Copyable value type, like the collector
 // that embeds it.
@@ -52,6 +56,12 @@ class DominanceIndex {
   /// ranking attributes.
   bool DominatedOrEqual(const data::Tuple& t) const;
 
+  /// Insertion index (0-based, in Insert order) of the first inserted
+  /// tuple that strictly dominates t over `dims` — positions into
+  /// ranking_attrs, any subset — or -1 when none does.
+  int64_t FirstDominator(const data::Tuple& t,
+                         const std::vector<int>& dims) const;
+
   /// Number of Insert calls (not the retained-point count).
   int64_t size() const { return count_; }
 
@@ -66,6 +76,10 @@ class DominanceIndex {
                  bool or_equal) const;
   bool PointBeats(const data::Value* p, const data::Tuple& t,
                   bool or_equal) const;
+  bool PointDominatesOver(const data::Value* p, const data::Tuple& t,
+                          const std::vector<int>& dims) const;
+  void FirstInTree(int32_t node_id, const data::Tuple& t,
+                   const std::vector<int>& dims, int32_t* best) const;
 
   std::vector<int> ranking_attrs_;
   int dims_ = 0;
@@ -78,12 +92,13 @@ class DominanceIndex {
   // descending.
   std::map<data::Value, data::Value> stair_;
 
-  // dims_ >= 3.
+  // Every dimensionality: all inserted points.
   struct Node {
     int32_t left = -1;
     int32_t right = -1;
     int32_t begin = 0;  // leaf range into tree_items_
     int32_t end = 0;
+    int32_t first = 0;  // smallest point index in the subtree
     std::vector<data::Value> min_corner;
 
     bool is_leaf() const { return left < 0; }

@@ -2,10 +2,18 @@
 // data distributions, dimensionalities, k values, and ranking functions
 // (Theorems 2 and 3: both algorithms discover the complete skyline).
 
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "core/mq_db_sky.h"
 #include "core/rq_db_sky.h"
+#include "core/skyband_discovery.h"
 #include "core/sq_db_sky.h"
+#include "dataset/blue_nile.h"
 #include "dataset/synthetic.h"
 #include "dataset/worst_case.h"
 #include "tests/test_util.h"
@@ -342,6 +350,217 @@ TEST(SkipImpossibleChildrenTest, SavesQueriesWithoutLosingTuples) {
   ASSERT_TRUE(skipping.ok());
   ExpectExactSkyline(*skipping, t);
   EXPECT_LE(skipping->query_cost, plain->query_cost);
+}
+
+// ---------------------------------------------------------------------
+// RQ-DB-SKY's query sequence, pinned. The seen-match test and the pivot
+// choice decide which query each node issues; a change to either that is
+// not exact shows up here as a different cost or a different sequence.
+
+/// Forwards to `inner` and folds every answered query's signature into a
+/// 64-bit FNV-1a hash, in issue order. After Rearm(n), queries past the
+/// n-th answer fail with ResourceExhausted until the next Rearm — a
+/// paused session.
+class RecordingDatabase : public interface::HiddenDatabase {
+ public:
+  explicit RecordingDatabase(interface::HiddenDatabase* inner)
+      : inner_(inner) {}
+  const data::Schema& schema() const override { return inner_->schema(); }
+  int k() const override { return inner_->k(); }
+  common::Result<interface::QueryResult> Execute(
+      const interface::Query& q) override {
+    if (remaining_ == 0) {
+      return common::Status::ResourceExhausted("paused");
+    }
+    auto r = inner_->Execute(q);
+    if (!r.ok()) return r;
+    if (remaining_ > 0) --remaining_;
+    for (const char c : q.Signature() + '|') {
+      hash_ = (hash_ ^ static_cast<uint8_t>(c)) * 0x100000001b3ULL;
+    }
+    ++answered_;
+    return r;
+  }
+  void Rearm(int64_t answers) { remaining_ = answers; }
+  uint64_t hash() const { return hash_; }
+  int64_t answered() const { return answered_; }
+
+ private:
+  interface::HiddenDatabase* inner_;
+  int64_t remaining_ = -1;
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+  int64_t answered_ = 0;
+};
+
+struct Pin {
+  int64_t query_cost;
+  uint64_t hash;
+};
+
+using Algorithm = std::function<common::Result<DiscoveryResult>(
+    interface::HiddenDatabase*)>;
+
+void ExpectPinned(const std::string& name, const Table& t, int k,
+                  const Algorithm& run, const Pin& pin) {
+  SCOPED_TRACE(name);
+  auto iface = MakeInterface(&t, MakeSumRanking(), k);
+  RecordingDatabase db(iface.get());
+  auto result = run(&db);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->complete);
+  EXPECT_EQ(result->query_cost, db.answered());
+  EXPECT_EQ(result->query_cost, pin.query_cost);
+  EXPECT_EQ(db.hash(), pin.hash) << std::hex << db.hash();
+}
+
+Table MakeNullLaced(int64_t n, uint64_t seed) {
+  Table t(std::move(data::Schema::Create(
+                        {{"a", data::AttributeKind::kRanking,
+                          InterfaceType::kRQ, 0, 1000},
+                         {"b", data::AttributeKind::kRanking,
+                          InterfaceType::kRQ, 0, 1060},
+                         {"c", data::AttributeKind::kRanking,
+                          InterfaceType::kRQ, 0, 1000}}))
+              .value());
+  // a and b anti-correlate, so the skyline is large; about one value in
+  // seven is NULL.
+  common::Rng rng(seed);
+  for (int64_t r = 0; r < n; ++r) {
+    const data::Value a = rng.UniformInt(0, 1000);
+    data::Tuple tuple = {a, 1000 - a + rng.UniformInt(0, 60),
+                         rng.UniformInt(0, 1000)};
+    for (data::Value& v : tuple) {
+      if (rng.UniformInt(0, 6) == 0) v = data::kNullValue;
+    }
+    EXPECT_TRUE(t.Append(tuple).ok());
+  }
+  return t;
+}
+
+TEST(RqDbSkyTest, QuerySequenceIsPinned) {
+  {
+    dataset::BlueNileOptions o;
+    o.num_tuples = 20000;
+    const Table t = std::move(dataset::GenerateBlueNile(o)).value();
+    ExpectPinned(
+        "bluenile n=20000", t, 10,
+        [](interface::HiddenDatabase* db) { return RqDbSky(db); },
+        {5356, 0x28a4b1b2e3fbea3eULL});
+  }
+  {
+    // Two range attributes, one point attribute and an equality filter:
+    // MQ-DB-SKY's first phase is RQ-DB-SKY under a base filter, branching
+    // on the range attributes only. Its pivot is the first confirmed
+    // tuple dominating T0 on those two; dominance on all three would
+    // change this sequence.
+    Table t(std::move(data::Schema::Create(
+                          {{"r0", data::AttributeKind::kRanking,
+                            InterfaceType::kRQ, 0, 80},
+                           {"s1", data::AttributeKind::kRanking,
+                            InterfaceType::kSQ, 0, 80},
+                           {"p2", data::AttributeKind::kRanking,
+                            InterfaceType::kPQ, 0, 60},
+                           {"f", data::AttributeKind::kFiltering,
+                            InterfaceType::kFilterEquality, 0, 3}}))
+                .value());
+    common::Rng rng(71);
+    for (int r = 0; r < 4000; ++r) {
+      ASSERT_TRUE(t.Append({rng.UniformInt(0, 80), rng.UniformInt(0, 80),
+                            rng.UniformInt(0, 60), rng.UniformInt(0, 3)})
+                      .ok());
+    }
+    ExpectPinned(
+        "mq base filter", t, 3,
+        [](interface::HiddenDatabase* db) {
+          MqDbSkyOptions o;
+          interface::Query filter(4);
+          filter.AddEquals(3, 2);
+          o.common.base_filter = filter;
+          return MqDbSky(db, o);
+        },
+        {332, 0x66f8d9f220a8f5ffULL});
+  }
+  {
+    dataset::SyntheticOptions o;
+    o.num_tuples = 1500;
+    o.num_attributes = 3;
+    o.domain_size = 300;
+    o.distribution = dataset::Distribution::kAntiCorrelated;
+    o.iface = InterfaceType::kSQ;
+    o.seed = 72;
+    const Table t = std::move(dataset::GenerateSynthetic(o)).value();
+    ExpectPinned(
+        "one-ended ranges", t, 2,
+        [](interface::HiddenDatabase* db) {
+          RqDbSkyOptions rq;
+          rq.require_two_ended = false;
+          return RqDbSky(db, rq);
+        },
+        {1181, 0x065e2c156f065d5dULL});
+  }
+  ExpectPinned(
+      "nulls", MakeNullLaced(3000, 73), 2,
+      [](interface::HiddenDatabase* db) { return RqDbSky(db); },
+      {1073, 0xcc2275cfefaf2f54ULL});
+  {
+    const Table t = MakeData(
+        {dataset::Distribution::kAntiCorrelated, 4, 2000, 12, 1, "sum", 74},
+        InterfaceType::kRQ);
+    ExpectPinned(
+        "skip duplicate nodes", t, 1,
+        [](interface::HiddenDatabase* db) {
+          RqDbSkyOptions rq;
+          rq.skip_duplicate_nodes = true;
+          return RqDbSky(db, rq);
+        },
+        {528, 0x5b1b13c770adbfe0ULL});
+  }
+  {
+    const Table t = MakeData(
+        {dataset::Distribution::kAntiCorrelated, 3, 600, 200, 1, "sum", 75},
+        InterfaceType::kRQ);
+    ExpectPinned(
+        "sky-band h=2", t, 2,
+        [](interface::HiddenDatabase* db) {
+          SkybandOptions o;
+          o.band = 2;
+          return RqDbSkyband(db, o);
+        },
+        {1870, 0xf9c3c39e230bf216ULL});
+  }
+  {
+    // Paused every 97 answers; each pause saves the run state and the
+    // frontier and a fresh traversal resumes from the two blobs.
+    const Table t = MakeData(
+        {dataset::Distribution::kAntiCorrelated, 4, 3000, 500, 3, "sum", 76},
+        InterfaceType::kRQ);
+    ExpectPinned(
+        "paused and resumed", t, 3,
+        [](interface::HiddenDatabase* db) -> common::Result<DiscoveryResult> {
+          auto* recording = static_cast<RecordingDatabase*>(db);
+          RqDbSkyOptions rq;
+          HDSKY_ASSIGN_OR_RETURN(std::unique_ptr<ResumableDiscovery> d,
+                                 MakeRqDbSky(db, rq));
+          int pauses = 0;
+          for (;;) {
+            recording->Rearm(97);
+            const common::Status s = d->Continue();
+            if (s.ok()) break;
+            if (!s.IsResourceExhausted()) return s;
+            ++pauses;
+            std::string run_state, frontier;
+            d->run().SaveState(&run_state);
+            d->SaveFrontier(&frontier);
+            RqDbSkyOptions resume;
+            resume.common.resume_run_state = run_state;
+            resume.common.resume_frontier = frontier;
+            HDSKY_ASSIGN_OR_RETURN(d, MakeRqDbSky(db, resume));
+          }
+          EXPECT_GT(pauses, 3);
+          return d->run().Finish();
+        },
+        {1003, 0x1a083b02498bb68cULL});
+  }
 }
 
 }  // namespace

@@ -5,9 +5,13 @@
 // staircase, and kd-tree specializations — with small domains (forcing
 // equal and dominated inserts), NULL values, non-ranking tuple
 // positions, repeated ids, and unconditional AddConfirmed of
-// non-antichain point sets.
+// non-antichain point sets. FirstDominator is checked against the linear
+// scan RQ-DB-SKY's pivot search used, over all and over random subsets
+// of the ranking attributes.
 
+#include <algorithm>
 #include <random>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -53,10 +57,32 @@ class LinearReference {
     return false;
   }
 
+  /// RQ-DB-SKY's former pivot scan: the first stored tuple that strictly
+  /// dominates t over the ranking attributes at positions `dims`.
+  int64_t FirstDominator(const Tuple& t, const std::vector<int>& dims) const {
+    std::vector<int> over;
+    for (const int d : dims) over.push_back(attrs_[static_cast<size_t>(d)]);
+    for (size_t i = 0; i < pts_.size(); ++i) {
+      if (skyline::Dominates(pts_[i], t, over)) return static_cast<int64_t>(i);
+    }
+    return -1;
+  }
+
  private:
   std::vector<int> attrs_;
   std::vector<Tuple> pts_;
 };
+
+/// Random non-empty subset of 0..dims-1, in random order (RQ-DB-SKY's
+/// branch attributes may be any reordered subset of the ranking ones).
+std::vector<int> RandomDims(std::mt19937_64& rng, int dims) {
+  std::vector<int> all(static_cast<size_t>(dims));
+  for (int d = 0; d < dims; ++d) all[static_cast<size_t>(d)] = d;
+  std::shuffle(all.begin(), all.end(), rng);
+  std::uniform_int_distribution<int> keep(1, dims);
+  all.resize(static_cast<size_t>(keep(rng)));
+  return all;
+}
 
 /// Random tuple whose ranking attributes live at the given positions
 /// (other positions get junk the index must ignore). Small domains
@@ -80,7 +106,11 @@ void RunStream(int dims, int64_t num_points, Value domain, uint64_t seed) {
   // so attribute indexing is exercised, not just identity.
   const int arity = 2 * dims + 1;
   std::vector<int> attrs;
-  for (int d = 0; d < dims; ++d) attrs.push_back(2 * d + 1);
+  std::vector<int> all_dims;
+  for (int d = 0; d < dims; ++d) {
+    attrs.push_back(2 * d + 1);
+    all_dims.push_back(d);
+  }
 
   DominanceIndex index(attrs);
   LinearReference ref(attrs);
@@ -91,6 +121,13 @@ void RunStream(int dims, int64_t num_points, Value domain, uint64_t seed) {
     ASSERT_EQ(ref.Dominated(probe), index.Dominated(probe))
         << "dims=" << dims << " i=" << i;
     ASSERT_EQ(ref.DominatedOrEqual(probe), index.DominatedOrEqual(probe))
+        << "dims=" << dims << " i=" << i;
+    ASSERT_EQ(ref.FirstDominator(probe, all_dims),
+              index.FirstDominator(probe, all_dims))
+        << "dims=" << dims << " i=" << i;
+    const std::vector<int> some = RandomDims(rng, dims);
+    ASSERT_EQ(ref.FirstDominator(probe, some),
+              index.FirstDominator(probe, some))
         << "dims=" << dims << " i=" << i;
 
     const Tuple p = RandomTuple(rng, arity, attrs, domain);
@@ -119,6 +156,37 @@ TEST(DominanceIndexTest, FiveDimensions) { RunStream(5, 500, 5, 15); }
 TEST(DominanceIndexTest, LargeStreamCrossesRebuilds) {
   // Enough inserts to force several logarithmic-method kd rebuilds.
   RunStream(3, 3000, 24, 16);
+}
+
+TEST(DominanceIndexTest, FirstDominatorKeepsInsertionOrder) {
+  // The 2-D staircase drops (5,5) once (4,4) arrives, and the 1-D minimum
+  // forgets everything but the best value; the first dominator in
+  // insertion order is still the earliest one, and of value-equal
+  // tuples the first inserted.
+  for (const int dims : {1, 2, 3}) {
+    SCOPED_TRACE("dims " + std::to_string(dims));
+    std::vector<int> attrs(static_cast<size_t>(dims));
+    for (int d = 0; d < dims; ++d) attrs[static_cast<size_t>(d)] = d;
+    DominanceIndex index(attrs);
+    index.Insert(Tuple(static_cast<size_t>(dims), 5));  // 0
+    index.Insert(Tuple(static_cast<size_t>(dims), 4));  // 1
+    index.Insert(Tuple(static_cast<size_t>(dims), 4));  // 2, equal to 1
+    index.Insert(Tuple(static_cast<size_t>(dims), 2));  // 3
+    EXPECT_EQ(index.FirstDominator(Tuple(static_cast<size_t>(dims), 6),
+                                   attrs),
+              0);
+    EXPECT_EQ(index.FirstDominator(Tuple(static_cast<size_t>(dims), 5),
+                                   attrs),
+              1);
+    EXPECT_EQ(index.FirstDominator(Tuple(static_cast<size_t>(dims), 3),
+                                   attrs),
+              3);
+    EXPECT_EQ(index.FirstDominator(Tuple(static_cast<size_t>(dims), 2),
+                                   attrs),
+              -1);
+    EXPECT_EQ(index.FirstDominator(Tuple(static_cast<size_t>(dims), 9), {}),
+              -1);  // nothing is strictly better over no attributes
+  }
 }
 
 TEST(DominanceIndexTest, ZeroDimensions) {

@@ -906,6 +906,35 @@ TEST(FrontierResumeTest, RejectsFrontierNarrowerThanSchema) {
   EXPECT_TRUE(run.RestoreState(run_state).IsIOError());
 }
 
+// A seen list that names one id twice would enter the tuple into the
+// seen memo twice; the decoder rejects it.
+TEST(FrontierResumeTest, RejectsFrontierRepeatingASeenId) {
+  const Table t = MakeRqTable();  // 3 attributes
+  auto iface = MakeInterface(&t, interface::MakeSumRanking(), 5);
+  const auto rq_blob = [](const std::vector<int64_t>& seen_ids) {
+    std::string blob;
+    net::Encoder enc(&blob);
+    enc.PutU8('R');
+    enc.PutU64(1);  // one node: the root
+    net::EncodeQueryBody(Query(3), &enc);
+    net::EncodeQueryBody(Query(3), &enc);
+    enc.PutU64(seen_ids.size());
+    for (const int64_t id : seen_ids) {
+      enc.PutI64(id);
+      enc.PutU32(3);
+      for (int a = 0; a < 3; ++a) enc.PutI64(5);
+    }
+    enc.PutU64(0);  // no processed regions
+    return blob;
+  };
+  core::RqDbSkyOptions rq;
+  rq.common.resume_frontier = rq_blob({4, 7});
+  ASSERT_TRUE(core::RqDbSky(iface.get(), rq).ok());  // well-formed control
+  rq.common.resume_frontier = rq_blob({4, 7, 4});
+  const common::Status s = core::RqDbSky(iface.get(), rq).status();
+  EXPECT_TRUE(s.IsIOError()) << s;
+}
+
 }  // namespace
 }  // namespace recovery
 }  // namespace hdsky
