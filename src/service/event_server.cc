@@ -38,6 +38,12 @@ bool IsBusy(const Status& status) {
          status.message().rfind(kBusyPrefix, 0) == 0;
 }
 
+/// A connection whose reads are paused and whose peer has taken no reply
+/// byte for this long is shed as a slow reader. A client that floods
+/// queries without reading would otherwise sit blocked in its own send
+/// until the idle timeout.
+constexpr auto kWriteStallTimeout = std::chrono::seconds(10);
+
 }  // namespace
 
 Result<std::unique_ptr<EventDrivenServer>> EventDrivenServer::Start(
@@ -96,8 +102,11 @@ Result<std::unique_ptr<EventDrivenServer>> EventDrivenServer::Start(
     HDSKY_ASSIGN_OR_RETURN(auto loop, net::EventLoop::Create());
     server->loops_.push_back(std::move(loop));
   }
-  server->executor_ =
-      std::make_unique<runtime::ThreadPool>(opts.num_workers);
+  // A never-blocking backend runs on the loops; it needs no executor.
+  if (!server->inline_backend_) {
+    server->executor_ =
+        std::make_unique<runtime::ThreadPool>(opts.num_workers);
+  }
 
   // Listener lives on loop 0. Registered before the loop threads start,
   // which is the other moment Add may be called safely off-thread.
@@ -119,7 +128,7 @@ Result<std::unique_ptr<EventDrivenServer>> EventDrivenServer::Start(
 
 EventDrivenServer::EventDrivenServer(interface::HiddenDatabase* db,
                                      const Options& options)
-    : db_(db), options_(options) {}
+    : db_(db), options_(options), inline_backend_(db->NeverBlocks()) {}
 
 EventDrivenServer::~EventDrivenServer() { Stop(); }
 
@@ -237,9 +246,10 @@ void EventDrivenServer::AdoptConnection(size_t loop_index, int fd) {
   conn->loop_index = loop_index;
   conn->sock = net::Socket(fd);
   conn->last_activity = std::chrono::steady_clock::now();
+  conn->interest = EPOLLIN;
   const uint64_t id = conn->id;
   const Status s = loops_[loop_index]->Add(
-      fd, EPOLLIN,
+      fd, conn->interest,
       [this, loop_index, id](uint32_t ev) { HandleIo(loop_index, id, ev); });
   if (!s.ok()) {
     active_connections_.fetch_sub(1);
@@ -262,13 +272,25 @@ void EventDrivenServer::CloseConn(Conn* conn) {
 }
 
 void EventDrivenServer::TickLoop(size_t loop_index) {
-  if (options_.idle_timeout_ms <= 0) return;
   const auto now = std::chrono::steady_clock::now();
-  const auto limit = std::chrono::milliseconds(options_.idle_timeout_ms);
+  const auto idle_limit = std::chrono::milliseconds(options_.idle_timeout_ms);
   for (auto& [id, conn] : conn_maps_[loop_index]) {
+    if (conn->dead) continue;
+    if (conn->read_paused) {
+      // Paused reads wait for the peer to drain its replies. A peer that
+      // takes none is a slow reader, whatever it still tries to send.
+      if (conn->bytes_sent != conn->stall_mark) {
+        conn->stall_mark = conn->bytes_sent;
+        conn->stall_since = now;
+      } else if (now - conn->stall_since > kWriteStallTimeout) {
+        connections_shed_.fetch_add(1);
+        CloseConn(conn.get());
+        continue;
+      }
+    }
     // A connection waiting on a slow backend is busy, not idle.
-    if (conn->dead || conn->in_flight) continue;
-    if (now - conn->last_activity > limit) {
+    if (options_.idle_timeout_ms <= 0 || conn->in_flight) continue;
+    if (now - conn->last_activity > idle_limit) {
       idle_closed_.fetch_add(1);
       connections_shed_.fetch_add(1);
       CloseConn(conn.get());
@@ -302,23 +324,21 @@ void EventDrivenServer::HandleIo(size_t loop_index, uint64_t conn_id,
 }
 
 void EventDrivenServer::HandleRead(Conn* conn) {
+  // One read per wake-up. In-memory queries are answered as they are
+  // parsed, so this bounds the work one connection does before the
+  // loop's other ready connections get their turn; epoll is
+  // level-triggered, so bytes left in the socket bring it back.
   char buf[16384];
-  for (;;) {
-    const ssize_t n = recv(conn->sock.fd(), buf, sizeof(buf), 0);
-    if (n > 0) {
-      conn->rbuf.append(buf, static_cast<size_t>(n));
-      if (n < static_cast<ssize_t>(sizeof(buf))) break;  // likely drained
-      continue;
-    }
-    if (n == 0) {  // peer closed
-      CloseConn(conn);
-      return;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+  ssize_t n;
+  do {
+    n = recv(conn->sock.fd(), buf, sizeof(buf), 0);
+  } while (n < 0 && errno == EINTR);
+  if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+  if (n <= 0) {  // peer closed or reset
     CloseConn(conn);
     return;
   }
+  conn->rbuf.append(buf, static_cast<size_t>(n));
   conn->last_activity = std::chrono::steady_clock::now();
   ParseFrames(conn);
 }
@@ -486,21 +506,22 @@ void EventDrivenServer::HandleQuery(Conn* conn, uint64_t seq,
     }
   }
 
-  // Fresh query. All async completions funnel through FinalizeAsync on
-  // this connection's loop.
+  // Fresh query. A never-blocking backend answers it right here, on this
+  // loop thread; any other backend runs it on the executor, and the
+  // completion funnels through FinalizeAsync on this connection's loop.
   conn->in_flight = true;
   if (cache_ == nullptr) {
-    auto cb = MakeCompletion(conn, seq);
+    if (inline_backend_) {
+      std::shared_ptr<const interface::QueryResult> result;
+      const Status s = ExecuteBackend(query, &result);
+      FinishQuery(conn, seq, s, result);
+      return;
+    }
     const bool admitted = SubmitBackendTask(
-        [this, query, cb = std::move(cb)] {
-          interface::QueryResult result;
+        [this, query, cb = MakeCompletion(conn, seq)] {
+          std::shared_ptr<const interface::QueryResult> result;
           const Status s = ExecuteBackend(query, &result);
-          if (s.ok()) {
-            cb(s, std::make_shared<const interface::QueryResult>(
-                      std::move(result)));
-          } else {
-            cb(s, nullptr);
-          }
+          cb(s, result);
         });
     if (!admitted) {
       conn->in_flight = false;
@@ -521,18 +542,12 @@ void EventDrivenServer::HandleQuery(Conn* conn, uint64_t seq,
       singleflight_joins_.fetch_add(1);
       return;  // completion arrives via the owner's Complete
     case interface::QueryCache::Lookup::kOwner:
-      if (!SubmitBackendTask([this, key, query] {
-            interface::QueryResult result;
-            const Status s = ExecuteBackend(query, &result);
-            if (s.ok()) {
-              cache_->Complete(
-                  key, s,
-                  std::make_shared<const interface::QueryResult>(
-                      std::move(result)));
-            } else {
-              cache_->Complete(key, s, nullptr);
-            }
-          })) {
+      if (inline_backend_) {
+        // The owner's own completion fires inside Complete, on this
+        // thread, and delivers in place (MakeCompletion).
+        RunFlight(key, query);
+      } else if (!SubmitBackendTask(
+                     [this, key, query] { RunFlight(key, query); })) {
         // Resolve the flight as BUSY; the owner's own callback (and any
         // waiter that raced in) gets the transient rejection.
         cache_->Complete(key, BusyStatus(), nullptr);
@@ -541,17 +556,28 @@ void EventDrivenServer::HandleQuery(Conn* conn, uint64_t seq,
   }
 }
 
-Status EventDrivenServer::ExecuteBackend(const interface::Query& query,
-                                         interface::QueryResult* result) {
+Status EventDrivenServer::ExecuteBackend(
+    const interface::Query& query,
+    std::shared_ptr<const interface::QueryResult>* out) {
+  interface::QueryResult result;
   Status s;
   if (options_.serialize_backend) {
     std::lock_guard<std::mutex> lock(backend_mu_);
-    s = db_->Execute(query, result);
+    s = db_->Execute(query, &result);
   } else {
-    s = db_->Execute(query, result);
+    s = db_->Execute(query, &result);
   }
-  if (s.ok()) backend_executions_.fetch_add(1);
+  if (!s.ok()) return s;
+  backend_executions_.fetch_add(1);
+  *out = std::make_shared<const interface::QueryResult>(std::move(result));
   return s;
+}
+
+void EventDrivenServer::RunFlight(const std::string& key,
+                                  const interface::Query& query) {
+  std::shared_ptr<const interface::QueryResult> result;
+  const Status s = ExecuteBackend(query, &result);
+  cache_->Complete(key, s, std::move(result));
 }
 
 interface::QueryCache::Callback EventDrivenServer::MakeCompletion(Conn* conn,
@@ -561,6 +587,17 @@ interface::QueryCache::Callback EventDrivenServer::MakeCompletion(Conn* conn,
   return [this, li, id, seq](
              const Status& status,
              const std::shared_ptr<const interface::QueryResult>& result) {
+    if (loops_[li]->InLoopThread()) {
+      // Only an inline owner's own completion fires on its loop thread:
+      // its flight starts and resolves within one call on this thread, so
+      // no other connection of this loop can have joined it. The caller
+      // (HandleFrame or ProcessPending) goes on with the pipeline, which
+      // keeps a long pipeline from recursing through FinalizeAsync.
+      if (Conn* conn = FindConn(li, id); conn != nullptr && !conn->dead) {
+        FinishQuery(conn, seq, status, result);
+      }
+      return;
+    }
     loops_[li]->Post([this, li, id, seq, status, result] {
       FinalizeAsync(li, id, seq, status, result);
     });
@@ -578,6 +615,13 @@ void EventDrivenServer::FinalizeAsync(
     // the now-ready entry, so the backend is still charged exactly once.
     return;
   }
+  FinishQuery(conn, seq, status, result);
+  if (!conn->dead) ProcessPending(conn);
+}
+
+void EventDrivenServer::FinishQuery(
+    Conn* conn, uint64_t seq, const Status& status,
+    const std::shared_ptr<const interface::QueryResult>& result) {
   conn->in_flight = false;
   conn->last_activity = std::chrono::steady_clock::now();
   if (IsBusy(status)) {
@@ -585,7 +629,6 @@ void EventDrivenServer::FinalizeAsync(
   } else {
     Deliver(conn, seq, status, result);
   }
-  if (!conn->dead) ProcessPending(conn);
 }
 
 void EventDrivenServer::ProcessPending(Conn* conn) {
@@ -667,7 +710,11 @@ void EventDrivenServer::EnqueueFrame(Conn* conn, FrameType type,
     CloseConn(conn);
     return;
   }
-  if (backlog > options_.read_pause_bytes) conn->read_paused = true;
+  if (backlog > options_.read_pause_bytes && !conn->read_paused) {
+    conn->read_paused = true;
+    conn->stall_mark = conn->bytes_sent;  // TickLoop's stall clock starts
+    conn->stall_since = std::chrono::steady_clock::now();
+  }
   UpdateInterest(conn);
 }
 
@@ -678,6 +725,7 @@ void EventDrivenServer::FlushWrites(Conn* conn) {
              conn->wbuf.size() - conn->wpos, MSG_NOSIGNAL);
     if (n > 0) {
       conn->wpos += static_cast<size_t>(n);
+      conn->bytes_sent += static_cast<uint64_t>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
@@ -699,7 +747,11 @@ void EventDrivenServer::UpdateInterest(Conn* conn) {
   if (!conn->read_paused) events |= EPOLLIN;
   if (conn->want_write) events |= EPOLLOUT;
   if (events == 0) events = EPOLLOUT;  // paused + drained: wait for writable
-  (void)loops_[conn->loop_index]->Modify(conn->sock.fd(), events);
+  // Most replies leave the mask as it was; skip the syscall then.
+  if (events == conn->interest) return;
+  if (loops_[conn->loop_index]->Modify(conn->sock.fd(), events).ok()) {
+    conn->interest = events;
+  }
 }
 
 }  // namespace service

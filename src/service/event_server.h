@@ -5,36 +5,51 @@
 //
 // Architecture
 //
-//   listener ──► loop 0 ──┐         ┌─► executor ThreadPool ─► backend
-//                          │ round- │      (Execute calls)
-//   conns ◄──► loop 0..L-1 ┘ robin  │
-//        nonblocking sockets        │
-//        read/write buffers    interface::QueryCache (single-flight)
-//        request pipelining         │
-//        admission control ◄────────┘ completions posted back to the
-//        idle/slow timeouts           owning loop
+//   listener ──► loop 0 ──┐ round-robin
+//   conns ◄──► loop 0..L-1 ┘──┬─ never blocks ──► backend, in place
+//        nonblocking sockets   │
+//        read/write buffers    └─ may block ────► executor ThreadPool
+//        request pipelining                            │ (Execute calls)
+//        admission control ◄───────────────────────────┘ completions
+//        idle/slow timeouts          posted back to the owning loop
+//        interface::QueryCache (single-flight) in front of both paths
 //
 //  * N event-loop threads (net/event_loop.h) own the sockets: each
 //    connection lives on exactly one loop, so connection state is
 //    lock-free. The accept path (listener on loop 0) spreads new
 //    connections round-robin.
-//  * Backend queries run on a runtime::ThreadPool executor, never on a
-//    loop thread, so one expensive query cannot stall unrelated
-//    connections' I/O. Completions are posted back to the owning loop.
+//  * A backend whose NeverBlocks() is true (the in-memory TopKInterface)
+//    is executed on the connection's loop thread, with no hop to another
+//    thread and back. A connection is read at most 16 KiB per wake-up,
+//    so one wake-up answers at most that many bytes of query frames
+//    before the loop's other connections get their turn
+//    (docs/service.md records why this is unconditional).
+//  * Every other backend (paged data, CallbackDatabase, wrappers) runs on
+//    a runtime::ThreadPool executor, never on a loop thread, so one query
+//    waiting on I/O cannot stall unrelated connections. Completions are
+//    posted back to the owning loop.
 //  * Request pipelining: a client may stream many Query frames on one
 //    connection without waiting; the server answers strictly in order
-//    (the per-session sequence contract requires it). Queries beyond
-//    Options::max_pipeline_depth are answered with a transient BUSY
-//    (kRateLimited) instead of being buffered without bound.
-//  * Admission control: at most Options::max_pending_queries backend
-//    executions may be queued or running; excess fresh queries get BUSY
-//    so an overloaded server degrades by shedding work, not by growing
-//    queues until it falls over. Accept-time overload (max_connections)
-//    sheds whole connections the same way.
+//    (the per-session sequence contract requires it). Queries that
+//    arrive while one is outstanding wait in a per-connection queue;
+//    beyond Options::max_pipeline_depth they are answered with a
+//    transient BUSY (kRateLimited) instead of being buffered without
+//    bound. An inline query is answered as it is parsed, so for an
+//    inline backend the queue fills only behind a shared-cache flight
+//    owned by another loop.
+//  * Admission control: at most Options::max_pending_queries executor
+//    runs may be queued or running; excess fresh queries get BUSY so an
+//    overloaded server degrades by shedding work, not by growing queues
+//    until it falls over. Inline executions never queue: at most one per
+//    loop runs at a time. Accept-time overload (max_connections) sheds
+//    whole connections the same way.
 //  * Slow clients: a connection whose unsent reply backlog exceeds
 //    write_buffer_limit is shed; above read_pause_bytes the server
 //    additionally stops reading from it (backpressure) until the
-//    backlog drains. Idle connections are evicted after idle_timeout_ms.
+//    backlog drains. A paused connection whose peer takes no reply byte
+//    for 10 s is shed too: a client that floods queries without reading
+//    would otherwise sit blocked in its own send until the idle timeout.
+//    Idle connections are evicted after idle_timeout_ms.
 //
 // Sessions, replay and budgets
 //
@@ -101,7 +116,8 @@ class EventDrivenServer {
     uint16_t port = 0;
     /// Event-loop (I/O) threads. 0 = min(4, hardware threads).
     int num_loops = 0;
-    /// Backend executor threads. 0 = min(8, hardware threads).
+    /// Backend executor threads. 0 = min(8, hardware threads). Unused
+    /// (none are started) when the backend never blocks.
     int num_workers = 0;
     /// Concurrent connections; excess gets a best-effort kRateLimited
     /// frame and is closed at accept time.
@@ -113,10 +129,11 @@ class EventDrivenServer {
     bool shared_cache = true;
     /// Ready entries the shared cache may hold (0 = unlimited).
     size_t cache_max_entries = 1 << 20;
-    /// Backend executions queued or running before fresh queries are
-    /// answered BUSY (0 = unlimited).
+    /// Executor runs queued or running before fresh queries are answered
+    /// BUSY (0 = unlimited). Inline executions are not counted.
     int max_pending_queries = 1024;
     /// Unanswered pipelined queries buffered per connection before BUSY.
+    /// An inline backend buffers only behind another loop's cache flight.
     int max_pipeline_depth = 64;
     /// Unsent reply bytes before a slow reader is shed.
     size_t write_buffer_limit = 8u << 20;
@@ -134,7 +151,7 @@ class EventDrivenServer {
     int64_t connections_accepted = 0;
     int64_t connections_rejected = 0;
     /// Connections dropped by the server: slow readers over the write
-    /// cap and idle-timeout evictions.
+    /// cap or stalled while paused, and idle-timeout evictions.
     int64_t connections_shed = 0;
     int64_t idle_closed = 0;
     /// Fresh client-visible queries answered successfully.
@@ -198,6 +215,15 @@ class EventDrivenServer {
     std::string wbuf;
     size_t wpos = 0;
     bool want_write = false;
+    /// Reply bytes the socket has taken so far. While reads are paused
+    /// the tick compares it with stall_mark, set when the pause began or
+    /// the last time it moved (stall_since), to find a peer that takes
+    /// nothing.
+    uint64_t bytes_sent = 0;
+    uint64_t stall_mark = 0;
+    std::chrono::steady_clock::time_point stall_since;
+    /// The epoll interest mask currently registered for sock.
+    uint32_t interest = 0;
     /// Parsed-but-unprocessed pipelined queries (seq, query).
     std::deque<std::pair<uint64_t, interface::Query>> pending;
     /// BUSY barrier: after answering BUSY for this seq, every arriving
@@ -220,10 +246,14 @@ class EventDrivenServer {
                    std::string_view payload);
   void HandleQuery(Conn* conn, uint64_t seq, const interface::Query& query);
   void ProcessPending(Conn* conn);
-  /// Runs on the owning loop thread when a backend/cache flight resolves.
+  /// Runs on the owning loop thread when an executor run or another
+  /// loop's flight resolves: FinishQuery, then the queued pipeline.
   void FinalizeAsync(size_t loop_index, uint64_t conn_id, uint64_t seq,
                      const common::Status& status,
                      std::shared_ptr<const interface::QueryResult> result);
+  /// Clears in_flight and delivers the answer (or BUSY) for `seq`.
+  void FinishQuery(Conn* conn, uint64_t seq, const common::Status& status,
+                   const std::shared_ptr<const interface::QueryResult>& result);
   /// Encodes and enqueues the reply, charges the session budget on
   /// success, and records the reply in the session replay cache.
   void Deliver(Conn* conn, uint64_t seq, const common::Status& status,
@@ -238,9 +268,16 @@ class EventDrivenServer {
   void TickLoop(size_t loop_index);
   /// Admission-controlled enqueue onto the executor; false = answer BUSY.
   bool SubmitBackendTask(std::function<void()> task);
-  /// Runs the query on the backend (optionally serialized) and counts it.
-  common::Status ExecuteBackend(const interface::Query& query,
-                                interface::QueryResult* result);
+  /// Runs the query on the backend (optionally serialized) and counts it;
+  /// *out is set iff the status is OK.
+  common::Status ExecuteBackend(
+      const interface::Query& query,
+      std::shared_ptr<const interface::QueryResult>* out);
+  /// Executes the query of the shared-cache flight `key`, which the
+  /// caller owns, and resolves the flight with the answer.
+  void RunFlight(const std::string& key, const interface::Query& query);
+  /// The flight callback of (conn, seq): delivers in place when it fires
+  /// on the connection's loop thread, else posts FinalizeAsync there.
   interface::QueryCache::Callback MakeCompletion(Conn* conn, uint64_t seq);
   Session* GetSession(uint64_t session_id);
 
@@ -248,6 +285,8 @@ class EventDrivenServer {
 
   interface::HiddenDatabase* db_;
   Options options_;
+  /// db_->NeverBlocks(): queries run on the loop thread, not the executor.
+  const bool inline_backend_;
   net::ServerSocket listener_;
   std::atomic<bool> stopping_{false};
   std::atomic<int> active_connections_{0};
@@ -280,6 +319,7 @@ class EventDrivenServer {
   std::vector<std::unique_ptr<net::EventLoop>> loops_;
   /// conn_maps_[i] is owned by loop i's thread exclusively.
   std::vector<std::unordered_map<uint64_t, std::unique_ptr<Conn>>> conn_maps_;
+  /// Null when the backend never blocks.
   std::unique_ptr<runtime::ThreadPool> executor_;
   std::vector<std::jthread> loop_threads_;  // last: joins first
 };

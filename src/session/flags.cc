@@ -526,12 +526,15 @@ FlagTable ServeFlags(ServeConfig* c) {
       Int("--max-connections", "C", 1, 65536,
           "concurrent connections (default 4096)", &c->max_connections),
       Int("--loops", "L", 0, 256, "event-loop threads (0 = auto)", &c->loops),
-      Int("--workers", "W", 0, 256, "backend workers (0 = auto)",
+      Int("--workers", "W", 0, 256,
+          "backend workers for paged data (0 = auto; in-memory data is "
+          "answered on the loops)",
           &c->workers),
       Switch("--no-shared-cache", "disable the cross-session query cache",
              &c->no_shared_cache),
       Int("--max-pending", "P", 0, 1000000,
-          "backend admission limit (default 1024)", &c->max_pending),
+          "backend admission limit for paged data (default 1024)",
+          &c->max_pending),
       Int("--idle-timeout-ms", "T", 0, INT64_MAX,
           "idle eviction, 0 = never (default 60000)", &c->idle_timeout_ms),
   });
@@ -612,7 +615,9 @@ FlagTable LoadgenFlags(LoadgenConfig* c) {
       // The in-process server's knobs.
       Int("--server-loops", "L", 0, 256, "server event loops (0 = auto)",
           &c->server_loops),
-      Int("--workers", "W", 0, 256, "server backend workers (0 = auto)",
+      Int("--workers", "W", 0, 256,
+          "server backend workers (0 = auto; unused: its in-memory data "
+          "is answered on the loops)",
           &c->workers),
       Int("--n", "N", 1, INT64_MAX, "synthetic dataset size (default 20000)",
           &c->n),
@@ -621,7 +626,8 @@ FlagTable LoadgenFlags(LoadgenConfig* c) {
       Switch("--no-shared-cache", "disable the cross-session cache",
              &c->no_shared_cache),
       Int("--max-pending", "P", 0, 1000000,
-          "server admission limit (default 1024)", &c->max_pending),
+          "server admission limit (default 1024; unused, as --workers)",
+          &c->max_pending),
   });
   t.Excludes({Given("--connect")},
              {"--server-loops", "--workers", "--n", "--m", "--k",

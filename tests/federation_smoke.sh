@@ -169,14 +169,21 @@ python3 "$COMPARE" "$WORK/fed.json" \
   || fail "compare_bench.py rejected the federation JSON"
 
 # --- Graceful degradation: kill one backend mid-run. ------------------
-# The victim gets a catalog an order of magnitude bigger than the
-# survivors, so its traversal is guaranteed to still be in flight when
-# the kill lands even on a fast unloaded machine; the kill itself comes
-# early, right after the connections are up. Landing before the first
-# victim query is fine too — the next query fails and the backend is
+# The victim sits behind a proxy whose blackout never ends: from the
+# victim's 100th query on, every connection dies as if the backend had.
+# Its traversal needs thousands of queries, so it is cut mid-run by its
+# own progress, however fast the server answers. The victim process is
+# killed early too, right after the connections are up; landing before
+# the blackout is fine — the next query fails and the backend is
 # dropped the same way.
 start_serve victim 20000 4
-PV=$PORT
+"$PROXY" --upstream "127.0.0.1:$PORT" --port 0 --seed 5 \
+  --blackout-after 100 --blackout-queries 1000000000 \
+  >"$WORK/proxy_victim.out" 2>"$WORK/proxy_victim.err" &
+PROXYV_PID=$!
+PIDS="$PIDS $PROXYV_PID"
+PV=$(wait_listen "$WORK/proxy_victim.out" "$PROXYV_PID") \
+  || fail "victim proxy did not come up: $(cat "$WORK/proxy_victim.err")"
 "$DISCOVER" --connect "127.0.0.1:$P1,127.0.0.1:$P2,127.0.0.1:$PV" \
   --federate union --algorithm rq --round-budget 24 \
   >"$WORK/kill.txt" 2>"$WORK/kill.err" &

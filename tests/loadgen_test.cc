@@ -1,14 +1,18 @@
 // End-to-end tests for the event-driven server and the epoll load
 // driver: request pipelining on one connection, BUSY shedding and the
-// retry barrier, slow-reader shedding, idle-timeout eviction, budget
-// accounting against a warm shared cache, and cross-session
-// single-flight dedup measured through RunLoad (the TSan CI job's
-// LoadGen stress).
+// retry barrier, slow-reader and write-stall shedding, idle-timeout
+// eviction, budget accounting against a warm shared cache, in-place
+// execution of never-blocking backends on the loop thread, and
+// cross-session single-flight dedup measured through RunLoad (the TSan
+// CI job's LoadGen stress).
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -17,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include "data/paged_table.h"
+#include "dataset/pack.h"
 #include "dataset/synthetic.h"
 #include "interface/hidden_database.h"
 #include "interface/ranking.h"
@@ -115,6 +121,70 @@ std::unique_ptr<interface::HiddenDatabase> MakeSlowBackend(
       });
 }
 
+/// Delegates to an in-memory interface and reports `never_blocks` from
+/// NeverBlocks(). Counts executions and notes which threads ran them, and
+/// which thread last asked k(): the server asks only while answering a
+/// Hello, on the connection's loop thread.
+class ThreadRecordingBackend : public interface::HiddenDatabase {
+ public:
+  ThreadRecordingBackend(TopKInterface* inner, bool never_blocks)
+      : inner_(inner), never_blocks_(never_blocks) {}
+
+  using HiddenDatabase::Execute;
+  common::Result<QueryResult> Execute(const Query& q) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++executions_;
+      execute_threads_.insert(std::this_thread::get_id());
+    }
+    return inner_->Execute(q);
+  }
+  const data::Schema& schema() const override { return inner_->schema(); }
+  int k() const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    hello_thread_ = std::this_thread::get_id();
+    return inner_->k();
+  }
+  bool NeverBlocks() const override { return never_blocks_; }
+
+  int executions() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return executions_;
+  }
+  std::set<std::thread::id> execute_threads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return execute_threads_;
+  }
+  std::thread::id hello_thread() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return hello_thread_;
+  }
+
+ private:
+  TopKInterface* inner_;
+  const bool never_blocks_;
+  mutable std::mutex mu_;
+  int executions_ = 0;
+  std::set<std::thread::id> execute_threads_;
+  mutable std::thread::id hello_thread_;
+};
+
+/// Reads one frame that must be the kResult of `want_seq`; returns its
+/// payload.
+std::string ReadResultFrame(net::Socket& sock, const data::Schema& schema,
+                            uint64_t want_seq) {
+  net::Frame frame;
+  EXPECT_TRUE(net::ReadFrame(sock, &frame).ok()) << want_seq;
+  EXPECT_EQ(frame.type, net::FrameType::kResult) << want_seq;
+  uint64_t seq = 0;
+  QueryResult result;
+  EXPECT_TRUE(net::DecodeResult(frame.payload, schema.num_attributes(),
+                                &seq, &result)
+                  .ok());
+  EXPECT_EQ(seq, want_seq);
+  return frame.payload;
+}
+
 // --- workload generator --------------------------------------------------
 
 TEST(WorkloadTest, DeterministicForASeedDistinctAcrossSeeds) {
@@ -167,16 +237,7 @@ TEST(EventServerTest, AnswersPipelinedQueriesInOrder) {
   // All 8 arrive as kResult, strictly in sequence order: the per-session
   // contract survives pipelining.
   for (uint64_t want = 1; want <= 8; ++want) {
-    net::Frame frame;
-    ASSERT_TRUE(net::ReadFrame(sock, &frame).ok()) << want;
-    ASSERT_EQ(frame.type, net::FrameType::kResult) << want;
-    uint64_t seq = 0;
-    QueryResult result;
-    ASSERT_TRUE(net::DecodeResult(frame.payload,
-                                  t.schema().num_attributes(), &seq,
-                                  &result)
-                    .ok());
-    EXPECT_EQ(seq, want);
+    ReadResultFrame(sock, t.schema(), want);
   }
   server->Stop();
   EXPECT_EQ(server->stats().queries_served, 8);
@@ -239,6 +300,131 @@ TEST(EventServerTest, OverDeepPipelineGetsBusyAndRetrySucceeds) {
   server->Stop();
   EXPECT_EQ(server->stats().queries_served, 5);
   EXPECT_GE(server->stats().busy_rejections, 2);
+}
+
+// --- never-blocking backends: in place on the loop thread ---------------
+
+TEST(EventServerTest, NeverBlockingBackendExecutesOnTheLoopThread) {
+  const data::Table t = MakeTable(data::InterfaceType::kRQ);
+  auto inner = MakeBackend(&t);
+  const auto queries = GenerateWorkload(t.schema(), 4, 42);
+  for (const bool never_blocks : {true, false}) {
+    SCOPED_TRACE(never_blocks ? "never blocks" : "may block");
+    ThreadRecordingBackend backend(inner.get(), never_blocks);
+    EventDrivenServer::Options opts;
+    opts.num_loops = 1;
+    opts.num_workers = 2;
+    auto server =
+        std::move(EventDrivenServer::Start(&backend, opts)).value();
+    auto sock = ConnectAndHello(server->port(), 1);
+    const std::string buf = PipelineBuffer(queries, 1);
+    ASSERT_TRUE(sock.SendAll(buf.data(), buf.size()).ok());
+    for (uint64_t seq = 1; seq <= queries.size(); ++seq) {
+      ReadResultFrame(sock, t.schema(), seq);
+    }
+    server->Stop();
+    EXPECT_EQ(backend.executions(), 4);
+    const std::set<std::thread::id> threads = backend.execute_threads();
+    if (never_blocks) {
+      // Every execution ran on the thread that answered the Hello.
+      EXPECT_EQ(threads, std::set<std::thread::id>{backend.hello_thread()});
+    } else {
+      // The executor's workers ran them, never the loop thread.
+      EXPECT_FALSE(threads.empty());
+      EXPECT_EQ(threads.count(backend.hello_thread()), 0u);
+    }
+  }
+}
+
+TEST(EventServerTest, NeverBlockingPipelineAnswersInOrderAndReplaysRetry) {
+  const data::Table t = MakeTable(data::InterfaceType::kRQ);
+  auto inner = MakeBackend(&t);
+  // 600 queries of 68 bytes: the server reads them 16 KiB per wake-up,
+  // so the pipeline spans several reads and some frames straddle two.
+  constexpr int kQueries = 600;
+  const auto queries = GenerateWorkload(t.schema(), kQueries, 42);
+  for (const bool shared_cache : {false, true}) {
+    SCOPED_TRACE(shared_cache ? "shared cache" : "no cache");
+    ThreadRecordingBackend backend(inner.get(), /*never_blocks=*/true);
+    EventDrivenServer::Options opts;
+    opts.shared_cache = shared_cache;
+    auto server =
+        std::move(EventDrivenServer::Start(&backend, opts)).value();
+    auto sock = ConnectAndHello(server->port(), 1);
+    const std::string buf = PipelineBuffer(queries, 1);
+    ASSERT_TRUE(sock.SendAll(buf.data(), buf.size()).ok());
+    std::string last;
+    for (uint64_t seq = 1; seq <= queries.size(); ++seq) {
+      last = ReadResultFrame(sock, t.schema(), seq);
+    }
+    // The client retries the last seq as if its reply had been lost: the
+    // session replay cache answers it, byte for byte, and the backend
+    // does not see the query again.
+    SendQuery(sock, kQueries, queries.back());
+    EXPECT_EQ(ReadResultFrame(sock, t.schema(), kQueries), last);
+    server->Stop();
+    EXPECT_EQ(backend.executions(), kQueries);
+    const EventDrivenServer::Stats stats = server->stats();
+    EXPECT_EQ(stats.backend_executions, kQueries);
+    EXPECT_EQ(stats.queries_served, kQueries);
+    EXPECT_EQ(stats.queries_replayed, 1);
+    EXPECT_EQ(stats.protocol_errors, 0);
+  }
+}
+
+TEST(EventServerTest, SameLoopSessionsShareOneNeverBlockingExecution) {
+  const data::Table t = MakeTable(data::InterfaceType::kRQ);
+  auto inner = MakeBackend(&t);
+  ThreadRecordingBackend backend(inner.get(), /*never_blocks=*/true);
+  EventDrivenServer::Options opts;
+  opts.num_loops = 1;
+  auto server = std::move(EventDrivenServer::Start(&backend, opts)).value();
+
+  auto first = ConnectAndHello(server->port(), 1);
+  auto second = ConnectAndHello(server->port(), 2);
+  Query q(t.schema().num_attributes());
+  q.AddAtMost(0, 10);
+  SendQuery(first, 1, q);
+  SendQuery(second, 1, q);
+  EXPECT_EQ(ReadResultFrame(first, t.schema(), 1),
+            ReadResultFrame(second, t.schema(), 1));
+
+  server->Stop();
+  EXPECT_EQ(backend.executions(), 1);
+  const EventDrivenServer::Stats stats = server->stats();
+  EXPECT_EQ(stats.backend_executions, 1);
+  EXPECT_EQ(stats.cache_hits + stats.singleflight_joins, 1);
+  EXPECT_EQ(stats.queries_served, 2);
+}
+
+TEST(EventServerTest, OnlyInMemoryTopKInterfaceNeverBlocks) {
+  const data::Table t = MakeTable(data::InterfaceType::kRQ);
+  EXPECT_TRUE(MakeBackend(&t)->NeverBlocks());
+
+  std::string dir = (std::filesystem::temp_directory_path() /
+                     "hdsky_loadgen_paged.XXXXXX")
+                        .string();
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  {
+    const std::string path = dir + "/t.hdb";
+    ASSERT_TRUE(dataset::PackTable(t, interface::MakeSumRanking(), path,
+                                   data::BlockFileOptions())
+                    .ok());
+    auto paged = data::PagedTable::Open(path, data::PagedTableOptions());
+    ASSERT_TRUE(paged.ok()) << paged.status();
+    TopKOptions topk;
+    topk.k = 5;
+    auto iface = TopKInterface::CreatePaged(paged->get(), topk);
+    ASSERT_TRUE(iface.ok()) << iface.status();
+    // A paged answer may wait on a pread or a page fault.
+    EXPECT_FALSE((*iface)->NeverBlocks());
+  }
+  std::filesystem::remove_all(dir);
+
+  // So may an arbitrary callback; wrappers keep the default too.
+  auto backend = MakeBackend(&t);
+  auto slow = MakeSlowBackend(backend.get(), 0);
+  EXPECT_FALSE(slow->NeverBlocks());
 }
 
 // --- overload and misbehaving clients ------------------------------------
@@ -319,7 +505,7 @@ TEST(EventServerTest, SlowReaderIsShedNotBufferedWithoutBound) {
   // Wide results (k = 50) so the reply volume — roughly 10 MB across
   // 8000 queries — dwarfs what the kernel's socket buffers can absorb
   // (tcp_wmem caps out at a few MB): the server's own write backlog is
-  // guaranteed to grow past write_buffer_limit.
+  // guaranteed to grow past read_pause_bytes.
   const data::Table t = MakeTable(data::InterfaceType::kRQ, 2000);
   TopKOptions topk;
   topk.k = 50;
@@ -335,9 +521,10 @@ TEST(EventServerTest, SlowReaderIsShedNotBufferedWithoutBound) {
       std::move(EventDrivenServer::Start(backend.get(), opts)).value();
 
   auto sock = ConnectAndHello(server->port(), 1);
-  // Thousands of distinct queries whose replies we never read: the reply
-  // backlog must cross write_buffer_limit and the server must shed us
-  // instead of buffering an unbounded pile.
+  // Thousands of distinct queries whose replies we never read: the server
+  // must shed us instead of buffering an unbounded pile, either when the
+  // backlog crosses write_buffer_limit or, once reads are paused and we
+  // take no reply byte, at the server's 10 s stall limit.
   const auto queries = GenerateWorkload(t.schema(), 8000, 42);
   const std::string buf = PipelineBuffer(queries, 1);
   sock.SendAll(buf.data(), buf.size());  // may fail once we are shed
