@@ -50,12 +50,10 @@ struct Loopback {
   Loopback() {
     backend =
         bench::MakeInterface(&Data(), interface::MakeSumRanking(), 10);
-    // Without the cross-session cache every query reaches the backend,
-    // as it does in-process, so the difference is the transport alone.
-    service::EventDrivenServer::Options opts;
-    opts.shared_cache = false;
+    // Every query reaches the backend, as it does in-process, so the
+    // difference is the transport alone.
     server = bench::Unwrap(
-        service::EventDrivenServer::Start(backend.get(), opts), "serve");
+        service::EventDrivenServer::Start(backend.get(), {}), "serve");
     remote = bench::Unwrap(service::RemoteHiddenDatabase::Connect(
                                "127.0.0.1", server->port(), {}),
                            "connect");

@@ -2,13 +2,9 @@
 // an in-process EventDrivenServer is driven by the LoadDriver (the same
 // engine behind tools/hdsky_loadgen) at several concurrency levels, and
 // the interesting service metrics — p50/p99 query latency, sustained
-// sessions, throughput, and the cross-session queries-deduped ratio —
-// are exported as counters so scripts/compare_bench.py can gate them
-// against the pinned baseline (BENCH_service.json).
-//
-// The with-cache/without-cache pair quantifies what the shared
-// single-flight cache buys: identical workloads, identical sessions,
-// backend executions collapsing from sessions*queries to ~queries.
+// sessions and throughput — are exported as counters so
+// scripts/compare_bench.py can gate them against the pinned baseline
+// (BENCH_service.json).
 
 #include <memory>
 
@@ -39,12 +35,11 @@ const data::Table& Data() {
 
 /// One full load run: start a fresh server, drive `sessions` concurrent
 /// pipelined sessions through the shared workload, tear down.
-service::LoadReport RunOnce(int sessions, int queries, bool shared_cache) {
+service::LoadReport RunOnce(int sessions, int queries) {
   auto backend =
       bench::MakeInterface(&Data(), interface::MakeSumRanking(), 10);
   service::EventDrivenServer::Options opts;
   opts.max_connections = sessions + 16;
-  opts.shared_cache = shared_cache;
   auto server = bench::Unwrap(
       service::EventDrivenServer::Start(backend.get(), opts), "serve");
 
@@ -65,7 +60,6 @@ void ReportCounters(benchmark::State& state,
   state.counters["qps"] = report.qps;
   state.counters["p50_us"] = report.latency_p50_us;
   state.counters["p99_us"] = report.latency_p99_us;
-  state.counters["dedup_ratio"] = report.dedup_ratio;
   state.counters["busy_retries"] =
       static_cast<double>(report.busy_retries);
   if (!report.complete) state.SkipWithError("load run incomplete");
@@ -77,7 +71,7 @@ void BM_ServiceLoad(benchmark::State& state) {
   const int queries = static_cast<int>(bench::Scaled(32));
   service::LoadReport report;
   for (auto _ : state) {
-    report = RunOnce(sessions, queries, /*shared_cache=*/true);
+    report = RunOnce(sessions, queries);
   }
   ReportCounters(state, report);
   state.SetItemsProcessed(state.iterations() *
@@ -86,23 +80,6 @@ void BM_ServiceLoad(benchmark::State& state) {
 BENCHMARK(BM_ServiceLoad)
     ->Arg(64)
     ->Arg(256)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-void BM_ServiceLoadNoCache(benchmark::State& state) {
-  const int sessions =
-      static_cast<int>(bench::Scaled(state.range(0)));
-  const int queries = static_cast<int>(bench::Scaled(32));
-  service::LoadReport report;
-  for (auto _ : state) {
-    report = RunOnce(sessions, queries, /*shared_cache=*/false);
-  }
-  ReportCounters(state, report);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(sessions) * queries);
-}
-BENCHMARK(BM_ServiceLoadNoCache)
-    ->Arg(64)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 

@@ -28,15 +28,12 @@ substrate mode (BENCH_substrate.json)
   * the Pread variant (pread + asynchronous readahead) must keep its
     cold median within --pread-tolerance of the mmap twin's.
 
-service mode (BENCH_service.json — any entry carrying a dedup_ratio
+service mode (BENCH_service.json — any entry carrying a p99_us
 counter, as written by hdsky_loadgen --json and micro_service_load)
   Gates the event-driven multi-tenant service under load:
 
   * every run must have completed (no error_occurred, no failed
-    sessions),
-  * the cross-session single-flight dedup ratio must stay >=
-    --min-dedup on every shared-cache run (names matching
-    --dedup-exempt, default "NoCache", are exempt), and
+    sessions), and
   * when --baseline points at a pinned BENCH_service.json, each run's
     p99 latency must stay within --p99-tolerance of the baseline run of
     the same family (the benchmark name up to the first '/', so a
@@ -114,7 +111,7 @@ def time_ns(bench):
 
 
 def is_service_report(data):
-    return any("dedup_ratio" in b for b in data.get("benchmarks", []))
+    return any("p99_us" in b for b in data.get("benchmarks", []))
 
 
 def is_federation_report(data):
@@ -308,7 +305,6 @@ def gate_substrate(data, args):
 def gate_service(data, args):
     runs = select_runs(data)
     failures = []
-    exempt = re.compile(args.dedup_exempt)
 
     baseline_p99 = {}
     if args.baseline:
@@ -322,7 +318,7 @@ def gate_service(data, args):
     checked = 0
     for b in runs:
         name = run_name(b)
-        if "dedup_ratio" not in b:
+        if "p99_us" not in b:
             continue
         checked += 1
         if b.get("error_occurred"):
@@ -337,26 +333,6 @@ def gate_service(data, args):
         if sessions < args.min_sessions:
             failures.append(f"{name}: only {sessions} sessions, need >= "
                             f"{args.min_sessions}")
-
-        dedup = b.get("dedup_ratio", 0.0)
-        if exempt.search(name):
-            print(f"{name}: dedup {dedup:.4f} (exempt), "
-                  f"sessions {sessions}")
-        else:
-            # N sessions over one shared workload can at best dedup
-            # 1 - 1/N, so smoke-scaled runs with few sessions get a
-            # proportionally lower floor (with 5% slack for stragglers
-            # racing the single flight); full-scale runs are held to
-            # --min-dedup.
-            floor = args.min_dedup
-            if sessions and sessions > 1:
-                floor = min(floor, (1.0 - 1.0 / sessions) * 0.95)
-            verdict = "ok" if dedup >= floor else "FAIL"
-            print(f"{name}: dedup {dedup:.4f} (need >= {floor:.2f}), "
-                  f"sessions {sessions} [{verdict}]")
-            if dedup < floor:
-                failures.append(f"{name}: dedup ratio {dedup:.4f} below "
-                                f"{floor:.2f}")
 
         p99 = b.get("p99_us")
         base = baseline_p99.get(family(name))
@@ -485,7 +461,7 @@ def main():
                     choices=["auto", "substrate", "service", "federation"],
                     default="auto",
                     help="gate to apply (default: auto-detect by the "
-                         "presence of dedup_ratio / prune_ratio counters)")
+                         "presence of p99_us / prune_ratio counters)")
     # substrate knobs
     ap.add_argument("--min-selective-speedup", type=float, default=3.0,
                     help="required naive/vectorized ratio on the "
@@ -514,12 +490,6 @@ def main():
     ap.add_argument("--p99-tolerance", type=float, default=2.5,
                     help="max candidate/baseline p99 ratio (default: 2.5; "
                          "generous because CI runners vary)")
-    ap.add_argument("--min-dedup", type=float, default=0.9,
-                    help="min cross-session dedup ratio on shared-cache "
-                         "runs (default: 0.9)")
-    ap.add_argument("--dedup-exempt", default="NoCache",
-                    help="regex of run names exempt from the dedup floor "
-                         "(default: NoCache)")
     ap.add_argument("--min-sessions", type=int, default=1,
                     help="min concurrent sessions per run (default: 1)")
     # federation knobs

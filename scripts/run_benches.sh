@@ -2,7 +2,7 @@
 # Runs every micro_* benchmark built in $BUILD_DIR/bench and writes one
 # machine-readable perf artifact per binary at the repo root
 # (google-benchmark JSON: real_time/cpu_time per bench plus counters
-# such as items_per_second, queries_per_sec, p99_us, dedup_ratio):
+# such as items_per_second, queries_per_sec, p99_us, prune_ratio):
 #
 #   micro_substrate       -> BENCH_substrate.json
 #   micro_discovery       -> BENCH_discovery.json

@@ -1,9 +1,8 @@
 #include "interface/caching_database.h"
 
-#include <condition_variable>
 #include <fstream>
-#include <memory>
 #include <sstream>
+#include <utility>
 
 #include "common/fs_util.h"
 #include "interface/cache_io.h"
@@ -13,21 +12,6 @@ namespace interface {
 
 using common::Result;
 using common::Status;
-
-namespace {
-
-/// Where a synchronous caller learns how its flight resolved. The owner's
-/// callback fires inside its own Complete call; a caller that joined
-/// another thread's flight blocks here until that owner completes.
-struct Flight {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  Status status;
-  std::shared_ptr<const QueryResult> result;
-};
-
-}  // namespace
 
 CachingDatabase::CachingDatabase(HiddenDatabase* backend)
     : CachingDatabase(backend, Options()) {}
@@ -45,58 +29,59 @@ Result<QueryResult> CachingDatabase::Execute(const Query& q) {
   // Only legal queries are cacheable (and the legality check is free).
   HDSKY_RETURN_IF_ERROR(ValidateQuery(q));
   const std::string key = q.Signature();
-  Flight flight;
-  std::shared_ptr<const QueryResult> ready;
-  const QueryCache::Lookup lookup = cache_.StartLookup(
-      key, &ready,
-      [&flight](const Status& status,
-                const std::shared_ptr<const QueryResult>& result) {
-        std::lock_guard<std::mutex> lock(flight.mu);
-        flight.status = status;
-        flight.result = result;
-        flight.done = true;
-        // Notified under the lock: the waiter's frame owns `flight` and
-        // may destroy it as soon as it can reacquire the mutex.
-        flight.cv.notify_one();
-      });
-  switch (lookup) {
-    case QueryCache::Lookup::kHit:
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return *ready;
-    case QueryCache::Lookup::kOwner: {
-      // Count the miss only once the backend actually produced an answer:
-      // a failed fetch (rate limit, transport error) caches nothing and
-      // must not skew the hit ratio — it is tallied separately so that
-      // hits + misses + errors always equals the accepted Execute calls.
-      auto result = std::make_shared<QueryResult>();
-      const Status s = Fetch(q, result.get());
-      if (!s.ok()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        cache_.Complete(key, s, nullptr);
-        return s;
-      }
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      cache_.Complete(key, s, result);
-      return *result;
+  std::unique_lock<std::mutex> lock(mu_);
+  if (auto it = answers_.find(key); it != answers_.end()) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    return it->second;
+  }
+  if (auto it = flights_.find(key); it != flights_.end()) {
+    // Another thread is fetching this query: share its outcome.
+    const std::shared_ptr<Flight> flight = it->second;
+    flight_done_.wait(lock, [&flight] { return flight->done; });
+    if (!flight->status.ok()) {
+      errors_.fetch_add(1, std::memory_order_relaxed);
+      return flight->status;
     }
-    case QueryCache::Lookup::kWait:
-      break;
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    return answers_.at(key);
   }
-  std::unique_lock<std::mutex> lock(flight.mu);
-  flight.cv.wait(lock, [&flight] { return flight.done; });
-  if (!flight.status.ok()) {
+  auto flight = std::make_shared<Flight>();
+  flights_.emplace(key, flight);
+  lock.unlock();
+
+  QueryResult result;
+  const Status s = Fetch(q, &result);
+
+  lock.lock();
+  flights_.erase(key);
+  flight->done = true;
+  flight->status = s;
+  // A failed fetch (rate limit, transport error) is never memoized, so a
+  // later call of the same query reaches the backend again.
+  if (s.ok()) answers_.insert_or_assign(key, result);
+  lock.unlock();
+  flight_done_.notify_all();
+  // Count the miss only once the backend actually produced an answer: a
+  // failed fetch must not skew the hit ratio. It is tallied separately so
+  // that hits + misses + errors always equals the accepted Execute calls.
+  if (!s.ok()) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    return flight.status;
+    return s;
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return *flight.result;
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  return result;
+}
+
+int64_t CachingDatabase::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<int64_t>(answers_.size());
 }
 
 Status CachingDatabase::Save(std::ostream& out) const {
-  const auto entries = cache_.Snapshot();
-  cache_io::WriteHeader(out, entries.size());
-  for (const auto& [key, result] : entries) {
-    cache_io::WriteEntry(out, key, *result);
+  std::lock_guard<std::mutex> lock(mu_);
+  cache_io::WriteHeader(out, answers_.size());
+  for (const auto& [key, result] : answers_) {
+    cache_io::WriteEntry(out, key, result);
   }
   return cache_io::FinishWrite(out);
 }
@@ -113,8 +98,9 @@ Status CachingDatabase::SaveToFile(const std::string& path) const {
 Status CachingDatabase::Load(std::istream& in) {
   HDSKY_ASSIGN_OR_RETURN(
       auto loaded, cache_io::ReadAll(in, schema().num_attributes(), k()));
+  std::lock_guard<std::mutex> lock(mu_);
   for (auto& [key, result] : loaded) {
-    cache_.Insert(key, std::make_shared<const QueryResult>(std::move(result)));
+    answers_.insert_or_assign(std::move(key), std::move(result));
   }
   return Status::OK();
 }

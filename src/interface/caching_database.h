@@ -4,7 +4,7 @@
 // re-issuing an identical query costs no API quota. CachingDatabase
 // wraps ANY backend (the simulator, a CallbackDatabase over a real HTTP
 // client, a RemoteHiddenDatabase, ...) and serves repeated queries from
-// a QueryCache keyed by the query's predicate signature.
+// a map keyed by the query's predicate signature.
 //
 // Combined with the algorithms' determinism this yields RESUMABLE
 // discovery across rate-limit windows and even across processes: persist
@@ -15,10 +15,11 @@
 //
 // Thread safety: Execute may be called concurrently from any number of
 // threads (the parallel trial harness shares one paid-for answer pool
-// this way). The map is QueryCache's sharded single-flight map, so each
-// distinct query reaches the backend at most once however many threads
-// race for it, and a serial caller pays one uncontended shard lock per
-// query. See docs/concurrency.md.
+// this way). The map is single-flight: the first caller of a query
+// fetches it, and concurrent callers of the same query wait for that
+// fetch instead of starting their own, so each distinct query reaches
+// the backend at most once however many threads race for it. A serial
+// caller pays one uncontended lock per query. See docs/concurrency.md.
 //
 // Backend discipline: by default every backend fetch runs under one
 // backend mutex, because a HiddenDatabase backend is not required to be
@@ -30,12 +31,14 @@
 #define HDSKY_INTERFACE_CACHING_DATABASE_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <iosfwd>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 
 #include "interface/hidden_database.h"
-#include "interface/query_cache.h"
 
 namespace hdsky {
 namespace interface {
@@ -78,7 +81,7 @@ class CachingDatabase : public HiddenDatabase {
   int64_t errors() const {
     return errors_.load(std::memory_order_relaxed);
   }
-  int64_t size() const { return static_cast<int64_t>(cache_.size()); }
+  int64_t size() const;
 
   /// Persists the cache in the versioned hdsky-cache-v1 text format
   /// (cache_io.h) from a consistent snapshot.
@@ -91,14 +94,25 @@ class CachingDatabase : public HiddenDatabase {
   common::Status LoadFromFile(const std::string& path);
 
  private:
+  /// A backend fetch in progress. Callers of the same query wait for it
+  /// and, when it fails, return its status.
+  struct Flight {
+    bool done = false;
+    common::Status status;
+  };
+
   /// Runs the backend fetch for a flight this call owns.
   common::Status Fetch(const Query& q, QueryResult* result);
 
   HiddenDatabase* backend_;
   Options options_;
   std::mutex backend_mu_;  // only used when serialize_backend
-  /// Unbounded: every entry is a paid answer.
-  QueryCache cache_{QueryCache::Options{0}};
+  mutable std::mutex mu_;  // guards answers_ and flights_
+  std::condition_variable flight_done_;
+  /// Fetched and loaded answers by signature. Unbounded: every entry is
+  /// a paid answer. Failed fetches never enter it.
+  std::unordered_map<std::string, QueryResult> answers_;
+  std::unordered_map<std::string, std::shared_ptr<Flight>> flights_;
   std::atomic<int64_t> hits_{0};
   std::atomic<int64_t> misses_{0};
   std::atomic<int64_t> errors_{0};

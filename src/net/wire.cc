@@ -482,7 +482,7 @@ namespace {
 /// The counters travel as a counted list of i64s so a server that grows
 /// new fields stays readable by older clients (extra fields ignored) and
 /// a shorter server payload decodes as zeros on the client.
-constexpr uint32_t kServiceStatsFields = 11;
+constexpr uint32_t kServiceStatsFields = 9;
 
 }  // namespace
 
@@ -492,8 +492,6 @@ void EncodeStats(uint64_t seq, const ServiceStats& stats, std::string* out) {
   enc.PutU32(kServiceStatsFields);
   enc.PutI64(stats.queries_served);
   enc.PutI64(stats.backend_executions);
-  enc.PutI64(stats.cache_hits);
-  enc.PutI64(stats.singleflight_joins);
   enc.PutI64(stats.queries_replayed);
   enc.PutI64(stats.busy_rejections);
   enc.PutI64(stats.budget_rejections);
@@ -514,10 +512,9 @@ Status DecodeStats(std::string_view payload, uint64_t* seq,
   }
   *stats = ServiceStats();
   int64_t* fields[kServiceStatsFields] = {
-      &stats->queries_served,     &stats->backend_executions,
-      &stats->cache_hits,         &stats->singleflight_joins,
-      &stats->queries_replayed,   &stats->busy_rejections,
-      &stats->budget_rejections,  &stats->connections_accepted,
+      &stats->queries_served,       &stats->backend_executions,
+      &stats->queries_replayed,     &stats->busy_rejections,
+      &stats->budget_rejections,    &stats->connections_accepted,
       &stats->connections_rejected, &stats->connections_shed,
       &stats->protocol_errors};
   for (uint32_t i = 0; i < count; ++i) {

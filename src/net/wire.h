@@ -66,9 +66,9 @@ enum class FrameType : uint8_t {
   /// client->server: ask for the server's service counters (u64 seq).
   kStatsRequest = 6,
   /// server->client: u64 seq + ServiceStats counters. Added so load
-  /// generators can compute the queries-deduped ratio without scraping
-  /// the server's stderr; protocol version stays 1 because the exchange
-  /// is strictly opt-in (old clients never send kStatsRequest).
+  /// generators can read the server's counters without scraping its
+  /// stderr; protocol version stays 1 because the exchange is strictly
+  /// opt-in (old clients never send kStatsRequest).
   kStats = 7,
 };
 
@@ -218,20 +218,13 @@ void EncodeStatus(uint64_t seq, WireStatus code, std::string_view message,
 common::Status DecodeStatusFrame(std::string_view payload, uint64_t* seq,
                                  uint16_t* code, std::string* message);
 
-/// Service-level counters a server exposes through kStats frames. The
-/// queries-deduped ratio of a shared-cache server is
-/// 1 - backend_executions / queries_served (both count only fresh,
-/// successful, client-visible answers — replays and rejections excluded).
+/// Service-level counters a server exposes through kStats frames.
 struct ServiceStats {
-  /// Fresh client-visible queries answered successfully (from the backend
-  /// or the shared cross-session cache).
+  /// Fresh client-visible queries answered successfully (replays and
+  /// rejections excluded).
   int64_t queries_served = 0;
-  /// Queries that actually reached the backend database.
+  /// Successful executions on the backend database.
   int64_t backend_executions = 0;
-  /// Answers served from the shared cross-session cache (ready entries).
-  int64_t cache_hits = 0;
-  /// Answers obtained by joining another session's in-flight execution.
-  int64_t singleflight_joins = 0;
   /// Retried sequences replayed from per-session reply caches.
   int64_t queries_replayed = 0;
   /// BUSY (kRateLimited) responses issued by admission control.

@@ -22,22 +22,6 @@ using net::WireStatus;
 
 namespace {
 
-/// Sentinel prefix distinguishing the transient admission-control BUSY
-/// from a genuine budget exhaustion: both travel internally as
-/// ResourceExhausted, but BUSY goes on the wire as kRateLimited (retry
-/// with backoff) and is never recorded in the session replay cache.
-constexpr const char kBusyPrefix[] = "server busy";
-
-Status BusyStatus() {
-  return Status::ResourceExhausted(
-      std::string(kBusyPrefix) + ": admission limit reached, retry later");
-}
-
-bool IsBusy(const Status& status) {
-  return status.IsResourceExhausted() &&
-         status.message().rfind(kBusyPrefix, 0) == 0;
-}
-
 /// A connection whose reads are paused and whose peer has taken no reply
 /// byte for this long is shed as a slow reader. A client that floods
 /// queries without reading would otherwise sit blocked in its own send
@@ -90,12 +74,6 @@ Result<std::unique_ptr<EventDrivenServer>> EventDrivenServer::Start(
       net::ServerSocket::Listen(opts.bind_address, opts.port,
                                 std::min(opts.max_connections, 4096)));
   HDSKY_RETURN_IF_ERROR(net::SetNonBlocking(server->listener_.fd()));
-
-  if (opts.shared_cache) {
-    interface::QueryCache::Options cache_opts;
-    cache_opts.max_entries = opts.cache_max_entries;
-    server->cache_ = std::make_unique<interface::QueryCache>(cache_opts);
-  }
 
   server->conn_maps_.resize(static_cast<size_t>(opts.num_loops));
   for (int i = 0; i < opts.num_loops; ++i) {
@@ -153,8 +131,6 @@ EventDrivenServer::Stats EventDrivenServer::stats() const {
   s.idle_closed = idle_closed_.load();
   s.queries_served = queries_served_.load();
   s.backend_executions = backend_executions_.load();
-  s.cache_hits = cache_hits_.load();
-  s.singleflight_joins = singleflight_joins_.load();
   s.queries_replayed = queries_replayed_.load();
   s.busy_rejections = busy_rejections_.load();
   s.budget_rejections = budget_rejections_.load();
@@ -167,8 +143,6 @@ net::ServiceStats EventDrivenServer::wire_stats() const {
   net::ServiceStats w;
   w.queries_served = s.queries_served;
   w.backend_executions = s.backend_executions;
-  w.cache_hits = s.cache_hits;
-  w.singleflight_joins = s.singleflight_joins;
   w.queries_replayed = s.queries_replayed;
   w.busy_rejections = s.busy_rejections;
   w.budget_rejections = s.budget_rejections;
@@ -510,49 +484,24 @@ void EventDrivenServer::HandleQuery(Conn* conn, uint64_t seq,
   // loop thread; any other backend runs it on the executor, and the
   // completion funnels through FinalizeAsync on this connection's loop.
   conn->in_flight = true;
-  if (cache_ == nullptr) {
-    if (inline_backend_) {
-      std::shared_ptr<const interface::QueryResult> result;
-      const Status s = ExecuteBackend(query, &result);
-      FinishQuery(conn, seq, s, result);
-      return;
-    }
-    const bool admitted = SubmitBackendTask(
-        [this, query, cb = MakeCompletion(conn, seq)] {
-          std::shared_ptr<const interface::QueryResult> result;
-          const Status s = ExecuteBackend(query, &result);
-          cb(s, result);
-        });
-    if (!admitted) {
-      conn->in_flight = false;
-      DeliverBusy(conn, seq);
-    }
+  if (inline_backend_) {
+    std::shared_ptr<const interface::QueryResult> result;
+    const Status s = ExecuteBackend(query, &result);
+    FinishQuery(conn, seq, s, result);
     return;
   }
-
-  const std::string key = query.Signature();
-  std::shared_ptr<const interface::QueryResult> ready;
-  switch (cache_->StartLookup(key, &ready, MakeCompletion(conn, seq))) {
-    case interface::QueryCache::Lookup::kHit:
-      conn->in_flight = false;
-      cache_hits_.fetch_add(1);
-      Deliver(conn, seq, Status::OK(), ready);
-      return;
-    case interface::QueryCache::Lookup::kWait:
-      singleflight_joins_.fetch_add(1);
-      return;  // completion arrives via the owner's Complete
-    case interface::QueryCache::Lookup::kOwner:
-      if (inline_backend_) {
-        // The owner's own completion fires inside Complete, on this
-        // thread, and delivers in place (MakeCompletion).
-        RunFlight(key, query);
-      } else if (!SubmitBackendTask(
-                     [this, key, query] { RunFlight(key, query); })) {
-        // Resolve the flight as BUSY; the owner's own callback (and any
-        // waiter that raced in) gets the transient rejection.
-        cache_->Complete(key, BusyStatus(), nullptr);
-      }
-      return;
+  const size_t li = conn->loop_index;
+  const uint64_t id = conn->id;
+  const bool admitted = SubmitBackendTask([this, li, id, seq, query] {
+    std::shared_ptr<const interface::QueryResult> result;
+    const Status s = ExecuteBackend(query, &result);
+    loops_[li]->Post([this, li, id, seq, s, result] {
+      FinalizeAsync(li, id, seq, s, result);
+    });
+  });
+  if (!admitted) {
+    conn->in_flight = false;
+    DeliverBusy(conn, seq);
   }
 }
 
@@ -573,37 +522,6 @@ Status EventDrivenServer::ExecuteBackend(
   return s;
 }
 
-void EventDrivenServer::RunFlight(const std::string& key,
-                                  const interface::Query& query) {
-  std::shared_ptr<const interface::QueryResult> result;
-  const Status s = ExecuteBackend(query, &result);
-  cache_->Complete(key, s, std::move(result));
-}
-
-interface::QueryCache::Callback EventDrivenServer::MakeCompletion(Conn* conn,
-                                                             uint64_t seq) {
-  const size_t li = conn->loop_index;
-  const uint64_t id = conn->id;
-  return [this, li, id, seq](
-             const Status& status,
-             const std::shared_ptr<const interface::QueryResult>& result) {
-    if (loops_[li]->InLoopThread()) {
-      // Only an inline owner's own completion fires on its loop thread:
-      // its flight starts and resolves within one call on this thread, so
-      // no other connection of this loop can have joined it. The caller
-      // (HandleFrame or ProcessPending) goes on with the pipeline, which
-      // keeps a long pipeline from recursing through FinalizeAsync.
-      if (Conn* conn = FindConn(li, id); conn != nullptr && !conn->dead) {
-        FinishQuery(conn, seq, status, result);
-      }
-      return;
-    }
-    loops_[li]->Post([this, li, id, seq, status, result] {
-      FinalizeAsync(li, id, seq, status, result);
-    });
-  };
-}
-
 void EventDrivenServer::FinalizeAsync(
     size_t loop_index, uint64_t conn_id, uint64_t seq, const Status& status,
     std::shared_ptr<const interface::QueryResult> result) {
@@ -611,8 +529,7 @@ void EventDrivenServer::FinalizeAsync(
   if (conn == nullptr || conn->dead) {
     // The client is gone: nothing is delivered, the session is not
     // charged, and nothing enters the replay cache. A reconnecting
-    // session retries the same sequence and (with the shared cache) hits
-    // the now-ready entry, so the backend is still charged exactly once.
+    // session retries the same sequence, which runs on the backend again.
     return;
   }
   FinishQuery(conn, seq, status, result);
@@ -624,11 +541,7 @@ void EventDrivenServer::FinishQuery(
     const std::shared_ptr<const interface::QueryResult>& result) {
   conn->in_flight = false;
   conn->last_activity = std::chrono::steady_clock::now();
-  if (IsBusy(status)) {
-    DeliverBusy(conn, seq);
-  } else {
-    Deliver(conn, seq, status, result);
-  }
+  Deliver(conn, seq, status, result);
 }
 
 void EventDrivenServer::ProcessPending(Conn* conn) {

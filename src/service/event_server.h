@@ -12,7 +12,6 @@
 //        request pipelining                            │ (Execute calls)
 //        admission control ◄───────────────────────────┘ completions
 //        idle/slow timeouts          posted back to the owning loop
-//        interface::QueryCache (single-flight) in front of both paths
 //
 //  * N event-loop threads (net/event_loop.h) own the sockets: each
 //    connection lives on exactly one loop, so connection state is
@@ -34,9 +33,8 @@
 //    arrive while one is outstanding wait in a per-connection queue;
 //    beyond Options::max_pipeline_depth they are answered with a
 //    transient BUSY (kRateLimited) instead of being buffered without
-//    bound. An inline query is answered as it is parsed, so for an
-//    inline backend the queue fills only behind a shared-cache flight
-//    owned by another loop.
+//    bound. An inline query is answered as it is parsed, so only a
+//    backend that may block ever fills the queue.
 //  * Admission control: at most Options::max_pending_queries executor
 //    runs may be queued or running; excess fresh queries get BUSY so an
 //    overloaded server degrades by shedding work, not by growing queues
@@ -67,19 +65,17 @@
 //  surfaces as ResourceExhausted — the code discovery algorithms already
 //  turn into anytime partial results.
 //
-// Shared cross-session query cache
+// No cross-session answer cache
 //
-//  An interface::QueryCache is layered across sessions: N sessions
-//  discovering the same database pay each distinct backend query once.
-//  Per-session budgets charge *client-visible* answers — a session is
-//  charged whether its answer came from the backend, the cache, or
-//  another session's in-flight execution — so budget accounting is
-//  indistinguishable from a cache-less server while backend load drops
-//  by the deduped ratio. Replays are never charged.
+//  Every fresh query reaches the backend, whichever session asks it. The
+//  server only simulates the paper's rate-limited top-k site, so an
+//  answer shared between sessions would save simulator CPU and never a
+//  paid query; the client's own CachingDatabase (--cache) is what saves
+//  paid queries.
 //
 // Wire protocol: RemoteHiddenDatabase and the journal's resume machinery
 // speak it; kStatsRequest frames are answered with live ServiceStats so
-// load generators can compute the queries-deduped ratio remotely.
+// load generators can read the served and backend counts remotely.
 
 #ifndef HDSKY_SERVICE_EVENT_SERVER_H_
 #define HDSKY_SERVICE_EVENT_SERVER_H_
@@ -99,7 +95,6 @@
 
 #include "common/status.h"
 #include "interface/hidden_database.h"
-#include "interface/query_cache.h"
 #include "net/event_loop.h"
 #include "net/socket.h"
 #include "runtime/thread_pool.h"
@@ -125,15 +120,11 @@ class EventDrivenServer {
     /// Per-session query budget (0 = unlimited); charges client-visible
     /// answers, replays never count.
     int64_t per_client_query_budget = 0;
-    /// Enable the shared cross-session cache with single-flight dedup.
-    bool shared_cache = true;
-    /// Ready entries the shared cache may hold (0 = unlimited).
-    size_t cache_max_entries = 1 << 20;
     /// Executor runs queued or running before fresh queries are answered
     /// BUSY (0 = unlimited). Inline executions are not counted.
     int max_pending_queries = 1024;
     /// Unanswered pipelined queries buffered per connection before BUSY.
-    /// An inline backend buffers only behind another loop's cache flight.
+    /// Only a backend that may block ever buffers any.
     int max_pipeline_depth = 64;
     /// Unsent reply bytes before a slow reader is shed.
     size_t write_buffer_limit = 8u << 20;
@@ -158,9 +149,9 @@ class EventDrivenServer {
     int64_t queries_served = 0;
     /// Queries that reached the backend (successful executions).
     int64_t backend_executions = 0;
-    /// Served from a ready shared-cache entry.
+    /// Always 0: the server has no cross-session cache. Kept because
+    /// perfbench's trace driver still prints both.
     int64_t cache_hits = 0;
-    /// Served by joining another session's in-flight execution.
     int64_t singleflight_joins = 0;
     int64_t queries_replayed = 0;
     int64_t busy_rejections = 0;
@@ -205,8 +196,8 @@ class EventDrivenServer {
     net::Socket sock;
     bool handshaken = false;
     bool dead = false;
-    /// True while a backend execution / shared-cache wait is outstanding
-    /// for this connection (per-session ordering admits only one).
+    /// True while a backend execution is outstanding for this connection
+    /// (per-session ordering admits only one).
     bool in_flight = false;
     /// Reading paused because the reply backlog crossed read_pause_bytes.
     bool read_paused = false;
@@ -246,12 +237,12 @@ class EventDrivenServer {
                    std::string_view payload);
   void HandleQuery(Conn* conn, uint64_t seq, const interface::Query& query);
   void ProcessPending(Conn* conn);
-  /// Runs on the owning loop thread when an executor run or another
-  /// loop's flight resolves: FinishQuery, then the queued pipeline.
+  /// Runs on the owning loop thread when an executor run completes:
+  /// FinishQuery, then the queued pipeline.
   void FinalizeAsync(size_t loop_index, uint64_t conn_id, uint64_t seq,
                      const common::Status& status,
                      std::shared_ptr<const interface::QueryResult> result);
-  /// Clears in_flight and delivers the answer (or BUSY) for `seq`.
+  /// Clears in_flight and delivers the answer for `seq`.
   void FinishQuery(Conn* conn, uint64_t seq, const common::Status& status,
                    const std::shared_ptr<const interface::QueryResult>& result);
   /// Encodes and enqueues the reply, charges the session budget on
@@ -273,12 +264,6 @@ class EventDrivenServer {
   common::Status ExecuteBackend(
       const interface::Query& query,
       std::shared_ptr<const interface::QueryResult>* out);
-  /// Executes the query of the shared-cache flight `key`, which the
-  /// caller owns, and resolves the flight with the answer.
-  void RunFlight(const std::string& key, const interface::Query& query);
-  /// The flight callback of (conn, seq): delivers in place when it fires
-  /// on the connection's loop thread, else posts FinalizeAsync there.
-  interface::QueryCache::Callback MakeCompletion(Conn* conn, uint64_t seq);
   Session* GetSession(uint64_t session_id);
 
   Conn* FindConn(size_t loop_index, uint64_t conn_id);
@@ -296,8 +281,6 @@ class EventDrivenServer {
   std::mutex sessions_mu_;
   std::unordered_map<uint64_t, std::unique_ptr<Session>> sessions_;
 
-  std::unique_ptr<interface::QueryCache> cache_;
-
   std::mutex backend_mu_;  // only used when serialize_backend
 
   // Atomic counters: bumped from loop threads and the executor.
@@ -307,8 +290,6 @@ class EventDrivenServer {
   std::atomic<int64_t> idle_closed_{0};
   std::atomic<int64_t> queries_served_{0};
   std::atomic<int64_t> backend_executions_{0};
-  std::atomic<int64_t> cache_hits_{0};
-  std::atomic<int64_t> singleflight_joins_{0};
   std::atomic<int64_t> queries_replayed_{0};
   std::atomic<int64_t> busy_rejections_{0};
   std::atomic<int64_t> budget_rejections_{0};

@@ -16,9 +16,9 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "net/event_loop.h"
@@ -52,9 +52,9 @@ std::vector<interface::Query> GenerateWorkload(const data::Schema& schema,
   out.reserve(static_cast<size_t>(count));
   const int m = schema.num_attributes();
 
-  const auto roll = [&](uint64_t mix_seed) {
+  for (int i = 0; i < count; ++i) {
     interface::Query q(m);
-    uint64_t h = mix_seed;
+    uint64_t h = Mix(seed ^ (static_cast<uint64_t>(i) + 1));
     for (int a = 0; a < m; ++a) {
       const data::AttributeSpec& spec = schema.attribute(a);
       h = Mix(h);
@@ -91,23 +91,6 @@ std::vector<interface::Query> GenerateWorkload(const data::Schema& schema,
           break;
       }
     }
-    return q;
-  };
-
-  // The dedup math (ideal ratio 1 - 1/N over N sessions) assumes the Q
-  // queries are pairwise distinct backend keys, so collisions are
-  // re-rolled with a salted seed. Tiny schemas may not have Q distinct
-  // legal queries at all; after a bounded number of attempts the
-  // duplicate is kept (the run just deduplicates a little more).
-  std::unordered_set<std::string> signatures;
-  signatures.reserve(static_cast<size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    interface::Query q(m);
-    for (uint64_t attempt = 0; attempt < 16; ++attempt) {
-      q = roll(Mix(seed ^ (static_cast<uint64_t>(i) + 1 +
-                           (attempt << 32))));
-      if (signatures.insert(q.Signature()).second) break;
-    }
     out.push_back(std::move(q));
   }
   return out;
@@ -115,9 +98,24 @@ std::vector<interface::Query> GenerateWorkload(const data::Schema& schema,
 
 namespace {
 
+/// The first session id of one run. A server keeps each session's
+/// sequence state across connections, so a second run against the same
+/// server must not present the first run's ids: every one of its queries
+/// would be refused as out of order. Drawn from 2^62 values, which keeps
+/// every id of a run nonzero and below 2^63.
+uint64_t DrawSessionIdBase() {
+  std::random_device rd;
+  const uint64_t r =
+      (static_cast<uint64_t>(rd()) << 32) ^ rd() ^
+      static_cast<uint64_t>(
+          std::chrono::steady_clock::now().time_since_epoch().count());
+  return (Mix(r) >> 2) + 1;
+}
+
 class LoadDriver {
  public:
-  explicit LoadDriver(const LoadOptions& options) : options_(options) {}
+  explicit LoadDriver(const LoadOptions& options)
+      : options_(options), session_id_base_(DrawSessionIdBase()) {}
 
   Result<LoadReport> Run();
 
@@ -177,6 +175,8 @@ class LoadDriver {
   void StopAll();
 
   LoadOptions options_;
+  /// Session ids of this run: session_id_base_ + session index.
+  const uint64_t session_id_base_;
   std::vector<interface::Query> workload_;
   std::mutex workload_mu_;
   std::atomic<bool> workload_ready_{false};
@@ -212,7 +212,7 @@ Status LoadDriver::SetupConnections() {
     const size_t li = static_cast<size_t>(i) % num_loops;
     auto conn = std::make_unique<Conn>();
     conn->session_index = i;
-    conn->session_id = options_.session_id_base + static_cast<uint64_t>(i);
+    conn->session_id = session_id_base_ + static_cast<uint64_t>(i);
     conn->loop_index = li;
     conn->fd = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
                       0);
@@ -317,11 +317,6 @@ Result<LoadReport> LoadDriver::Run() {
     std::lock_guard<std::mutex> lock(stats_mu_);
     report.server_stats_valid = server_stats_valid_;
     report.server = server_stats_;
-  }
-  if (report.server_stats_valid && report.server.queries_served > 0) {
-    report.dedup_ratio =
-        1.0 - static_cast<double>(report.server.backend_executions) /
-                  static_cast<double>(report.server.queries_served);
   }
   report.complete = !timed_out_.load() && report.sessions_failed == 0 &&
                     report.sessions_completed == options_.sessions;

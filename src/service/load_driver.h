@@ -4,15 +4,14 @@
 // pipelines queries on every connection, retries transient BUSY
 // rejections with backoff, measures per-query latency, and finally asks
 // the server for its ServiceStats (kStatsRequest) so callers can report
-// the cross-session queries-deduped ratio.
+// how many queries it served and executed.
 //
 // Workload model: every session runs the SAME deterministic query
 // sequence, derived from the served schema's interface taxonomy (SQ
 // attributes get upper bounds, RQ attributes two-ended ranges, PQ
-// attributes point predicates — the Section 2.2 forms). N sessions over
-// Q distinct queries make the ideal dedup ratio 1 - 1/N: exactly the
-// "many clients discovering the same hidden database" scenario the
-// shared cross-session cache exists for.
+// attributes point predicates — the Section 2.2 forms): many clients
+// discovering the same hidden database. Each run draws fresh session
+// ids, so runs against one long-lived server never collide.
 //
 // Threading: `num_loops` client event loops each own sessions/num_loops
 // connections; per-loop state (latency samples included) is touched only
@@ -40,7 +39,7 @@ struct LoadOptions {
   /// Concurrent sessions; each opens one connection and keeps it open
   /// until the whole run finishes (sustained concurrency, not churn).
   int sessions = 100;
-  /// Distinct queries per session; identical across sessions.
+  /// Queries per session; the same sequence in every session.
   int queries_per_session = 32;
   /// Max unanswered queries pipelined on one connection.
   int pipeline_depth = 8;
@@ -52,8 +51,6 @@ struct LoadOptions {
   int busy_backoff_ms = 2;
   /// Seed of the deterministic workload generator.
   uint64_t workload_seed = 42;
-  /// Session ids handed to kHello: base .. base + sessions - 1.
-  uint64_t session_id_base = 1;
   /// Fetch the server's ServiceStats after the workload completes.
   bool fetch_server_stats = true;
 };
@@ -78,9 +75,6 @@ struct LoadReport {
   /// Server-side counters (valid iff server_stats_valid).
   bool server_stats_valid = false;
   net::ServiceStats server;
-  /// 1 - backend_executions / queries_served, from the server counters;
-  /// 0 when stats are unavailable or nothing was served.
-  double dedup_ratio = 0;
 };
 
 /// The deterministic shared workload: `count` queries over `schema`,

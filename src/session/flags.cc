@@ -530,8 +530,6 @@ FlagTable ServeFlags(ServeConfig* c) {
           "backend workers for paged data (0 = auto; in-memory data is "
           "answered on the loops)",
           &c->workers),
-      Switch("--no-shared-cache", "disable the cross-session query cache",
-             &c->no_shared_cache),
       Int("--max-pending", "P", 0, 1000000,
           "backend admission limit for paged data (default 1024)",
           &c->max_pending),
@@ -623,15 +621,13 @@ FlagTable LoadgenFlags(LoadgenConfig* c) {
           &c->n),
       Int("--m", "M", 2, 64, "synthetic attributes (default 3)", &c->m),
       Int("--k", "K", 1, 1000000, "interface page size (default 10)", &c->k),
-      Switch("--no-shared-cache", "disable the cross-session cache",
-             &c->no_shared_cache),
       Int("--max-pending", "P", 0, 1000000,
           "server admission limit (default 1024; unused, as --workers)",
           &c->max_pending),
   });
   t.Excludes({Given("--connect")},
              {"--server-loops", "--workers", "--n", "--m", "--k",
-              "--no-shared-cache", "--max-pending"},
+              "--max-pending"},
              "configures the in-process server; it cannot be combined with "
              "--connect");
   return t;

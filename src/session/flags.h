@@ -196,7 +196,6 @@ struct ServeConfig {
   int64_t max_connections = 4096;
   int64_t loops = 0;
   int64_t workers = 0;
-  bool no_shared_cache = false;
   int64_t max_pending = 1024;
   int64_t idle_timeout_ms = 60000;
 };
@@ -234,7 +233,6 @@ struct LoadgenConfig {
   int64_t n = 20000;
   int64_t m = 3;
   int64_t k = 10;
-  bool no_shared_cache = false;
   int64_t max_pending = 1024;
   int64_t timeout_ms = 120000;
   int64_t seed = 42;

@@ -339,7 +339,7 @@ if [ -n "$LOADGEN" ]; then
   expect_usage "loadgen-connect-malformed" "$LOADGEN" --connect localhost
   # The in-process server's knobs mean nothing beside --connect.
   for f in "--n 5" "--m 3" "--k 5" "--server-loops 1" "--workers 1" \
-      "--no-shared-cache" "--max-pending 8"; do
+      "--max-pending 8"; do
     # shellcheck disable=SC2086
     expect_usage "loadgen-connect-with-${f%% *}" \
       "$LOADGEN" --connect 127.0.0.1:1 $f

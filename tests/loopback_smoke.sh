@@ -105,18 +105,18 @@ echo "cache stack: skyline identical"
 stop_server
 
 # The shutdown summary is parsed by perfbench/parsers.py: exactly one
-# served line carrying the busy and shed fields, and one cache line.
+# served line carrying the busy and shed fields, and one backend line.
 N='[0-9][0-9]*'
 served_re="^served  : $N queries ($N replayed, $N budget rejections, $N busy)"
 served_re="$served_re over $N connections ($N rejected, $N shed)\$"
-cache_re="^cache   : $N hits, $N single-flight joins, $N backend executions\$"
+backend_re="^backend : $N queries issued, $N tuples returned\$"
 served=$(grep -c "$served_re" "$WORK/serve.err")
 [ "$served" -eq 1 ] \
   || fail "want one served line with busy/shed, got $served:
 $(cat "$WORK/serve.err")"
-cache=$(grep -c "$cache_re" "$WORK/serve.err")
-[ "$cache" -eq 1 ] \
-  || fail "want one cache line, got $cache: $(cat "$WORK/serve.err")"
-echo "server summary: served and cache lines present"
+backend=$(grep -c "$backend_re" "$WORK/serve.err")
+[ "$backend" -eq 1 ] \
+  || fail "want one backend line, got $backend: $(cat "$WORK/serve.err")"
+echo "server summary: served and backend lines present"
 
 echo "loopback smoke passed"

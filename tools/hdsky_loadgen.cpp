@@ -1,21 +1,22 @@
 // hdsky_loadgen — drive thousands of concurrent pipelined discovery
 // sessions against the event-driven hidden-database service and report
-// latency percentiles plus the cross-session queries-deduped ratio.
+// latency percentiles plus the server's served and backend counts.
 //
 // By default it is self-contained: it generates a synthetic dataset,
 // starts an in-process EventDrivenServer on an ephemeral loopback port,
 // and unleashes the LoadDriver on it. With --connect it targets an
 // already-running server instead (the server must answer kStatsRequest
-// for the dedup ratio to be reported).
+// for its counts to be reported). Every run draws fresh session ids, so
+// repeated runs against one server do not collide.
 //
 //   hdsky_loadgen --sessions 1000 --queries 32 --json BENCH_service.json
 //   hdsky_loadgen --connect 127.0.0.1:7447 --sessions 200
 //
 // Flags: LoadgenFlags in src/session/flags.cc. The in-process server's
-// knobs (--n, --m, --k, --server-loops, --workers, --no-shared-cache,
-// --max-pending) are rejected beside --connect. --probe pre-flights a
-// single RemoteHiddenDatabase client before the load and reports its
-// wire counters (handshake bytes, retries, backoff) to stderr.
+// knobs (--n, --m, --k, --server-loops, --workers, --max-pending) are
+// rejected beside --connect. --probe pre-flights a single
+// RemoteHiddenDatabase client before the load and reports its wire
+// counters (handshake bytes, retries, backoff) to stderr.
 //
 // $HDSKY_SCALE (a float, default 1) multiplies --sessions and --queries,
 // the same knob the bench suite uses, so CI can run a reduced-scale
@@ -101,8 +102,8 @@ void WriteJson(const std::string& path, const Args& args,
                "      \"p50_us\": %.1f,\n"
                "      \"p99_us\": %.1f,\n"
                "      \"mean_us\": %.1f,\n"
-               "      \"backend_executions\": %" PRId64 ",\n"
-               "      \"dedup_ratio\": %.6f\n"
+               "      \"queries_served\": %" PRId64 ",\n"
+               "      \"backend_executions\": %" PRId64 "\n"
                "    }\n"
                "  ]\n"
                "}\n",
@@ -112,9 +113,9 @@ void WriteJson(const std::string& path, const Args& args,
                report.queries_completed, report.busy_retries, report.qps,
                report.latency_p50_us, report.latency_p99_us,
                report.latency_mean_us,
+               report.server_stats_valid ? report.server.queries_served : -1,
                report.server_stats_valid ? report.server.backend_executions
-                                         : -1,
-               report.dedup_ratio);
+                                         : -1);
   std::fclose(f);
 }
 
@@ -158,7 +159,6 @@ int main(int argc, char** argv) {
     opts.num_loops = static_cast<int>(args.server_loops);
     opts.num_workers = static_cast<int>(args.workers);
     opts.max_connections = static_cast<int>(args.sessions) + 16;
-    opts.shared_cache = !args.no_shared_cache;
     opts.max_pending_queries = static_cast<int>(args.max_pending);
     auto server_result =
         service::EventDrivenServer::Start(iface.get(), opts);
@@ -225,14 +225,12 @@ int main(int argc, char** argv) {
                report.latency_mean_us);
   if (report.server_stats_valid) {
     std::fprintf(stderr,
-                 "dedup    : %.4f (%" PRId64 " backend executions for "
-                 "%" PRId64 " served; %" PRId64 " cache hits, %" PRId64
-                 " single-flight joins)\n",
-                 report.dedup_ratio, report.server.backend_executions,
-                 report.server.queries_served, report.server.cache_hits,
-                 report.server.singleflight_joins);
+                 "server   : %" PRId64 " queries served, %" PRId64
+                 " backend executions\n",
+                 report.server.queries_served,
+                 report.server.backend_executions);
   } else {
-    std::fprintf(stderr, "dedup    : server stats unavailable\n");
+    std::fprintf(stderr, "server   : stats unavailable\n");
   }
 
   if (!args.json.empty()) WriteJson(args.json, args, report);

@@ -57,7 +57,6 @@ int main(int argc, char** argv) {
   server_options.per_client_query_budget = args.client_budget;
   server_options.num_loops = static_cast<int>(args.loops);
   server_options.num_workers = static_cast<int>(args.workers);
-  server_options.shared_cache = !args.no_shared_cache;
   server_options.max_pending_queries = static_cast<int>(args.max_pending);
   server_options.idle_timeout_ms = static_cast<int>(args.idle_timeout_ms);
   server_options.serialize_backend = false;
@@ -106,12 +105,6 @@ int main(int argc, char** argv) {
                static_cast<long long>(stats.connections_accepted),
                static_cast<long long>(stats.connections_rejected),
                static_cast<long long>(stats.connections_shed));
-  std::fprintf(stderr,
-               "cache   : %lld hits, %lld single-flight joins, %lld "
-               "backend executions\n",
-               static_cast<long long>(stats.cache_hits),
-               static_cast<long long>(stats.singleflight_joins),
-               static_cast<long long>(stats.backend_executions));
   const interface::AccessStats access = src.iface->stats();
   std::fprintf(stderr, "backend : %lld queries issued, %lld tuples returned\n",
                static_cast<long long>(access.queries_issued),
