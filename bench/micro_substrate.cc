@@ -124,9 +124,9 @@ void BM_ExecutePointQuery(benchmark::State& state) {
 // drop the pool between iterations (buffer-pool-cold; see
 // docs/performance.md for what that does and does not measure), the *Warm
 // benches reuse whatever the pool retained, and the BM_OocMem* twins run
-// the identical queries through the memory-resident scan engine (k-d index
-// off, so both sides pay a zone-pruned scan) — the pair the 2x warm gate
-// in scripts/compare_bench.py compares. Counters: pool_bytes, data_bytes,
+// the identical queries through the memory-resident rank-order scan (k-d
+// index off) — on the broad query, the pair the 2x warm gate in
+// scripts/compare_bench.py compares. Counters: pool_bytes, data_bytes,
 // evictions, bytes_read_per_iter (stored bytes fetched from disk per
 // query, prefetch included), and exact_match (1 when a differential
 // battery of queries returned bit-identical answers from the paged and
@@ -135,12 +135,12 @@ void BM_ExecutePointQuery(benchmark::State& state) {
 // clamped so the ratio gate stays meaningful.
 //
 // The *Cold tier comes in four variants per query shape, crossing the
-// physical format with the read path:
+// run encoding of the (format v3, k-d clustered) file with the read path:
 //
-//   BM_OocBroadQueryCold           format v1 (raw slots),  mmap
-//   BM_OocBroadQueryColdComp       format v2 (compressed), mmap
-//   BM_OocBroadQueryColdPread      format v1,              pread+readahead
-//   BM_OocBroadQueryColdCompPread  format v2,              pread+readahead
+//   BM_OocBroadQueryCold           raw runs,     mmap
+//   BM_OocBroadQueryColdComp       encoded runs, mmap
+//   BM_OocBroadQueryColdPread      raw runs,     pread
+//   BM_OocBroadQueryColdCompPread  encoded runs, pread
 //
 // compare_bench.py pairs them by stripping the Comp/Pread suffixes and
 // gates (a) compressed files reading >= --min-compress-bytes-ratio fewer
@@ -149,10 +149,10 @@ void BM_ExecutePointQuery(benchmark::State& state) {
 //
 // The tier runs at k=100 (not the in-memory tier's k=10): a broad query
 // at k=10 early-exits after ~40 rows and measures in the low hundreds of
-// nanoseconds, where the paged path's fixed cost — two buffer-pool
-// pin/unpin cycles per query — would dominate the ratio. k=100 sizes the
-// per-query work like the discovery workloads that matter out-of-core
-// while still fitting the first data page.
+// nanoseconds, where the paged path's fixed cost — a buffer-pool
+// pin/unpin cycle per leaf visited — would dominate the ratio. k=100
+// sizes the per-query work like the discovery workloads that matter
+// out-of-core.
 
 constexpr int kOocK = 100;
 
@@ -170,9 +170,9 @@ struct OocGroup {
 };
 
 /// Memory-resident twin of the paged engine's work: vectorized rank-order
-/// scan with the k-d index disabled, so warm paged queries are compared
-/// against the same algorithmic shape (zone-pruned scan), not an index
-/// probe the paged path does not have.
+/// scan with the k-d index disabled. On the broad query this is the path
+/// the in-memory engine itself takes, so the warm gate holds the paged
+/// walk to the in-memory engine's best answer.
 std::unique_ptr<interface::TopKInterface> MakeScanInterface(
     const data::Table* t, int k) {
   interface::TopKOptions opts;
@@ -250,7 +250,7 @@ const OocGroup& OocFor(int64_t n, data::Compression comp) {
                            std::to_string(key.first) + "_c" +
                            std::to_string(key.second) + ".hdb";
   data::BlockFileOptions fopts;
-  fopts.rows_per_block = 1024;  // several pages even at smoke scale
+  fopts.rows_per_block = 1024;  // several leaves even at smoke scale
   fopts.compression = comp;
   bench::Unwrap(dataset::PackTable(t, interface::MakeSumRanking(), path,
                                    fopts),

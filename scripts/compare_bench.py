@@ -21,11 +21,11 @@ substrate mode (BENCH_substrate.json)
   size, applied to each BM_Ooc*Cold pair that is present (an artifact
   without the Comp/Pread variants skips them):
 
-  * the Comp variant (format-v2 compressed file) must read at least
+  * the Comp variant (encoded runs) must read at least
     --min-compress-bytes-ratio fewer stored bytes per cold query than
     its raw twin (bytes_read_per_iter counters; exactness of both is
     already gated by the differential battery), and
-  * the Pread variant (pread + asynchronous readahead) must keep its
+  * the Pread variant (pread read path) must keep its
     cold median within --pread-tolerance of the mmap twin's.
 
 service mode (BENCH_service.json — any entry carrying a p99_us
@@ -221,8 +221,8 @@ def gate_substrate(data, args):
         mem = times.get(mem_name)
         page = b.get("page_bytes", 0.0)
         if page and pool < 2 * page:
-            # A warm broad query needs its index page and first data
-            # page simultaneously resident; under two pages of budget
+            # A warm broad query visits more than one k-d leaf page;
+            # under two pages of budget
             # (the eviction-churn CI configuration) every "warm" pin
             # re-faults, so only exactness and the ratio are gated.
             print(f"{warm_name}: warm gate skipped (pool {pool:.0f} B "

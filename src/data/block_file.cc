@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/crc32c.h"
+#include "common/fs_util.h"
 #include "data/encoding.h"
+#include "data/kd_split.h"
 
 namespace hdsky {
 namespace data {
@@ -20,41 +23,48 @@ using common::Status;
 namespace {
 
 constexpr char kMagic[8] = {'H', 'D', 'S', 'K', 'Y', 'B', 'F', '1'};
+constexpr size_t kMaxHeaderBytes = size_t{1} << 20;
+constexpr size_t kExtentBytes = 12;  // u64 offset + u32 stored bytes
+
+/// Stored bytes of one directory node: i64 min rank, i32 left, i32
+/// right, i32 page, u32 rows, then the 2m-value box.
+size_t NodeBytes(int num_attrs) {
+  return 24 + 2 * static_cast<size_t>(num_attrs) * sizeof(Value);
+}
 
 size_t AlignPage(size_t bytes) {
   return (bytes + kBlockFileAlign - 1) / kBlockFileAlign * kBlockFileAlign;
 }
 
-void PutU32(uint32_t v, std::string* out) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutU64(uint64_t v, std::string* out) {
+template <typename T>
+void Put(T v, std::string* out) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
 void PutString(const std::string& s, std::string* out) {
-  PutU32(static_cast<uint32_t>(s.size()), out);
+  Put(static_cast<uint32_t>(s.size()), out);
   out->append(s);
 }
 
-/// Bounds-checked sequential reader over the header bytes.
-class HeaderReader {
+/// Bounds-checked sequential reader over header or directory bytes.
+class ByteReader {
  public:
-  HeaderReader(const uint8_t* base, size_t limit)
+  ByteReader(const uint8_t* base, size_t limit)
       : base_(base), limit_(limit) {}
 
   bool Raw(void* out, size_t len) {
-    if (pos_ + len > limit_) return false;
+    if (len > limit_ - pos_) return false;
     std::memcpy(out, base_ + pos_, len);
     pos_ += len;
     return true;
   }
-  bool U32(uint32_t* v) { return Raw(v, sizeof(*v)); }
-  bool U64(uint64_t* v) { return Raw(v, sizeof(*v)); }
+  template <typename T>
+  bool Get(T* v) {
+    return Raw(v, sizeof(*v));
+  }
   bool String(std::string* s) {
     uint32_t len = 0;
-    if (!U32(&len) || pos_ + len > limit_) return false;
+    if (!Get(&len) || len > limit_ - pos_) return false;
     s->assign(reinterpret_cast<const char*>(base_ + pos_), len);
     pos_ += len;
     return true;
@@ -69,19 +79,6 @@ class HeaderReader {
 
 Status Corrupt(const std::string& path, const std::string& why) {
   return Status::IOError(path + ": " + why);
-}
-
-/// Entry counts per index level for `data_pages` leaves: level 0 has one
-/// entry per data page; each higher level divides by `fanout` until a
-/// level fits within one fanout's worth of entries.
-std::vector<int64_t> LevelCounts(int64_t data_pages, int fanout) {
-  std::vector<int64_t> counts;
-  if (data_pages == 0) return counts;
-  counts.push_back(data_pages);
-  while (counts.back() > fanout) {
-    counts.push_back((counts.back() + fanout - 1) / fanout);
-  }
-  return counts;
 }
 
 Status PreadExact(int fd, uint64_t offset, size_t len, uint8_t* out,
@@ -100,280 +97,275 @@ Status PreadExact(int fd, uint64_t offset, size_t len, uint8_t* out,
   return Status::OK();
 }
 
+/// Header fields after the magic and version, in file order.
+std::string EncodeHeader(uint32_t rows_per_block, uint32_t num_attrs,
+                         Compression compression, uint64_t num_rows,
+                         uint64_t num_pages, uint64_t num_nodes,
+                         uint64_t dir_offset, const std::string& ranking,
+                         const Schema& schema) {
+  std::string h;
+  h.append(kMagic, sizeof(kMagic));
+  Put(kBlockFileVersion, &h);
+  Put(rows_per_block, &h);
+  Put(num_attrs, &h);
+  Put(static_cast<uint32_t>(compression), &h);
+  Put(num_rows, &h);
+  Put(num_pages, &h);
+  Put(num_nodes, &h);
+  Put(dir_offset, &h);
+  PutString(ranking, &h);
+  PutString(schema.Serialize(), &h);
+  Put(common::Crc32c(h), &h);
+  return h;
+}
+
+/// Builds the k-d tree over rows in rank order and streams one page per
+/// leaf to `out` as the leaves complete.
+class TreeWriter {
+ public:
+  TreeWriter(common::AtomicFileWriter* out, int num_attrs,
+             const BlockFileOptions& options,
+             const std::vector<TupleId>& ids, std::vector<Value>* rows,
+             BlockFileWriteStats* stats)
+      : out_(out),
+        m_(num_attrs),
+        rows_per_block_(options.rows_per_block),
+        compression_(options.compression),
+        ids_(ids),
+        rows_(*rows),
+        stats_(stats) {
+    keys_.resize(ids.size());
+    for (size_t r = 0; r < keys_.size(); ++r) {
+      keys_[r] = static_cast<int64_t>(r);
+    }
+  }
+
+  Result<int32_t> Build(int64_t begin, int64_t end, int depth) {
+    const int32_t id = static_cast<int32_t>(nodes_.size());
+    nodes_.push_back(BlockFile::KdNode{0, -1, -1, -1, 0});
+    boxes_.resize(boxes_.size() + 2 * static_cast<size_t>(m_));
+    stats_->kd_depth = std::max(stats_->kd_depth, depth);
+    int64_t split = begin;
+    if (end - begin > rows_per_block_) {
+      int dim = 0;
+      Value pivot = 0;
+      split = KdMedianSplit(begin, end, depth, m_, keys_.data(),
+                            rows_.data(), &dim, &pivot);
+      if (split == begin) {
+        // No dimension splits the range (every median is its range's
+        // minimum). Halve it in rank order instead: the walk follows the
+        // boxes and minimum ranks, never split planes, so any cut is
+        // exact, and this one keeps every leaf within rows_per_block.
+        SortByRank(begin, end);
+        split = begin + (end - begin) / 2;
+      }
+    }
+    if (split == begin) {
+      HDSKY_RETURN_IF_ERROR(WriteLeaf(begin, end, id));
+      return id;
+    }
+    HDSKY_ASSIGN_OR_RETURN(const int32_t left,
+                           Build(begin, split, depth + 1));
+    HDSKY_ASSIGN_OR_RETURN(const int32_t right, Build(split, end, depth + 1));
+    BlockFile::KdNode& node = nodes_[static_cast<size_t>(id)];
+    node.left = left;
+    node.right = right;
+    node.rows = static_cast<uint32_t>(end - begin);
+    node.min_rank = std::min(nodes_[static_cast<size_t>(left)].min_rank,
+                             nodes_[static_cast<size_t>(right)].min_rank);
+    Value* box = Box(id);
+    const Value* lb = Box(left);
+    const Value* rb = Box(right);
+    for (int a = 0; a < m_; ++a) {
+      box[2 * a] = std::min(lb[2 * a], rb[2 * a]);
+      box[2 * a + 1] = std::max(lb[2 * a + 1], rb[2 * a + 1]);
+    }
+    return id;
+  }
+
+  /// Appends the directory: page extents, the node array, its CRC.
+  std::string Directory() const {
+    std::string dir;
+    for (const BlockFile::Extent& e : extents_) {
+      Put(e.offset, &dir);
+      Put(e.bytes, &dir);
+    }
+    for (size_t i = 0; i < nodes_.size(); ++i) {
+      const BlockFile::KdNode& n = nodes_[i];
+      Put(n.min_rank, &dir);
+      Put(n.left, &dir);
+      Put(n.right, &dir);
+      Put(n.page, &dir);
+      Put(n.rows, &dir);
+      dir.append(reinterpret_cast<const char*>(
+                     boxes_.data() + i * 2 * static_cast<size_t>(m_)),
+                 2 * static_cast<size_t>(m_) * sizeof(Value));
+    }
+    Put(common::Crc32c(dir), &dir);
+    return dir;
+  }
+
+  size_t num_pages() const { return extents_.size(); }
+  size_t num_nodes() const { return nodes_.size(); }
+
+ private:
+  Value* Box(int32_t id) {
+    return boxes_.data() + static_cast<size_t>(id) * 2 *
+                               static_cast<size_t>(m_);
+  }
+
+  /// Sorts rows [begin, end) by rank, permuting keys and values together.
+  void SortByRank(int64_t begin, int64_t end) {
+    const size_t len = static_cast<size_t>(end - begin);
+    const size_t m = static_cast<size_t>(m_);
+    by_rank_.resize(len);
+    for (size_t i = 0; i < len; ++i) {
+      by_rank_[i] = {keys_[static_cast<size_t>(begin) + i],
+                     static_cast<int64_t>(i)};
+    }
+    std::sort(by_rank_.begin(), by_rank_.end());
+    sorted_.resize(len * m);
+    const Value* base = rows_.data() + static_cast<size_t>(begin) * m;
+    for (size_t i = 0; i < len; ++i) {
+      keys_[static_cast<size_t>(begin) + i] = by_rank_[i].first;
+      std::memcpy(sorted_.data() + i * m,
+                  base + static_cast<size_t>(by_rank_[i].second) * m,
+                  m * sizeof(Value));
+    }
+    std::copy(sorted_.begin(), sorted_.end(),
+              rows_.begin() + static_cast<std::ptrdiff_t>(begin * m_));
+  }
+
+  void AppendRun(const Value* values, size_t n, size_t column) {
+    const size_t bytes = compression_ == Compression::kAuto
+                             ? EncodeRun(values, n, &page_)
+                             : EncodeRunAs(Encoding::kRaw, values, n, &page_);
+    stats_->columns[column].raw_bytes += n * sizeof(Value);
+    stats_->columns[column].encoded_bytes += bytes;
+  }
+
+  Status WriteLeaf(int64_t begin, int64_t end, int32_t id) {
+    SortByRank(begin, end);
+    const size_t len = static_cast<size_t>(end - begin);
+    const size_t m = static_cast<size_t>(m_);
+    const int64_t* ranks = keys_.data() + begin;
+    const Value* rows = rows_.data() + static_cast<size_t>(begin) * m;
+
+    page_.assign(kPageHeaderBytes, 0);
+    run_.resize(len);
+    for (size_t i = 0; i < len; ++i) {
+      run_[i] = ids_[static_cast<size_t>(ranks[i])];
+    }
+    AppendRun(run_.data(), len, 0);
+    AppendRun(ranks, len, 1);
+    Value* box = Box(id);
+    for (size_t a = 0; a < m; ++a) {
+      Value lo = kNullValue;
+      Value hi = INT64_MIN;
+      for (size_t i = 0; i < len; ++i) {
+        run_[i] = rows[i * m + a];
+        lo = std::min(lo, run_[i]);
+        hi = std::max(hi, run_[i]);
+      }
+      box[2 * a] = lo;
+      box[2 * a + 1] = hi;
+      AppendRun(run_.data(), len, 2 + a);
+    }
+    const size_t stored = page_.size();
+    const uint32_t crc = common::Crc32c(std::string_view(
+        reinterpret_cast<const char*>(page_.data()) + kPageHeaderBytes,
+        stored - kPageHeaderBytes));
+    const uint32_t count = static_cast<uint32_t>(len);
+    std::memcpy(page_.data(), &crc, 4);
+    std::memcpy(page_.data() + 4, &count, 4);
+
+    BlockFile::KdNode& node = nodes_[static_cast<size_t>(id)];
+    node.min_rank = ranks[0];
+    node.page = static_cast<int32_t>(extents_.size());
+    node.rows = count;
+    extents_.push_back(BlockFile::Extent{out_->bytes_appended(),
+                                         static_cast<uint32_t>(stored)});
+    return out_->Append(page_.data(), page_.size());
+  }
+
+  common::AtomicFileWriter* out_;
+  const int m_;
+  const int64_t rows_per_block_;
+  const Compression compression_;
+  const std::vector<TupleId>& ids_;
+  std::vector<Value>& rows_;
+  BlockFileWriteStats* stats_;
+  std::vector<int64_t> keys_;  // ranks, permuted with rows_
+  std::vector<BlockFile::KdNode> nodes_;
+  std::vector<Value> boxes_;
+  std::vector<BlockFile::Extent> extents_;
+  // Scratch reused across leaves.
+  std::vector<std::pair<int64_t, int64_t>> by_rank_;
+  std::vector<Value> sorted_;
+  std::vector<Value> run_;
+  std::vector<uint8_t> page_;
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// BlockFileWriter.
+// Writer.
 
-Result<std::unique_ptr<BlockFileWriter>> BlockFileWriter::Create(
-    const std::string& path, const Schema& schema,
-    const std::string& ranking, const BlockFileOptions& options) {
+Result<BlockFileWriteStats> WriteBlockFile(const std::string& path,
+                                           const Schema& schema,
+                                           const std::string& ranking,
+                                           const BlockFileOptions& options,
+                                           const std::vector<TupleId>& ids,
+                                           std::vector<Value> rows) {
   if (options.rows_per_block < 1 ||
       options.rows_per_block > (int64_t{1} << 20)) {
     return Status::InvalidArgument("rows_per_block out of range");
   }
-  if (options.index_fanout < 2 || options.index_fanout > (1 << 16)) {
-    return Status::InvalidArgument("index_fanout out of range");
+  const int m = schema.num_attributes();
+  if (m < 1) return Status::InvalidArgument("schema has no attributes");
+  if (rows.size() != ids.size() * static_cast<size_t>(m)) {
+    return Status::InvalidArgument("row values do not match the ids");
   }
-  if (schema.num_attributes() < 1) {
-    return Status::InvalidArgument("schema has no attributes");
+  if (ids.size() > (size_t{1} << 31) - 1) {
+    return Status::InvalidArgument("too many rows for one block file");
   }
-  auto w = std::unique_ptr<BlockFileWriter>(new BlockFileWriter());
-  w->schema_ = schema;
-  w->ranking_ = ranking;
-  w->rows_per_block_ = options.rows_per_block;
-  w->index_fanout_ = options.index_fanout;
-  w->num_attrs_ = schema.num_attributes();
-  w->compression_ = options.compression;
-  const size_t payload =
-      static_cast<size_t>(options.rows_per_block) *
-      static_cast<size_t>(w->num_attrs_ + 1) * sizeof(Value);
-  w->page_bytes_ = AlignPage(kPageHeaderBytes + payload);
-  // The header must fit in the reserved page-0 region alongside its
-  // fixed fields: a full slot for v1, one 4 KiB unit for v2.
-  const size_t header_upper_bound = 256 + 16 * kMaxIndexLevels +
-                                    ranking.size() +
-                                    schema.Serialize().size();
-  const size_t header_reserved = options.compression == Compression::kOff
-                                     ? w->page_bytes_
-                                     : kBlockFileAlign;
-  if (header_upper_bound > header_reserved) {
-    return Status::InvalidArgument(
-        "schema too large for header page" +
-        std::string(options.compression == Compression::kOff
-                        ? ""
-                        : " (try --compress=off)"));
+  const std::string probe =
+      EncodeHeader(0, 0, options.compression, 0, 0, 0, 0, ranking, schema);
+  if (probe.size() > kMaxHeaderBytes) {
+    return Status::InvalidArgument("schema too large for the file header");
   }
-  HDSKY_ASSIGN_OR_RETURN(w->out_, common::AtomicFileWriter::Create(path));
-  // Reserve page 0; the real header is back-patched in Finish().
-  w->page_buf_.assign(header_reserved, 0);
-  HDSKY_RETURN_IF_ERROR(
-      w->out_->Append(w->page_buf_.data(), header_reserved));
-  w->page_offsets_.push_back(0);
-  w->page_enc_bytes_.push_back(static_cast<uint32_t>(header_reserved));
-  w->stats_.columns.resize(static_cast<size_t>(w->num_attrs_) + 1);
-  w->ids_.reserve(static_cast<size_t>(options.rows_per_block));
-  w->cols_.resize(static_cast<size_t>(w->num_attrs_));
-  for (auto& c : w->cols_) {
-    c.reserve(static_cast<size_t>(options.rows_per_block));
-  }
-  return w;
-}
+  HDSKY_ASSIGN_OR_RETURN(std::unique_ptr<common::AtomicFileWriter> out,
+                         common::AtomicFileWriter::Create(path));
+  // Reserve the header; it is back-patched once the directory's offset
+  // is known (every header field is fixed-width but the two strings).
+  const std::vector<uint8_t> reserved(AlignPage(probe.size()), 0);
+  HDSKY_RETURN_IF_ERROR(out->Append(reserved.data(), reserved.size()));
 
-Status BlockFileWriter::Append(TupleId id, const Value* row) {
-  if (finished_) return Status::IOError("append after Finish");
-  ids_.push_back(id);
-  for (int a = 0; a < num_attrs_; ++a) {
-    cols_[static_cast<size_t>(a)].push_back(row[a]);
+  BlockFileWriteStats stats;
+  stats.rows = static_cast<int64_t>(ids.size());
+  stats.columns.resize(static_cast<size_t>(m) + 2);
+  TreeWriter tree(out.get(), m, options, ids, &rows, &stats);
+  if (!ids.empty()) {
+    HDSKY_RETURN_IF_ERROR(
+        tree.Build(0, static_cast<int64_t>(ids.size()), 0).status());
   }
-  ++rows_written_;
-  if (static_cast<int64_t>(ids_.size()) == rows_per_block_) {
-    return FlushBlock();
-  }
-  return Status::OK();
-}
-
-Status BlockFileWriter::AppendPage(const Value* const* runs,
-                                   const size_t* counts, size_t num_runs,
-                                   uint32_t entry_count,
-                                   int first_col_stat) {
-  if (compression_ == Compression::kOff) {
-    // v1: fixed slot, payload stored raw.
-    std::fill(page_buf_.begin(), page_buf_.end(), 0);
-    page_buf_.resize(page_bytes_, 0);
-    uint8_t* payload = page_buf_.data() + kPageHeaderBytes;
-    size_t payload_bytes = 0;
-    for (size_t r = 0; r < num_runs; ++r) {
-      std::memcpy(payload + payload_bytes, runs[r],
-                  counts[r] * sizeof(Value));
-      payload_bytes += counts[r] * sizeof(Value);
-      if (first_col_stat >= 0) {
-        auto& c = stats_.columns[static_cast<size_t>(first_col_stat) + r];
-        c.raw_bytes += counts[r] * sizeof(Value);
-        c.encoded_bytes += counts[r] * sizeof(Value);
-      }
-    }
-    const uint32_t crc = common::Crc32c(std::string_view(
-        reinterpret_cast<const char*>(payload), payload_bytes));
-    reinterpret_cast<uint32_t*>(page_buf_.data())[0] = crc;
-    reinterpret_cast<uint32_t*>(page_buf_.data())[1] = entry_count;
-    page_offsets_.push_back(out_->bytes_appended());
-    page_enc_bytes_.push_back(static_cast<uint32_t>(page_bytes_));
-    return out_->Append(page_buf_.data(), page_bytes_);
-  }
-
-  // v2: encode each run, CRC the encoded payload, pad to alignment.
-  page_buf_.clear();
-  page_buf_.resize(kPageHeaderBytes, 0);
-  for (size_t r = 0; r < num_runs; ++r) {
-    const size_t bytes = EncodeRun(runs[r], counts[r], &page_buf_);
-    if (first_col_stat >= 0) {
-      auto& c = stats_.columns[static_cast<size_t>(first_col_stat) + r];
-      c.raw_bytes += counts[r] * sizeof(Value);
-      c.encoded_bytes += bytes;
-    }
-  }
-  const size_t enc_bytes = page_buf_.size();
-  const uint32_t crc = common::Crc32c(std::string_view(
-      reinterpret_cast<const char*>(page_buf_.data()) + kPageHeaderBytes,
-      enc_bytes - kPageHeaderBytes));
-  reinterpret_cast<uint32_t*>(page_buf_.data())[0] = crc;
-  reinterpret_cast<uint32_t*>(page_buf_.data())[1] = entry_count;
-  page_offsets_.push_back(out_->bytes_appended());
-  page_enc_bytes_.push_back(static_cast<uint32_t>(enc_bytes));
-  page_buf_.resize(AlignPage(enc_bytes), 0);  // zero-pad to 4 KiB
-  return out_->Append(page_buf_.data(), page_buf_.size());
-}
-
-Status BlockFileWriter::FlushBlock() {
-  const int64_t rows = static_cast<int64_t>(ids_.size());
-  if (rows == 0) return Status::OK();
-  std::vector<const Value*> runs;
-  std::vector<size_t> counts;
-  runs.push_back(reinterpret_cast<const Value*>(ids_.data()));
-  counts.push_back(static_cast<size_t>(rows));
-  for (int a = 0; a < num_attrs_; ++a) {
-    runs.push_back(cols_[static_cast<size_t>(a)].data());
-    counts.push_back(static_cast<size_t>(rows));
-    // Zone entry for this page: min/max including NULL (NULL sorts
-    // worst, matching the in-memory BlockedColumns zone maps).
-    Value lo = kNullValue;
-    Value hi = INT64_MIN;
-    for (Value v : cols_[static_cast<size_t>(a)]) {
-      if (v < lo) lo = v;
-      if (v > hi) hi = v;
-    }
-    level0_zones_.push_back(lo);
-    level0_zones_.push_back(hi);
-  }
-  HDSKY_RETURN_IF_ERROR(AppendPage(runs.data(), counts.data(), runs.size(),
-                                   static_cast<uint32_t>(rows),
-                                   /*first_col_stat=*/0));
-  ++data_pages_;
-  ids_.clear();
-  for (auto& c : cols_) c.clear();
-  return Status::OK();
-}
-
-Result<int64_t> BlockFileWriter::Finish() {
-  if (finished_) return Status::IOError("double Finish");
-  HDSKY_RETURN_IF_ERROR(FlushBlock());
-  finished_ = true;
-
-  const int64_t entries_per_page = static_cast<int64_t>(
-      (page_bytes_ - kPageHeaderBytes) /
-      (2 * static_cast<size_t>(num_attrs_) * sizeof(Value)));
-  const std::vector<int64_t> counts =
-      LevelCounts(data_pages_, index_fanout_);
-  std::vector<int64_t> level_starts;
-  int64_t index_pages = 0;
-
-  // Emit the zone levels bottom-up; each level's entries are derived by
-  // merging `index_fanout_` children of the previous one.
-  std::vector<Value> level = std::move(level0_zones_);
-  int64_t next_page = 1 + data_pages_;
-  for (size_t l = 0; l < counts.size(); ++l) {
-    level_starts.push_back(next_page);
-    const int64_t n = counts[l];
-    for (int64_t first = 0; first < n; first += entries_per_page) {
-      const int64_t in_page = std::min(entries_per_page, n - first);
-      const Value* run = level.data() + first * 2 * num_attrs_;
-      const size_t run_count = static_cast<size_t>(in_page) * 2 *
-                               static_cast<size_t>(num_attrs_);
-      HDSKY_RETURN_IF_ERROR(AppendPage(&run, &run_count, 1,
-                                       static_cast<uint32_t>(in_page),
-                                       /*first_col_stat=*/-1));
-      ++next_page;
-      ++index_pages;
-    }
-    if (l + 1 == counts.size()) break;
-    const int64_t parents = counts[l + 1];
-    std::vector<Value> up(static_cast<size_t>(parents) * 2 *
-                          static_cast<size_t>(num_attrs_));
-    for (int64_t p = 0; p < parents; ++p) {
-      Value* entry = up.data() + p * 2 * num_attrs_;
-      for (int a = 0; a < num_attrs_; ++a) {
-        entry[2 * a] = kNullValue;
-        entry[2 * a + 1] = INT64_MIN;
-      }
-      const int64_t lo = p * index_fanout_;
-      const int64_t hi = std::min(n, lo + index_fanout_);
-      for (int64_t c = lo; c < hi; ++c) {
-        const Value* child = level.data() + c * 2 * num_attrs_;
-        for (int a = 0; a < num_attrs_; ++a) {
-          if (child[2 * a] < entry[2 * a]) entry[2 * a] = child[2 * a];
-          if (child[2 * a + 1] > entry[2 * a + 1]) {
-            entry[2 * a + 1] = child[2 * a + 1];
-          }
-        }
-      }
-    }
-    level = std::move(up);
-  }
-
-  // v2: the page directory, CRC'd, its offset recorded in the header.
-  const uint64_t dir_offset = out_->bytes_appended();
-  if (compression_ != Compression::kOff) {
-    std::string dir;
-    PutU64(page_offsets_.size(), &dir);
-    for (size_t i = 0; i < page_offsets_.size(); ++i) {
-      PutU64(page_offsets_[i], &dir);
-      PutU32(page_enc_bytes_[i], &dir);
-    }
-    PutU32(common::Crc32c(dir), &dir);
-    HDSKY_RETURN_IF_ERROR(out_->Append(dir.data(), dir.size()));
-  }
-
-  // Header page, back-patched over the reservation at offset 0.
-  std::string header;
-  header.append(kMagic, sizeof(kMagic));
-  PutU32(compression_ == Compression::kOff ? kBlockFileVersion
-                                           : kBlockFileVersionCompressed,
-         &header);
-  PutU32(static_cast<uint32_t>(page_bytes_), &header);
-  PutU32(static_cast<uint32_t>(rows_per_block_), &header);
-  PutU32(static_cast<uint32_t>(num_attrs_), &header);
-  PutU64(static_cast<uint64_t>(rows_written_), &header);
-  PutU64(static_cast<uint64_t>(data_pages_), &header);
-  PutU32(static_cast<uint32_t>(index_fanout_), &header);
-  PutU32(static_cast<uint32_t>(counts.size()), &header);
-  for (int l = 0; l < kMaxIndexLevels; ++l) {
-    PutU64(static_cast<size_t>(l) < counts.size()
-               ? static_cast<uint64_t>(counts[static_cast<size_t>(l)])
-               : 0,
-           &header);
-    PutU64(static_cast<size_t>(l) < level_starts.size()
-               ? static_cast<uint64_t>(
-                     level_starts[static_cast<size_t>(l)])
-               : 0,
-           &header);
-  }
-  if (compression_ != Compression::kOff) {
-    PutU32(1, &header);  // feature flags: bit 0 = per-run encoding
-    PutU64(dir_offset, &header);
-  }
-  PutString(ranking_, &header);
-  PutString(schema_.Serialize(), &header);
-  PutU32(common::Crc32c(header), &header);
-  const size_t header_reserved = compression_ == Compression::kOff
-                                     ? page_bytes_
-                                     : kBlockFileAlign;
-  if (header.size() > header_reserved) {
-    return Status::InvalidArgument("header exceeds page size");
-  }
-  HDSKY_RETURN_IF_ERROR(out_->WriteAt(0, header.data(), header.size()));
-  stats_.rows = rows_written_;
-  stats_.data_pages = data_pages_;
-  stats_.index_pages = index_pages;
-  stats_.num_index_levels = static_cast<int>(counts.size());
-  stats_.file_bytes = out_->bytes_appended();
-  HDSKY_RETURN_IF_ERROR(out_->Commit());
-  out_.reset();
-  return rows_written_;
+  const uint64_t dir_offset = out->bytes_appended();
+  const std::string dir = tree.Directory();
+  HDSKY_RETURN_IF_ERROR(out->Append(dir.data(), dir.size()));
+  const std::string header = EncodeHeader(
+      static_cast<uint32_t>(options.rows_per_block),
+      static_cast<uint32_t>(m), options.compression, ids.size(),
+      tree.num_pages(), tree.num_nodes(), dir_offset, ranking, schema);
+  HDSKY_RETURN_IF_ERROR(out->WriteAt(0, header.data(), header.size()));
+  stats.data_pages = static_cast<int64_t>(tree.num_pages());
+  stats.kd_nodes = static_cast<int64_t>(tree.num_nodes());
+  stats.file_bytes = out->bytes_appended();
+  HDSKY_RETURN_IF_ERROR(out->Commit());
+  return stats;
 }
 
 // ---------------------------------------------------------------------------
-// BlockFile.
+// Reader.
 
 Result<std::unique_ptr<BlockFile>> BlockFile::Open(
     const std::string& path) {
@@ -395,288 +387,283 @@ Result<std::unique_ptr<BlockFile>> BlockFile::Open(
   }
   f->file_bytes_ = file_bytes;
 
-  const size_t hdr_len =
-      static_cast<size_t>(std::min<uint64_t>(file_bytes, 1 << 20));
+  const size_t hdr_len = static_cast<size_t>(
+      std::min<uint64_t>(file_bytes, kMaxHeaderBytes));
   std::vector<uint8_t> hdr(hdr_len);
   HDSKY_RETURN_IF_ERROR(PreadExact(fd, 0, hdr_len, hdr.data(), path));
 
-  HeaderReader r(hdr.data(), hdr_len);
+  ByteReader r(hdr.data(), hdr_len);
   char magic[8];
-  uint32_t version = 0, page_bytes = 0, rows_per_block = 0, num_attrs = 0;
-  uint64_t num_rows = 0, data_pages = 0;
-  uint32_t fanout = 0, num_levels = 0;
-  uint64_t level_counts[kMaxIndexLevels] = {0};
-  uint64_t level_starts[kMaxIndexLevels] = {0};
-  uint32_t flags = 0;
-  uint64_t dir_offset = 0;
-  std::string ranking, schema_line;
-  if (!r.Raw(magic, sizeof(magic)) || !r.U32(&version)) {
+  uint32_t version = 0;
+  if (!r.Raw(magic, sizeof(magic)) || !r.Get(&version)) {
     return Corrupt(path, "short header");
   }
   if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return Corrupt(path, "bad magic (not a block file)");
   }
-  if (version != kBlockFileVersion &&
-      version != kBlockFileVersionCompressed) {
-    return Corrupt(path,
-                   "unsupported version " + std::to_string(version));
+  if (version == 1 || version == 2) {
+    return Status::Unsupported(
+        path + ": block file format v" + std::to_string(version) +
+        " (rank-ordered pages) is no longer read; re-pack it with "
+        "hdsky_pack to write format v" +
+        std::to_string(kBlockFileVersion));
   }
-  bool ok = r.U32(&page_bytes) && r.U32(&rows_per_block) &&
-            r.U32(&num_attrs) && r.U64(&num_rows) && r.U64(&data_pages) &&
-            r.U32(&fanout) && r.U32(&num_levels);
-  for (int l = 0; ok && l < kMaxIndexLevels; ++l) {
-    ok = r.U64(&level_counts[l]) && r.U64(&level_starts[l]);
+  if (version != kBlockFileVersion) {
+    return Corrupt(path, "unsupported version " + std::to_string(version));
   }
-  if (ok && version == kBlockFileVersionCompressed) {
-    ok = r.U32(&flags) && r.U64(&dir_offset);
-  }
-  ok = ok && r.String(&ranking) && r.String(&schema_line);
+  uint32_t rows_per_block = 0, num_attrs = 0, compression = 0;
+  uint64_t num_rows = 0, num_pages = 0, num_nodes = 0, dir_offset = 0;
+  std::string ranking, schema_line;
+  const bool ok = r.Get(&rows_per_block) && r.Get(&num_attrs) &&
+                  r.Get(&compression) && r.Get(&num_rows) &&
+                  r.Get(&num_pages) && r.Get(&num_nodes) &&
+                  r.Get(&dir_offset) && r.String(&ranking) &&
+                  r.String(&schema_line);
   if (!ok) return Corrupt(path, "short header");
-  const uint32_t stored_crc = common::Crc32c(std::string_view(
+  const uint32_t header_crc = common::Crc32c(std::string_view(
       reinterpret_cast<const char*>(hdr.data()), r.pos()));
-  uint32_t file_crc = 0;
-  if (!r.U32(&file_crc)) return Corrupt(path, "short header");
-  if (stored_crc != file_crc) return Corrupt(path, "header CRC mismatch");
+  uint32_t stored_crc = 0;
+  if (!r.Get(&stored_crc)) return Corrupt(path, "short header");
+  if (header_crc != stored_crc) return Corrupt(path, "header CRC mismatch");
 
-  const size_t header_reserved =
-      version == kBlockFileVersion ? page_bytes : kBlockFileAlign;
-  if (page_bytes < kBlockFileAlign || page_bytes % kBlockFileAlign != 0 ||
-      r.pos() > header_reserved) {
-    return Corrupt(path, "implausible page size");
-  }
   if (rows_per_block < 1 || rows_per_block > (1u << 20) || num_attrs < 1 ||
-      fanout < 2) {
+      num_attrs > (1u << 16) || compression > 1) {
     return Corrupt(path, "implausible geometry");
   }
-  const uint64_t expected_pages =
-      rows_per_block == 0
-          ? 0
-          : (num_rows + rows_per_block - 1) / rows_per_block;
-  if (data_pages != expected_pages) {
-    return Corrupt(path, "row/page count mismatch");
+  // A full binary tree over the leaves, one leaf per page, no page
+  // over rows_per_block rows.
+  const bool empty = num_rows == 0;
+  if (empty ? (num_pages != 0 || num_nodes != 0)
+            : (num_pages < (num_rows + rows_per_block - 1) / rows_per_block ||
+               num_pages > num_rows || num_pages > (uint64_t{1} << 30) ||
+               num_nodes != 2 * num_pages - 1)) {
+    return Corrupt(path, "row/page/node count mismatch");
   }
   HDSKY_ASSIGN_OR_RETURN(f->schema_, Schema::Deserialize(schema_line));
   if (f->schema_.num_attributes() != static_cast<int>(num_attrs)) {
     return Corrupt(path, "schema/attribute count mismatch");
   }
-
   f->ranking_ = std::move(ranking);
-  f->version_ = version;
-  f->page_bytes_ = page_bytes;
+  f->compression_ = static_cast<Compression>(compression);
   f->rows_per_block_ = rows_per_block;
   f->num_attrs_ = static_cast<int>(num_attrs);
   f->num_rows_ = static_cast<int64_t>(num_rows);
-  f->num_data_pages_ = static_cast<int64_t>(data_pages);
-  f->index_fanout_ = static_cast<int>(fanout);
-  f->index_entries_per_page_ = static_cast<int64_t>(
-      (page_bytes - kPageHeaderBytes) /
-      (2 * static_cast<size_t>(num_attrs) * sizeof(Value)));
-  if (f->index_entries_per_page_ < 1 ||
-      kPageHeaderBytes + static_cast<size_t>(rows_per_block) *
-                             (static_cast<size_t>(num_attrs) + 1) *
-                             sizeof(Value) >
-          page_bytes) {
-    return Corrupt(path, "geometry does not fit page size");
-  }
 
-  // Recompute the level structure from the geometry and demand the
-  // stored one matches — a corrupted header cannot send the traversal
-  // outside the file.
-  const std::vector<int64_t> counts =
-      LevelCounts(f->num_data_pages_, f->index_fanout_);
-  if (counts.size() != num_levels ||
-      num_levels > static_cast<uint32_t>(kMaxIndexLevels)) {
-    return Corrupt(path, "index level mismatch");
-  }
-  int64_t next_page = 1 + f->num_data_pages_;
-  for (size_t l = 0; l < counts.size(); ++l) {
-    if (static_cast<uint64_t>(counts[l]) != level_counts[l] ||
-        static_cast<uint64_t>(next_page) != level_starts[l]) {
-      return Corrupt(path, "index level mismatch");
-    }
-    f->level_counts_.push_back(counts[l]);
-    f->level_start_pages_.push_back(next_page);
-    next_page += (counts[l] + f->index_entries_per_page_ - 1) /
-                 f->index_entries_per_page_;
-  }
-  f->total_pages_ = next_page;
-
-  if (version == kBlockFileVersion) {
-    if (static_cast<uint64_t>(f->total_pages_) * page_bytes !=
-        file_bytes) {
-      return Corrupt(path,
-                     "truncated (file size does not match geometry)");
-    }
-    return f;
-  }
-
-  // v2: load + validate the page directory. Every extent must stay
-  // inside [header page, dir_offset) and the directory must account for
-  // the exact file size, so a corrupted directory cannot aim a read
-  // outside the file.
-  const uint64_t n_pages = static_cast<uint64_t>(f->total_pages_);
-  const uint64_t dir_bytes = 8 + n_pages * 12 + 4;
-  if (dir_offset < kBlockFileAlign || dir_offset % kBlockFileAlign != 0 ||
-      dir_offset + dir_bytes != file_bytes) {
+  // The directory ends the file; every extent must lie between the
+  // header and the directory, so no read can leave the file.
+  const uint64_t data_start = AlignPage(r.pos());
+  const uint64_t node_bytes = NodeBytes(f->num_attrs_);
+  const uint64_t dir_bytes =
+      num_pages * kExtentBytes + num_nodes * node_bytes + 4;
+  if (dir_offset < data_start || dir_offset > file_bytes ||
+      file_bytes - dir_offset != dir_bytes) {
     return Corrupt(path, "truncated (directory does not match geometry)");
   }
   std::vector<uint8_t> dir(static_cast<size_t>(dir_bytes));
   HDSKY_RETURN_IF_ERROR(
       PreadExact(fd, dir_offset, dir.size(), dir.data(), path));
-  const uint32_t dir_crc = common::Crc32c(std::string_view(
-      reinterpret_cast<const char*>(dir.data()), dir.size() - 4));
-  uint32_t stored_dir_crc;
-  std::memcpy(&stored_dir_crc, dir.data() + dir.size() - 4, 4);
-  if (dir_crc != stored_dir_crc) {
-    return Corrupt(path, "page directory CRC mismatch");
+  uint32_t dir_crc = 0;
+  std::memcpy(&dir_crc, dir.data() + dir.size() - 4, 4);
+  if (common::Crc32c(std::string_view(
+          reinterpret_cast<const char*>(dir.data()), dir.size() - 4)) !=
+      dir_crc) {
+    return Corrupt(path, "directory CRC mismatch");
   }
-  uint64_t dir_n;
-  std::memcpy(&dir_n, dir.data(), 8);
-  if (dir_n != n_pages) return Corrupt(path, "page directory count");
-  f->page_offsets_.resize(static_cast<size_t>(n_pages));
-  f->page_enc_bytes_.resize(static_cast<size_t>(n_pages));
-  uint64_t prev_end = 0;
-  for (uint64_t i = 0; i < n_pages; ++i) {
-    uint64_t off;
-    uint32_t enc;
-    std::memcpy(&off, dir.data() + 8 + i * 12, 8);
-    std::memcpy(&enc, dir.data() + 8 + i * 12 + 8, 4);
-    if (off % kBlockFileAlign != 0 || off < prev_end ||
-        enc < kPageHeaderBytes || off + enc > dir_offset) {
-      return Corrupt(path, "page directory extent out of bounds");
+  ByteReader d(dir.data(), dir.size() - 4);
+  f->extents_.resize(static_cast<size_t>(num_pages));
+  uint64_t prev_end = data_start;
+  for (Extent& e : f->extents_) {
+    d.Get(&e.offset);
+    d.Get(&e.bytes);
+    if (e.offset < prev_end ||
+        e.offset > dir_offset || e.bytes < kPageHeaderBytes ||
+        e.bytes > dir_offset - e.offset) {
+      return Corrupt(path, "page extent out of bounds");
     }
-    f->page_offsets_[static_cast<size_t>(i)] = off;
-    f->page_enc_bytes_[static_cast<size_t>(i)] = enc;
-    prev_end = off + enc;
+    prev_end = e.offset + e.bytes;
   }
+  const size_t box_values = 2 * static_cast<size_t>(num_attrs);
+  f->nodes_.resize(static_cast<size_t>(num_nodes));
+  f->boxes_.resize(static_cast<size_t>(num_nodes) * box_values);
+  for (size_t i = 0; i < f->nodes_.size(); ++i) {
+    KdNode& n = f->nodes_[i];
+    d.Get(&n.min_rank);
+    d.Get(&n.left);
+    d.Get(&n.right);
+    d.Get(&n.page);
+    d.Get(&n.rows);
+    d.Raw(f->boxes_.data() + i * box_values, box_values * sizeof(Value));
+  }
+  HDSKY_RETURN_IF_ERROR(f->ValidateTree());
   return f;
+}
+
+Status BlockFile::ValidateTree() {
+  const int32_t n = num_nodes();
+  const int64_t pages = num_data_pages();
+  page_leaf_.assign(static_cast<size_t>(pages), -1);
+  if (n == 0) return Status::OK();
+  if (nodes_[0].rows != static_cast<uint64_t>(num_rows_) ||
+      nodes_[0].min_rank != 0) {
+    return Corrupt(path_, "k-d root does not cover the rows from rank 0");
+  }
+  std::vector<uint8_t> reached(static_cast<size_t>(n), 0);
+  std::vector<int32_t> stack = {0};
+  std::vector<int64_t> leaf_min_ranks;
+  reached[0] = 1;
+  int32_t reached_count = 1;
+  while (!stack.empty()) {
+    const int32_t i = stack.back();
+    stack.pop_back();
+    const KdNode& node = nodes_[static_cast<size_t>(i)];
+    const Value* box = node_box(i);
+    for (int a = 0; a < num_attrs_; ++a) {
+      if (box[2 * a] > box[2 * a + 1]) {
+        return Corrupt(path_, "k-d node " + std::to_string(i) +
+                                  " has an empty box");
+      }
+    }
+    if (node.left < 0 || node.right < 0) {
+      if (node.left != -1 || node.right != -1 || node.page < 0 ||
+          node.page >= pages) {
+        return Corrupt(path_, "k-d leaf " + std::to_string(i) +
+                                  " is malformed or its page is out of "
+                                  "range");
+      }
+      int32_t& owner = page_leaf_[static_cast<size_t>(node.page)];
+      if (owner != -1) {
+        return Corrupt(path_, "data page " + std::to_string(node.page) +
+                                  " belongs to two k-d leaves");
+      }
+      owner = i;
+      if (node.rows < 1 || node.rows > rows_per_block_ ||
+          node.min_rank < 0 ||
+          node.min_rank > num_rows_ - static_cast<int64_t>(node.rows)) {
+        return Corrupt(path_, "k-d leaf " + std::to_string(i) +
+                                  " has an impossible row count or rank");
+      }
+      leaf_min_ranks.push_back(node.min_rank);
+      continue;
+    }
+    if (node.page != -1) {
+      return Corrupt(path_, "internal k-d node " + std::to_string(i) +
+                                " claims a page");
+    }
+    uint64_t child_rows = 0;
+    int64_t child_min = INT64_MAX;
+    for (const int32_t c : {node.left, node.right}) {
+      // Children lie after their parent, so the walk cannot cycle.
+      if (c <= i || c >= n || reached[static_cast<size_t>(c)] != 0) {
+        return Corrupt(path_, "k-d node " + std::to_string(i) +
+                                  " has a child out of range or "
+                                  "reached twice");
+      }
+      reached[static_cast<size_t>(c)] = 1;
+      ++reached_count;
+      stack.push_back(c);
+      const KdNode& child = nodes_[static_cast<size_t>(c)];
+      child_rows += child.rows;
+      child_min = std::min(child_min, child.min_rank);
+      const Value* cbox = node_box(c);
+      for (int a = 0; a < num_attrs_; ++a) {
+        if (cbox[2 * a] < box[2 * a] || cbox[2 * a + 1] > box[2 * a + 1]) {
+          return Corrupt(path_, "k-d node " + std::to_string(i) +
+                                    "'s box does not contain its child's");
+        }
+      }
+    }
+    if (child_rows != node.rows || child_min != node.min_rank) {
+      return Corrupt(path_, "k-d node " + std::to_string(i) +
+                                " disagrees with its children's rows or "
+                                "minimum rank");
+    }
+  }
+  if (reached_count != n) {
+    return Corrupt(path_, "k-d directory has unreachable nodes");
+  }
+  for (const int32_t owner : page_leaf_) {
+    if (owner < 0) return Corrupt(path_, "a data page has no k-d leaf");
+  }
+  std::sort(leaf_min_ranks.begin(), leaf_min_ranks.end());
+  if (std::adjacent_find(leaf_min_ranks.begin(), leaf_min_ranks.end()) !=
+      leaf_min_ranks.end()) {
+    return Corrupt(path_, "two k-d leaves share a minimum rank");
+  }
+  return Status::OK();
 }
 
 BlockFile::~BlockFile() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Status BlockFile::ExpectedCount(int64_t page_id, int64_t* count,
-                                bool* is_data) const {
-  if (page_id < 1 || page_id >= total_pages_) {
-    return Corrupt(path_, "page id out of range");
-  }
-  if (page_id <= num_data_pages_) {
-    const int64_t block = page_id - 1;
-    *count = std::min(rows_per_block_, num_rows_ - block * rows_per_block_);
-    *is_data = true;
-    return Status::OK();
-  }
-  for (size_t l = 0; l < level_start_pages_.size(); ++l) {
-    const int64_t pages = (level_counts_[l] + index_entries_per_page_ - 1) /
-                          index_entries_per_page_;
-    if (page_id >= level_start_pages_[l] &&
-        page_id < level_start_pages_[l] + pages) {
-      const int64_t first =
-          (page_id - level_start_pages_[l]) * index_entries_per_page_;
-      *count = std::min(index_entries_per_page_, level_counts_[l] - first);
-      *is_data = false;
-      return Status::OK();
-    }
-  }
-  return Corrupt(path_, "page id outside any level");
-}
-
 size_t BlockFile::frame_bytes(int64_t page_id) const {
-  int64_t count = 0;
-  bool is_data = false;
-  if (!ExpectedCount(page_id, &count, &is_data).ok()) return page_bytes_;
-  const size_t values =
-      static_cast<size_t>(count) *
-      (is_data ? static_cast<size_t>(num_attrs_) + 1
-               : 2 * static_cast<size_t>(num_attrs_));
-  return kPageHeaderBytes + values * sizeof(Value);
+  if (page_id < 1 || page_id > num_data_pages()) return page_bytes();
+  const int32_t leaf = page_leaf_[static_cast<size_t>(page_id - 1)];
+  return FrameBytesFor(nodes_[static_cast<size_t>(leaf)].rows);
 }
 
 Status BlockFile::DecodePage(int64_t page_id, const uint8_t* raw,
                              size_t raw_len, uint8_t* frame) const {
-  int64_t expected = 0;
-  bool is_data = false;
-  HDSKY_RETURN_IF_ERROR(ExpectedCount(page_id, &expected, &is_data));
-  const Extent ext = extent(page_id);
-  if (raw_len != ext.bytes || raw_len < kPageHeaderBytes) {
-    return Corrupt(path_, "page " + std::to_string(page_id) +
-                              " fetched with wrong extent");
+  if (page_id < 1 || page_id > num_data_pages()) {
+    return Corrupt(path_, "page id out of range");
+  }
+  const std::string page = "page " + std::to_string(page_id);
+  const int32_t leaf_id = page_leaf_[static_cast<size_t>(page_id - 1)];
+  const KdNode& leaf = nodes_[static_cast<size_t>(leaf_id)];
+  if (raw_len != extent(page_id).bytes || raw_len < kPageHeaderBytes) {
+    return Corrupt(path_, page + " fetched with wrong extent");
   }
   uint32_t crc, count;
   std::memcpy(&crc, raw, 4);
   std::memcpy(&count, raw + 4, 4);
-  // The count each page must carry is fully determined by the (CRC'd)
-  // header geometry, so demand the exact value — a flipped count field
-  // cannot redirect the CRC over a shorter payload.
-  if (static_cast<int64_t>(count) != expected) {
-    return Corrupt(path_, std::string(is_data ? "data" : "index") +
-                              " page " + std::to_string(page_id) +
-                              " has wrong " +
-                              (is_data ? "row" : "entry") + " count");
+  // The directory fixes each page's row count, so a flipped count field
+  // cannot redirect the decoder.
+  if (count != leaf.rows) {
+    return Corrupt(path_, page + " has wrong row count");
   }
-  const size_t decoded_values =
-      static_cast<size_t>(count) *
-      (is_data ? static_cast<size_t>(num_attrs_) + 1
-               : 2 * static_cast<size_t>(num_attrs_));
-  const size_t decoded_payload = decoded_values * sizeof(Value);
-
-  if (!compressed()) {
-    if (kPageHeaderBytes + decoded_payload > raw_len) {
-      return Corrupt(path_, "page payload exceeds slot");
-    }
-    const uint32_t actual = common::Crc32c(std::string_view(
-        reinterpret_cast<const char*>(raw + kPageHeaderBytes),
-        decoded_payload));
-    if (actual != crc) {
-      return Corrupt(path_,
-                     "page " + std::to_string(page_id) + " CRC mismatch");
-    }
-    std::memcpy(frame, raw, kPageHeaderBytes + decoded_payload);
-    return Status::OK();
-  }
-
-  // v2: the CRC covers the encoded payload, so corrupt bytes are caught
-  // before the decoder touches them; the decoder's own structural
-  // validation then guards against a wrong-but-CRC-consistent payload
-  // (e.g. a bug writing the file).
-  const size_t enc_payload = raw_len - kPageHeaderBytes;
-  const uint32_t actual = common::Crc32c(std::string_view(
-      reinterpret_cast<const char*>(raw + kPageHeaderBytes), enc_payload));
-  if (actual != crc) {
-    return Corrupt(path_,
-                   "page " + std::to_string(page_id) + " CRC mismatch");
+  // The CRC covers the stored payload, so corrupt bytes are caught
+  // before the decoder touches them; the decoder's structural checks
+  // and the rank/box checks below then guard against a wrong but
+  // CRC-consistent page.
+  const size_t stored = raw_len - kPageHeaderBytes;
+  if (common::Crc32c(std::string_view(
+          reinterpret_cast<const char*>(raw + kPageHeaderBytes), stored)) !=
+      crc) {
+    return Corrupt(path_, page + " CRC mismatch");
   }
   std::memcpy(frame, raw, kPageHeaderBytes);
   Value* dst = reinterpret_cast<Value*>(frame + kPageHeaderBytes);
   const uint8_t* p = raw + kPageHeaderBytes;
-  size_t remaining = enc_payload;
-  const size_t num_runs =
-      is_data ? static_cast<size_t>(num_attrs_) + 1 : 1;
-  const size_t run_values = is_data ? static_cast<size_t>(count)
-                                    : decoded_values;
-  for (size_t r = 0; r < num_runs; ++r) {
+  size_t remaining = stored;
+  for (int r = 0; r < num_attrs_ + 2; ++r) {
     size_t consumed = 0;
-    const Status st = DecodeRun(p, remaining, run_values, dst, &consumed);
-    if (!st.ok()) {
-      return Corrupt(path_, "page " + std::to_string(page_id) + ": " +
-                                st.message());
-    }
+    const Status st = DecodeRun(p, remaining, count, dst, &consumed);
+    if (!st.ok()) return Corrupt(path_, page + ": " + st.message());
     p += consumed;
     remaining -= consumed;
-    dst += run_values;
+    dst += count;
   }
   if (remaining != 0) {
-    return Corrupt(path_, "page " + std::to_string(page_id) +
-                              " has trailing encoded bytes");
+    return Corrupt(path_, page + " has trailing encoded bytes");
   }
-  // Rewrite the prologue CRC to cover the decoded payload: decoded
-  // frames are then bit-identical to the same page in a v1 file, so
-  // everything above the pool can treat the two formats as one.
-  const uint32_t decoded_crc = common::Crc32c(std::string_view(
-      reinterpret_cast<const char*>(frame + kPageHeaderBytes),
-      decoded_payload));
-  std::memcpy(frame, &decoded_crc, 4);
+  const DataPageView v = data_page(frame);
+  if (v.ranks[0] != leaf.min_rank || v.ranks[v.rows - 1] >= num_rows_) {
+    return Corrupt(path_, page + " ranks disagree with its k-d leaf");
+  }
+  for (int64_t i = 1; i < v.rows; ++i) {
+    if (v.ranks[i] <= v.ranks[i - 1]) {
+      return Corrupt(path_, page + " ranks are not strictly ascending");
+    }
+  }
+  const Value* box = node_box(leaf_id);
+  for (int a = 0; a < num_attrs_; ++a) {
+    const Value* run = v.values + static_cast<int64_t>(a) * v.rows;
+    for (int64_t i = 0; i < v.rows; ++i) {
+      if (run[i] < box[2 * a] || run[i] > box[2 * a + 1]) {
+        return Corrupt(path_, page + " holds a value outside its k-d box");
+      }
+    }
+  }
   return Status::OK();
 }
 

@@ -1,64 +1,60 @@
 // On-disk paged column-block file ("block file", extension .hdb): the
 // out-of-core backing store for a hidden database whose rows exceed RAM.
 //
-// Logical layout (identical in both format versions). The file is a
-// sequence of pages:
+// Format v3 (the only one this build reads). The file is:
 //
-//   page 0                  header (magic, geometry, ranking name,
-//                           serialized schema, CRC32C)
-//   pages 1..D              data pages, one column block each, in the
-//                           baked rank order (see below)
-//   pages D+1..             zone-map index pages, level 0 first
+//   offset 0                header (magic, version, geometry, ranking
+//                           name, serialized schema, CRC32C), padded to
+//                           a 4 KiB boundary
+//   pages 1..L              data pages, one per leaf of an exact-median
+//                           k-d tree over all rows (data/kd_split.h, the
+//                           split rule KdIndex uses), in leaf order, back
+//                           to back
+//   directory               per-page extents {offset, stored bytes}, then
+//                           the k-d node array, then a CRC32C; it ends
+//                           the file
 //
-// A *decoded* data page is an 8-byte header {u32 payload CRC32C, u32
-// row count}, then the PAX payload — the block's TupleIds followed by
-// the attribute-major value runs (values[a * rows + i]), which is
-// exactly the layout the fused leaf-match kernel
-// (interface/exec/kernels.h) consumes, so scans run unchanged on a
-// pinned frame.
+// A data page holds one leaf's rows in rank order (best first): an
+// 8-byte prologue {u32 CRC32C of the stored payload, u32 row count},
+// then m + 2 independently stored runs — the TupleIds, the rows' ranks
+// (their positions in the ranking's static order, 0 = best), and one run
+// per attribute. `Compression::kAuto` stores each run in the smallest of
+// the data/encoding.h encodings; `kOff` stores every run raw. Decoding
+// produces a *frame*: the prologue, then ids, ranks and the
+// attribute-major values (values[a * rows + i]) — the layout the fused
+// leaf-match kernel (interface/exec/kernels.h) consumes.
 //
-// Physical layout differs by version:
+// The directory's node array is the k-d tree in preorder (node 0 is the
+// root). Each node holds its minimum rank, its subtree's row count, its
+// bounding box (per attribute min/max over its rows, NULL included —
+// NULL sorts worst, so a box over NULLs has max == kNullValue), and
+// either two child indices or, for a leaf, its data page. Open checks
+// the directory's CRC and then its structure: children lie after their
+// parent and every node is reached exactly once; the leaves map onto
+// the pages one to one; every box contains its children's boxes; every
+// minimum rank is the minimum of its children's, leaf minima are
+// distinct ranks in [0, n) and the root's is 0. DecodePage checks each
+// page against its leaf: row count, ranks strictly ascending from the
+// leaf's minimum and below n, values inside the leaf's box. A directory
+// that passes these checks cannot send a reader outside the file or
+// into a loop; the CRCs are what vouch for its content.
 //
-//   v1 (--compress=off)  every page occupies a fixed page_bytes slot
-//                        (a multiple of 4 KiB); page id * page_bytes is
-//                        the page's offset, and the stored bytes ARE
-//                        the decoded bytes.
-//   v2 (--compress=auto) each page stores its column runs independently
-//                        encoded (data/encoding.h: FOR / delta /
-//                        dictionary, per-run raw fallback), starts at a
-//                        4 KiB-aligned offset, and is followed by a
-//                        trailing page directory {offset, encoded
-//                        bytes} per page (CRC32C'd, its offset
-//                        back-patched into the header). The page CRC
-//                        covers the *encoded* payload, so corruption is
-//                        caught before the decoder runs.
+// Out-of-core queries (exec::PagedEngine) walk the tree best-first by
+// minimum rank, skip nodes whose box misses the query, and pin only the
+// leaf pages they scan, so a box query reads the few pages it touches.
 //
-// Zone-map index: level 0 holds one entry per data page — per-attribute
-// (min, max) over the page, NULL included (NULL sorts worst, so a page
-// containing NULLs has max == kNullValue, mirroring the in-memory
-// BlockedColumns zone maps). Level l+1 aggregates `index_fanout`
-// consecutive level-l entries. The levels form an implicit STR-packed
-// tree over the rank-ordered page sequence: an in-order traversal
-// visits data pages in rank order, so a top-k scan can prune whole
-// subtrees on bounds and stop after k+1 matches — the paged equivalent
-// of the VectorEngine early exit. Index pages carry the same
-// {CRC, entry count} header (v2: a single encoded run of the zone
-// values) and go through the same buffer pool.
+// Files written in the retired formats (v1: rank-ordered fixed slots,
+// v2: rank-ordered encoded pages, both with zone-map index levels) are
+// refused with an error that asks for a re-pack: `.hdb` is a local cache
+// of a dataset, not an interchange format, and `hdsky_pack` rebuilds it.
 //
-// Rank order is baked at write time: rows MUST be appended
-// best-rank-first (dataset/pack.h does this via the ranking policy's
-// static order), and the header records the ranking's name. Readers
-// trust the stored order; that is what makes paged top-k exact without
-// materializing a rank permutation in memory.
-//
-// All integers are host-endian (the file is a local cache format, not
-// an interchange format). Writes go through common::AtomicFileWriter,
-// so a crashed bulk load never leaves a torn file under the target
-// name; torn or bit-flipped pages are caught by the per-page CRC at
-// buffer-pool load time. Reading goes through a pluggable
-// data::ReadPath (mmap or pread; see read_path.h) owned by the buffer
-// pool — BlockFile itself only parses the header, keeps the fd, and
-// decodes fetched bytes.
+// All integers are host-endian. Writes go through
+// common::AtomicFileWriter, so a crashed bulk load never leaves a torn
+// file under the target name; torn or bit-flipped pages are caught by
+// the per-page CRC at buffer-pool load time. Reading goes through a
+// pluggable data::ReadPath (mmap or pread; see read_path.h) owned by the
+// buffer pool — BlockFile itself parses the header and directory, keeps
+// the fd, and decodes fetched bytes.
 
 #ifndef HDSKY_DATA_BLOCK_FILE_H_
 #define HDSKY_DATA_BLOCK_FILE_H_
@@ -68,7 +64,6 @@
 #include <string>
 #include <vector>
 
-#include "common/fs_util.h"
 #include "common/status.h"
 #include "data/schema.h"
 #include "data/value.h"
@@ -76,40 +71,38 @@
 namespace hdsky {
 namespace data {
 
-inline constexpr uint32_t kBlockFileVersion = 1;
-inline constexpr uint32_t kBlockFileVersionCompressed = 2;
+inline constexpr uint32_t kBlockFileVersion = 3;
 inline constexpr size_t kBlockFileAlign = 4096;
 inline constexpr size_t kPageHeaderBytes = 8;  // u32 CRC + u32 count
-inline constexpr int kMaxIndexLevels = 8;
+
+/// Most rows per leaf page when the caller does not choose: the smallest
+/// size on the measured plateau of server CPU per query (256 to 2,048
+/// rows on perfbench's `rq_paged_journal`; docs/storage.md, "Choosing
+/// the page size").
+inline constexpr int64_t kDefaultRowsPerBlock = 256;
 
 enum class Compression : uint8_t {
-  /// Format v1: raw fixed-slot pages. Bit-compatible with files written
-  /// before compression existed.
+  /// Every run stored raw.
   kOff = 0,
-  /// Format v2: per-run encoding chosen by the writer (smallest of
-  /// FOR / delta / dictionary / raw).
+  /// Each run in the smallest of FOR / delta / dictionary / raw.
   kAuto = 1,
 };
 
 struct BlockFileOptions {
-  /// Rows per data page. Larger blocks amortize pin/CRC overhead;
-  /// smaller blocks give finer zone-map pruning and a finer-grained
-  /// buffer pool.
-  int64_t rows_per_block = 4096;
-  /// Children per zone-map index node.
-  int index_fanout = 64;
-  /// Physical page encoding (see Compression).
+  /// Largest leaf, in rows. The k-d build splits any larger range.
+  int64_t rows_per_block = kDefaultRowsPerBlock;
+  /// Physical run encoding (see Compression).
   Compression compression = Compression::kAuto;
 };
 
-/// Byte accounting filled by BlockFileWriter::Finish, surfaced by
-/// `hdsky_pack --stats`. Column 0 is the TupleId run; columns 1..m are
-/// the schema attributes in order.
+/// Byte accounting filled by WriteBlockFile, surfaced by
+/// `hdsky_pack --stats`. Column 0 is the TupleId run, column 1 the rank
+/// run; columns 2..m+1 are the schema attributes in order.
 struct BlockFileWriteStats {
   int64_t rows = 0;
   int64_t data_pages = 0;
-  int64_t index_pages = 0;
-  int num_index_levels = 0;
+  int64_t kd_nodes = 0;
+  int kd_depth = 0;  // edges from the root to the deepest leaf
   uint64_t file_bytes = 0;
   struct Column {
     uint64_t raw_bytes = 0;      // 8 * values
@@ -128,73 +121,21 @@ struct BlockFileWriteStats {
   }
 };
 
-/// Streaming bounded-memory writer: holds one block buffer plus one
-/// 2m-value zone entry per data page written (a few bytes per page), so
-/// packing a dataset ≫ RAM never materializes it.
-class BlockFileWriter {
- public:
-  /// Opens "<path>.tmp.<pid>" and reserves the header page. `ranking`
-  /// names the order rows will arrive in (recorded in the header).
-  static common::Result<std::unique_ptr<BlockFileWriter>> Create(
-      const std::string& path, const Schema& schema,
-      const std::string& ranking, const BlockFileOptions& options);
-
-  /// Appends one row (`num_attributes` values) with its original
-  /// TupleId. Rows must arrive best-rank-first.
-  common::Status Append(TupleId id, const Value* row);
-
-  /// Flushes the tail block, writes the index levels, directory (v2),
-  /// and header, and atomically renames the file into place. Returns
-  /// rows written.
-  common::Result<int64_t> Finish();
-
-  int64_t rows_written() const { return rows_written_; }
-
-  /// Valid after Finish().
-  const BlockFileWriteStats& stats() const { return stats_; }
-
- private:
-  BlockFileWriter() = default;
-
-  common::Status FlushBlock();
-  /// Encodes + appends one page (v2) or writes the fixed slot (v1).
-  /// `runs[r]` points at `counts[r]` values; the decoded payload is the
-  /// runs concatenated. `col_stat` indexes stats_.columns for data
-  /// pages, or -1 for index pages.
-  common::Status AppendPage(const Value* const* runs,
-                            const size_t* counts, size_t num_runs,
-                            uint32_t entry_count, int first_col_stat);
-
-  std::unique_ptr<common::AtomicFileWriter> out_;
-  Schema schema_;
-  std::string ranking_;
-  int64_t rows_per_block_ = 0;
-  int index_fanout_ = 0;
-  size_t page_bytes_ = 0;
-  int num_attrs_ = 0;
-  Compression compression_ = Compression::kAuto;
-
-  // Current partially-filled block.
-  std::vector<TupleId> ids_;
-  std::vector<std::vector<Value>> cols_;
-  // Per-data-page zone entries: 2 * num_attrs values each (min, max).
-  std::vector<Value> level0_zones_;
-  int64_t rows_written_ = 0;
-  int64_t data_pages_ = 0;
-  std::vector<uint8_t> page_buf_;
-  // v2 page directory under construction: offset + encoded size per
-  // page (entry 0 covers the header page).
-  std::vector<uint64_t> page_offsets_;
-  std::vector<uint32_t> page_enc_bytes_;
-  BlockFileWriteStats stats_;
-  bool finished_ = false;
-};
+/// Writes a format-v3 file at `path` through a temp file, fsync and
+/// rename. `ids` lists the rows best-rank-first (ids[r] has rank r) and
+/// `rows` holds their values row-major, schema.num_attributes() per row,
+/// in the same order; the k-d build permutes `rows` in place. `ranking`
+/// names the order (recorded in the header).
+common::Result<BlockFileWriteStats> WriteBlockFile(
+    const std::string& path, const Schema& schema,
+    const std::string& ranking, const BlockFileOptions& options,
+    const std::vector<TupleId>& ids, std::vector<Value> rows);
 
 /// Read-side view of a block file: Open parses and validates the header
-/// (and, for v2, the page directory) via pread(2), then keeps only the
-/// fd. Fetching page bytes is the ReadPath's job and residency /
-/// decoding / eviction are the BufferPool's — everything here is
-/// immutable after Open and safe to share across threads.
+/// and the directory via pread(2), then keeps the fd and the directory.
+/// Fetching page bytes is the ReadPath's job and residency / decoding /
+/// eviction are the BufferPool's — everything here is immutable after
+/// Open and safe to share across threads.
 class BlockFile {
  public:
   static common::Result<std::unique_ptr<BlockFile>> Open(
@@ -207,24 +148,19 @@ class BlockFile {
   const Schema& schema() const { return schema_; }
   const std::string& ranking_name() const { return ranking_; }
   const std::string& path() const { return path_; }
-  uint32_t version() const { return version_; }
-  bool compressed() const { return version_ >= kBlockFileVersionCompressed; }
+  Compression compression() const { return compression_; }
   int fd() const { return fd_; }
   int64_t num_rows() const { return num_rows_; }
-  int64_t num_data_pages() const { return num_data_pages_; }
+  int64_t num_data_pages() const {
+    return static_cast<int64_t>(extents_.size());
+  }
   int num_attributes() const { return num_attrs_; }
   int64_t rows_per_block() const { return rows_per_block_; }
-  /// Decoded capacity of a full page (frame sizes never exceed this).
-  size_t page_bytes() const { return page_bytes_; }
-  int64_t total_pages() const { return total_pages_; }
+  /// Decoded size of a full leaf's frame (no frame exceeds this).
+  size_t page_bytes() const { return FrameBytesFor(rows_per_block_); }
+  /// Pool page ids run over [1, total_pages()); 0 is the header.
+  int64_t total_pages() const { return 1 + num_data_pages(); }
   uint64_t file_bytes() const { return file_bytes_; }
-  int index_fanout() const { return index_fanout_; }
-  int num_index_levels() const {
-    return static_cast<int>(level_counts_.size());
-  }
-  int64_t level_entries(int level) const {
-    return level_counts_[static_cast<size_t>(level)];
-  }
   /// Logical payload bytes: ids + values of every row. The out-of-core
   /// ratio in the benches is data_bytes() / pool budget.
   uint64_t data_bytes() const {
@@ -233,10 +169,25 @@ class BlockFile {
   }
 
   int64_t data_page_id(int64_t block) const { return 1 + block; }
-  int64_t index_entries_per_page() const { return index_entries_per_page_; }
-  int64_t index_page_id(int level, int64_t entry) const {
-    return level_start_pages_[static_cast<size_t>(level)] +
-           entry / index_entries_per_page_;
+
+  /// A k-d node of the directory. Internal nodes have left, right >= 0
+  /// and page == -1; leaves have left == right == -1 and page = their
+  /// data page index (pool page id data_page_id(page)).
+  struct KdNode {
+    int64_t min_rank;
+    int32_t left;
+    int32_t right;
+    int32_t page;
+    uint32_t rows;
+  };
+  int32_t num_nodes() const { return static_cast<int32_t>(nodes_.size()); }
+  const KdNode& node(int32_t i) const {
+    return nodes_[static_cast<size_t>(i)];
+  }
+  /// Node i's box: box[2a] = min, box[2a + 1] = max of attribute a.
+  const Value* node_box(int32_t i) const {
+    return boxes_.data() +
+           static_cast<size_t>(i) * 2 * static_cast<size_t>(num_attrs_);
   }
 
   /// Physical location of a page's stored (possibly encoded) bytes.
@@ -245,76 +196,61 @@ class BlockFile {
     uint32_t bytes;
   };
   Extent extent(int64_t page_id) const {
-    if (!compressed()) {
-      return Extent{static_cast<uint64_t>(page_id) * page_bytes_,
-                    static_cast<uint32_t>(page_bytes_)};
-    }
-    return Extent{page_offsets_[static_cast<size_t>(page_id)],
-                  page_enc_bytes_[static_cast<size_t>(page_id)]};
+    return extents_[static_cast<size_t>(page_id - 1)];
   }
 
-  /// Exact decoded size of a page's frame: 8-byte header + the decoded
-  /// payload (never exceeds page_bytes()).
+  /// Exact decoded size of a page's frame: 8-byte prologue + ids + ranks
+  /// + values (never exceeds page_bytes()).
   size_t frame_bytes(int64_t page_id) const;
 
-  /// Validates the fetched bytes of a page (exact expected entry count
-  /// from the CRC'd header geometry, then CRC32C over the stored
-  /// payload) and materializes the decoded frame — `frame` must hold
-  /// frame_bytes(page_id). For v1 this is verify + copy; for v2 the
-  /// column runs are decoded into the v1 frame layout. Any structural
-  /// inconsistency in the encoded runs fails like a CRC mismatch.
+  /// Validates the fetched bytes of a page (row count from the
+  /// directory, then CRC32C over the stored payload), decodes its runs
+  /// into `frame` — which must hold frame_bytes(page_id) — and checks
+  /// the decoded ranks and values against the page's leaf. Any
+  /// inconsistency fails like a CRC mismatch.
   common::Status DecodePage(int64_t page_id, const uint8_t* raw,
                             size_t raw_len, uint8_t* frame) const;
 
   struct DataPageView {
     int64_t rows;
     const TupleId* ids;
-    const Value* values;  // attribute-major runs: values[a * rows + i]
+    const int64_t* ranks;  // strictly ascending
+    const Value* values;   // attribute-major runs: values[a * rows + i]
   };
   DataPageView data_page(const uint8_t* frame) const {
     DataPageView v;
     v.rows = static_cast<int64_t>(
         reinterpret_cast<const uint32_t*>(frame)[1]);
     v.ids = reinterpret_cast<const TupleId*>(frame + kPageHeaderBytes);
-    v.values = reinterpret_cast<const Value*>(frame + kPageHeaderBytes) +
-               v.rows;
+    v.ranks = reinterpret_cast<const int64_t*>(v.ids + v.rows);
+    v.values = reinterpret_cast<const Value*>(v.ranks + v.rows);
     return v;
-  }
-
-  /// Zone entry `slot` of an index frame: 2 * num_attributes values,
-  /// entry[2a] = min, entry[2a + 1] = max of attribute a.
-  const Value* index_entry(const uint8_t* frame, int64_t slot) const {
-    return reinterpret_cast<const Value*>(frame + kPageHeaderBytes) +
-           slot * 2 * num_attrs_;
   }
 
  private:
   BlockFile() = default;
 
-  /// Entries (rows or zone entries) page_id must carry, derived from
-  /// the validated geometry. Sets *is_data. Fails for out-of-range ids.
-  common::Status ExpectedCount(int64_t page_id, int64_t* count,
-                               bool* is_data) const;
+  size_t FrameBytesFor(int64_t rows) const {
+    return kPageHeaderBytes + static_cast<size_t>(rows) *
+                                  (static_cast<size_t>(num_attrs_) + 2) *
+                                  sizeof(Value);
+  }
+  /// Structural checks of the parsed node array (see the file comment).
+  common::Status ValidateTree();
 
   std::string path_;
   Schema schema_;
   std::string ranking_;
   int fd_ = -1;
-  uint32_t version_ = 0;
+  Compression compression_ = Compression::kAuto;
   uint64_t file_bytes_ = 0;
-  size_t page_bytes_ = 0;
   int64_t rows_per_block_ = 0;
   int num_attrs_ = 0;
   int64_t num_rows_ = 0;
-  int64_t num_data_pages_ = 0;
-  int64_t total_pages_ = 0;
-  int index_fanout_ = 0;
-  int64_t index_entries_per_page_ = 0;
-  std::vector<int64_t> level_counts_;
-  std::vector<int64_t> level_start_pages_;
-  // v2 page directory.
-  std::vector<uint64_t> page_offsets_;
-  std::vector<uint32_t> page_enc_bytes_;
+  std::vector<Extent> extents_;  // data page b at extents_[b]
+  std::vector<KdNode> nodes_;
+  std::vector<Value> boxes_;  // 2 * num_attrs_ per node
+  std::vector<int32_t> page_leaf_;  // data page b -> its leaf node
 };
 
 }  // namespace data

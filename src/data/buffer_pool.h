@@ -1,23 +1,23 @@
 // LRU buffer pool of decoded page frames over a BlockFile.
 //
 // The pool owns the decoded memory: a *frame* is a heap buffer holding
-// a page in the v1 layout ({CRC, count} header + PAX payload) that the
-// kernels consume directly. Loading a page means fetching its stored
-// extent through the pluggable ReadPath (mmap fault or pread copy),
-// CRC-verifying the stored bytes, and decoding them into a pool-owned
-// frame (for v1 files the "decode" is a verify + copy). Both
-// column-block data pages and zone-map index pages go through the same
-// pool, so one byte budget bounds the whole decoded working set.
+// one k-d leaf page in its decoded layout ({CRC, count} prologue, then
+// ids, ranks and attribute-major values) that the kernels consume
+// directly. Loading a page means fetching its stored extent through the
+// pluggable ReadPath (mmap fault or pread copy), CRC-verifying the
+// stored bytes, and decoding them into a pool-owned frame. Only data
+// pages go through the pool — the k-d directory stays in the BlockFile
+// — so the byte budget bounds the decoded leaves a query touches.
 //
 // Readahead: with the pread path, Prefetch(ids) enqueues up to
 // `readahead_pages` page ids to a single worker thread that performs
-// the fetch + decode asynchronously, so a zone-DFS that hints its next
-// leaves overlaps disk latency with scan work. Prefetch shares the
-// single-flight machinery with Pin (a pin of an in-flight prefetch
-// waits instead of re-reading) and never evicts to make room — if the
-// budget has no free headroom (the eviction-churn regime) the hint is
-// dropped, so readahead cannot thrash the working set. On the mmap
-// path the hints degrade to MADV_WILLNEED.
+// the fetch + decode asynchronously. Prefetch shares the single-flight
+// machinery with Pin (a pin of an in-flight prefetch waits instead of
+// re-reading) and never evicts to make room — if the budget has no free
+// headroom (the eviction-churn regime) the hint is dropped, so
+// readahead cannot thrash the working set. On the mmap path the hints
+// degrade to MADV_WILLNEED. The paged engine's best-first walk does not
+// hint: it learns which leaf comes next only as it goes.
 //
 // Invariants (exercised by tests/storage_test.cc, TSan-clean under the
 // event server's concurrent sessions):

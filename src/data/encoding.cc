@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_set>
 
 namespace hdsky {
 namespace data {
@@ -172,14 +171,40 @@ size_t EncodeDelta(const Value* values, size_t n, std::vector<uint8_t>* out) {
   return kRunHeaderBytes + body;
 }
 
+// Collects the distinct values of values[0..n) into *dict (unordered)
+// through an open-addressing set reused across calls, so short runs pay
+// no allocation. Returns false once more than kDictMaxCardinality are
+// seen.
+bool DistinctValues(const Value* values, size_t n,
+                    std::vector<int64_t>* dict) {
+  thread_local std::vector<int64_t> slots;
+  thread_local std::vector<uint8_t> used;
+  int shift = 60;  // 16 slots
+  while ((size_t{1} << (64 - shift)) <
+         2 * std::min(n, kDictMaxCardinality + 1)) {
+    --shift;
+  }
+  const size_t mask = (size_t{1} << (64 - shift)) - 1;
+  slots.resize(mask + 1);
+  used.assign(mask + 1, 0);
+  dict->clear();
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t v = static_cast<uint64_t>(values[i]);
+    size_t h = static_cast<size_t>((v * 0x9E3779B97F4A7C15ull) >> shift);
+    while (used[h] != 0 && slots[h] != values[i]) h = (h + 1) & mask;
+    if (used[h] != 0) continue;
+    used[h] = 1;
+    slots[h] = values[i];
+    dict->push_back(values[i]);
+    if (dict->size() > kDictMaxCardinality) return false;
+  }
+  return true;
+}
+
 size_t EncodeDict(const Value* values, size_t n, std::vector<uint8_t>* out) {
   if (n == 0) return 0;
-  std::unordered_set<int64_t> seen;
-  for (size_t i = 0; i < n; ++i) {
-    seen.insert(values[i]);
-    if (seen.size() > kDictMaxCardinality) return 0;
-  }
-  std::vector<int64_t> dict(seen.begin(), seen.end());
+  thread_local std::vector<int64_t> dict;
+  if (!DistinctValues(values, n, &dict)) return 0;
   std::sort(dict.begin(), dict.end());
   uint32_t width = BitWidth(dict.size() - 1);
   size_t body = 8 + dict.size() * 8 + PackedBytes(n, width);
@@ -226,11 +251,8 @@ size_t PredictDelta(const Value* values, size_t n) {
 
 size_t PredictDict(const Value* values, size_t n) {
   if (n == 0) return SIZE_MAX;
-  std::unordered_set<int64_t> seen;
-  for (size_t i = 0; i < n; ++i) {
-    seen.insert(values[i]);
-    if (seen.size() > kDictMaxCardinality) return SIZE_MAX;
-  }
+  thread_local std::vector<int64_t> seen;
+  if (!DistinctValues(values, n, &seen)) return SIZE_MAX;
   uint32_t width = BitWidth(seen.size() - 1);
   return kRunHeaderBytes + 8 + seen.size() * 8 + PackedBytes(n, width);
 }

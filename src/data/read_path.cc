@@ -47,11 +47,14 @@ class MmapReadPath final : public ReadPath {
 
  private:
   void Advise(uint64_t off, size_t len, int advice) {
-    // Extents start 4 KiB-aligned by format; round the length up so the
-    // advice covers the tail page. Best-effort.
-    if (off % kPageAlign != 0 || off + len > bytes_) return;
-    ::madvise(const_cast<uint8_t*>(base_) + off,
-              (len + kPageAlign - 1) / kPageAlign * kPageAlign, advice);
+    // Extents are packed back to back, so advise only the memory pages
+    // that lie wholly inside this one: a neighbour's bytes may be in
+    // use. Best-effort.
+    if (off + len > bytes_) return;
+    const uint64_t first = (off + kPageAlign - 1) / kPageAlign * kPageAlign;
+    const uint64_t last = (off + len) / kPageAlign * kPageAlign;
+    if (first >= last) return;
+    ::madvise(const_cast<uint8_t*>(base_) + first, last - first, advice);
   }
 
   const uint8_t* base_;

@@ -26,21 +26,18 @@ Result<int64_t> PackTable(
         "ranking '" + ranking->name() +
         "' has no static order and cannot be packed");
   }
-  HDSKY_ASSIGN_OR_RETURN(
-      std::unique_ptr<data::BlockFileWriter> writer,
-      data::BlockFileWriter::Create(path, table.schema(), ranking->name(),
-                                    options));
   const int m = table.schema().num_attributes();
-  std::vector<Value> row(static_cast<size_t>(m));
+  std::vector<Value> rows;
+  rows.reserve(order->size() * static_cast<size_t>(m));
   for (const TupleId id : *order) {
-    for (int a = 0; a < m; ++a) {
-      row[static_cast<size_t>(a)] = table.value(id, a);
-    }
-    HDSKY_RETURN_IF_ERROR(writer->Append(id, row.data()));
+    for (int a = 0; a < m; ++a) rows.push_back(table.value(id, a));
   }
-  HDSKY_ASSIGN_OR_RETURN(const int64_t rows, writer->Finish());
-  if (stats != nullptr) *stats = writer->stats();
-  return rows;
+  HDSKY_ASSIGN_OR_RETURN(
+      data::BlockFileWriteStats written,
+      data::WriteBlockFile(path, table.schema(), ranking->name(), options,
+                           *order, std::move(rows)));
+  if (stats != nullptr) *stats = written;
+  return written.rows;
 }
 
 }  // namespace dataset

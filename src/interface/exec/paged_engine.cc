@@ -1,6 +1,9 @@
 #include "interface/exec/paged_engine.h"
 
 #include <algorithm>
+#include <functional>
+#include <limits>
+#include <utility>
 
 #include "data/block_file.h"
 #include "data/buffer_pool.h"
@@ -13,7 +16,6 @@ using data::BlockFile;
 using data::BufferPool;
 using data::TupleId;
 using data::Value;
-using common::Result;
 using common::Status;
 
 namespace {
@@ -21,14 +23,15 @@ namespace {
 /// Per-thread reusable buffers, mirroring VectorEngine's discipline:
 /// steady-state execution allocates only the QueryResult handed back.
 struct Scratch {
+  /// Pending k-d nodes as (minimum rank, node id), a min-heap.
+  std::vector<std::pair<int64_t, int32_t>> heap;
   std::vector<int32_t> sel;
-  std::vector<TupleId> ids;     // matched row ids, rank order
-  std::vector<Value> values;    // matched rows' values, m per match
-  struct Node {
-    int level;
-    int64_t entry;
-  };
-  std::vector<Node> stack;
+  // Candidates: every match taken from a scanned leaf.
+  std::vector<TupleId> ids;
+  std::vector<int64_t> ranks;
+  std::vector<Value> values;  // m per candidate
+  /// Indexes of the best candidates so far, rank-ascending, at most k+1.
+  std::vector<int32_t> best;
 };
 
 Scratch& LocalScratch() {
@@ -36,83 +39,115 @@ Scratch& LocalScratch() {
   return scratch;
 }
 
-/// True when the zone entry (min/max per attribute) cannot intersect
-/// some bound — same test as the in-memory BlockedColumns prune.
-bool Prunable(const Value* zone, const std::vector<AttrBound>& bounds) {
+/// True when the box (min/max per attribute) cannot intersect some
+/// bound.
+bool Misses(const Value* box, const std::vector<AttrBound>& bounds) {
   for (const AttrBound& bd : bounds) {
-    const Value zmin = zone[2 * bd.attr];
-    const Value zmax = zone[2 * bd.attr + 1];
-    if (bd.lo > zmax || bd.hi < zmin) return true;
+    if (bd.lo > box[2 * bd.attr + 1] || bd.hi < box[2 * bd.attr]) {
+      return true;
+    }
   }
   return false;
 }
 
-/// Scans one pinned data page, appending matches (id + values) to the
-/// scratch until `want` total matches are held.
-void ScanPage(const BlockFile& file, const uint8_t* page,
-              const std::vector<AttrBound>& bounds, int64_t want,
-              Scratch* scr) {
-  const BlockFile::DataPageView view = file.data_page(page);
+/// Scans one pinned leaf page and merges its matches into the best
+/// k+1. Rows sit in rank order, so only the rows ranked above
+/// `threshold` (the current (k+1)-th best) and, of those, the first
+/// `want` matches can enter.
+void ScanLeaf(const BlockFile& file, const uint8_t* frame,
+              const std::vector<AttrBound>& bounds, int64_t threshold,
+              int64_t want, Scratch* scr) {
+  const BlockFile::DataPageView view = file.data_page(frame);
   const int64_t rows = view.rows;
-  const int num_attrs = file.num_attributes();
+  const int64_t limit =
+      std::lower_bound(view.ranks, view.ranks + rows, threshold) -
+      view.ranks;
   scr->sel.resize(static_cast<size_t>(rows));
   int32_t* sel = scr->sel.data();
-  int32_t count = 0;
-
-  const int64_t have = static_cast<int64_t>(scr->ids.size());
+  int64_t count = 0;
   if (bounds.empty()) {
-    count = static_cast<int32_t>(std::min(rows, want - have));
+    count = std::min(limit, want);
     for (int32_t i = 0; i < count; ++i) sel[i] = i;
-  } else if (4 * want >= rows) {
-    // Broad query: the early-exit target is within reach of the first
-    // chunks — run the same adaptive chunk loop as VectorEngine so we
-    // never pay for the rest of the page.
+  } else if (limit == rows && 4 * want < rows) {
+    // Selective query over the whole page: one fused pass.
+    count = std::min<int64_t>(
+        LeafMatchKernel()(view.values, rows, bounds.data(),
+                          static_cast<int>(bounds.size()), sel),
+        want);
+  } else {
+    // Broad query, or a page cut short by the threshold: adaptive chunks
+    // over [0, limit), stopping at `want` matches.
     int64_t chunk = std::max<int64_t>(32, 4 * want);
-    int64_t taken = have;
-    for (int64_t cb = 0; cb < rows && taken < want;
+    for (int64_t cb = 0; cb < limit && count < want;
          cb += chunk, chunk = std::min<int64_t>(chunk * 2, 1024)) {
       const int32_t n =
-          static_cast<int32_t>(std::min<int64_t>(chunk, rows - cb));
+          static_cast<int32_t>(std::min<int64_t>(chunk, limit - cb));
       int32_t c = SelectInterval(
           view.values + static_cast<int64_t>(bounds[0].attr) * rows + cb,
           n, bounds[0], sel + count);
       for (size_t j = 1; j < bounds.size() && c > 0; ++j) {
         c = RefineInterval(
-            view.values + static_cast<int64_t>(bounds[j].attr) * rows +
-                cb,
+            view.values + static_cast<int64_t>(bounds[j].attr) * rows + cb,
             bounds[j], sel + count, c);
       }
       // Chunk positions are chunk-relative; rebase and clip to want.
-      c = static_cast<int32_t>(
-          std::min<int64_t>(c, want - taken));
+      c = static_cast<int32_t>(std::min<int64_t>(c, want - count));
       for (int32_t i = 0; i < c; ++i) {
         sel[count + i] += static_cast<int32_t>(cb);
       }
       count += c;
-      taken += c;
     }
-  } else {
-    // Selective query: one fused pass over the whole page.
-    count = LeafMatchKernel()(view.values, rows, bounds.data(),
-                              static_cast<int>(bounds.size()), sel);
-    count = static_cast<int32_t>(
-        std::min<int64_t>(count, want - have));
   }
+  if (count == 0) return;
 
-  for (int32_t i = 0; i < count; ++i) {
-    const int64_t pos = sel[i];
-    scr->ids.push_back(view.ids[pos]);
-    for (int a = 0; a < num_attrs; ++a) {
-      scr->values.push_back(
-          view.values[static_cast<int64_t>(a) * rows + pos]);
+  const size_t m = static_cast<size_t>(file.num_attributes());
+  const size_t first = scr->ids.size();
+  scr->ids.resize(first + static_cast<size_t>(count));
+  scr->ranks.resize(first + static_cast<size_t>(count));
+  scr->values.resize((first + static_cast<size_t>(count)) * m);
+  TupleId* ids = scr->ids.data() + first;
+  int64_t* ranks = scr->ranks.data() + first;
+  Value* values = scr->values.data() + first * m;
+  for (int64_t i = 0; i < count; ++i) {
+    ids[i] = view.ids[sel[i]];
+    ranks[i] = view.ranks[sel[i]];
+  }
+  for (size_t a = 0; a < m; ++a) {
+    const Value* run = view.values + static_cast<int64_t>(a) * rows;
+    for (int64_t i = 0; i < count; ++i) {
+      values[static_cast<size_t>(i) * m + a] = run[sel[i]];
+    }
+  }
+  // Both runs are rank-ascending: merge from the back, in place, keeping
+  // the first `want`. Work is proportional to the entries that move, not
+  // to k.
+  std::vector<int32_t>& best = scr->best;
+  const auto rank_of = [&](int32_t cand) {
+    return scr->ranks[static_cast<size_t>(cand)];
+  };
+  const int64_t b = static_cast<int64_t>(best.size());
+  const int64_t keep = std::min(b + count, want);
+  int64_t i = b - 1;
+  int64_t j = count - 1;
+  const int32_t base = static_cast<int32_t>(first);
+  for (int64_t drop = b + count - keep; drop > 0; --drop) {
+    if (j < 0 || (i >= 0 && rank_of(best[static_cast<size_t>(i)]) >
+                                rank_of(base + static_cast<int32_t>(j)))) {
+      --i;
+    } else {
+      --j;
+    }
+  }
+  best.resize(static_cast<size_t>(keep));
+  for (int64_t pos = keep - 1; j >= 0; --pos) {
+    if (i >= 0 && rank_of(best[static_cast<size_t>(i)]) >
+                      rank_of(base + static_cast<int32_t>(j))) {
+      best[static_cast<size_t>(pos)] = best[static_cast<size_t>(i--)];
+    } else {
+      best[static_cast<size_t>(pos)] = base + static_cast<int32_t>(j--);
     }
   }
 }
-
-/// How many upcoming data pages a scan hints to the pool before each
-/// pin. Matches the pool's default readahead queue depth; hints past
-/// the queue or the budget's free headroom are dropped by the pool.
-constexpr int kPrefetchDepth = 8;
 
 }  // namespace
 
@@ -127,129 +162,67 @@ Status PagedEngine::ExecuteTopK(const std::vector<AttrBound>& bounds,
   const BlockFile& file = table_->file();
   BufferPool* pool = table_->pool();
   Scratch& scr = LocalScratch();
+  scr.heap.clear();
   scr.ids.clear();
+  scr.ranks.clear();
   scr.values.clear();
+  scr.best.clear();
   const int64_t want = static_cast<int64_t>(k) + 1;
   const int num_attrs = file.num_attributes();
+  const auto by_min_rank = std::greater<std::pair<int64_t, int32_t>>();
 
-  if (file.num_data_pages() > 0) {
-    if (bounds.empty()) {
-      // Unconstrained: the first pages in rank order are the answer —
-      // no zone consultation needed.
-      for (int64_t b = 0;
-           b < file.num_data_pages() &&
-           static_cast<int64_t>(scr.ids.size()) < want;
-           ++b) {
-        HDSKY_ASSIGN_OR_RETURN(BufferPool::PageRef ref,
-                               pool->Pin(file.data_page_id(b)));
-        // Readahead triggers on a proven multi-page scan, not on the
-        // first page: broad queries fill k from page one, and a hint
-        // issued for their benefit would fetch pages the query never
-        // reads. Hinting after the pin (not before) keeps the pool's
-        // headroom guard honest — it sees this page resident and only
-        // accepts readahead the budget can hold — and the worker's
-        // fetch+decode of the next pages overlaps this page's scan.
-        if (b > 0) {
-          int64_t ahead[kPrefetchDepth];
-          int n_ahead = 0;
-          for (int64_t nb = b + 1;
-               nb < file.num_data_pages() && n_ahead < kPrefetchDepth;
-               ++nb) {
-            ahead[n_ahead++] = file.data_page_id(nb);
-          }
-          pool->Prefetch(ahead, n_ahead);
-        }
-        ScanPage(file, ref.data(), bounds, want, &scr);
-      }
-    } else {
-      // DFS over the zone-map levels, children pushed in reverse so
-      // data pages are visited in ascending — i.e. rank — order. One
-      // index PageRef is cached per level: consecutive entries of a
-      // level share pages, so the common case re-pins nothing.
-      const int levels = file.num_index_levels();
-      BufferPool::PageRef level_ref[data::kMaxIndexLevels];
-      int64_t level_page[data::kMaxIndexLevels];
-      std::fill(level_page, level_page + data::kMaxIndexLevels,
-                int64_t{-1});
-      auto zone_of = [&](int level,
-                         int64_t entry) -> Result<const Value*> {
-        const int64_t pid = file.index_page_id(level, entry);
-        if (level_page[level] != pid) {
-          HDSKY_ASSIGN_OR_RETURN(level_ref[level], pool->Pin(pid));
-          level_page[level] = pid;
-        }
-        return file.index_entry(level_ref[level].data(),
-                                entry % file.index_entries_per_page());
-      };
-
-      scr.stack.clear();
-      int64_t data_pages_scanned = 0;
-      const int top = levels - 1;
-      for (int64_t e = file.level_entries(top) - 1; e >= 0; --e) {
-        scr.stack.push_back(Scratch::Node{top, e});
-      }
-      while (!scr.stack.empty() &&
-             static_cast<int64_t>(scr.ids.size()) < want) {
-        const Scratch::Node node = scr.stack.back();
-        scr.stack.pop_back();
-        HDSKY_ASSIGN_OR_RETURN(const Value* zone,
-                               zone_of(node.level, node.entry));
-        if (Prunable(zone, bounds)) continue;
-        if (node.level == 0) {
-          HDSKY_ASSIGN_OR_RETURN(
-              BufferPool::PageRef ref,
-              pool->Pin(file.data_page_id(node.entry)));
-          // The next leaves the DFS will visit sit on top of the
-          // stack; hint their data pages so the pread worker overlaps
-          // their fetch+decode with this page's scan. (Some may yet be
-          // pruned — a readahead hint, not a promise.) Readahead only
-          // starts once the scan has proven multi-page: a broad query
-          // fills k from its first page, and prefetching on its behalf
-          // fetches pages the query never reads. Hinting after the pin
-          // keeps the pool's headroom guard honest: readahead is only
-          // accepted when the budget can hold it alongside the page
-          // being scanned.
-          if (data_pages_scanned > 0) {
-            int64_t ahead[kPrefetchDepth];
-            int n_ahead = 0;
-            for (auto it = scr.stack.rbegin();
-                 it != scr.stack.rend() && n_ahead < kPrefetchDepth;
-                 ++it) {
-              if (it->level != 0) break;
-              ahead[n_ahead++] = file.data_page_id(it->entry);
-            }
-            pool->Prefetch(ahead, n_ahead);
-          }
-          ++data_pages_scanned;
-          ScanPage(file, ref.data(), bounds, want, &scr);
-          continue;
-        }
-        const int64_t first =
-            node.entry * file.index_fanout();
-        const int64_t last = std::min(
-            file.level_entries(node.level - 1),
-            first + file.index_fanout());
-        for (int64_t c = last - 1; c >= first; --c) {
-          scr.stack.push_back(Scratch::Node{node.level - 1, c});
+  // Best-first by minimum rank: a node's rows are all ranked at or
+  // below its minimum, so once the next node's minimum is past the
+  // (k+1)-th best match held, nothing left can enter the answer.
+  int64_t threshold = std::numeric_limits<int64_t>::max();
+  if (file.num_nodes() > 0 && !Misses(file.node_box(0), bounds)) {
+    scr.heap.emplace_back(file.node(0).min_rank, 0);
+  }
+  while (!scr.heap.empty()) {
+    std::pop_heap(scr.heap.begin(), scr.heap.end(), by_min_rank);
+    const auto [min_rank, top] = scr.heap.back();
+    scr.heap.pop_back();
+    if (min_rank >= threshold) break;
+    // Descend without the heap round trip: the child holding the node's
+    // minimum rank is what the heap would hand back next anyway.
+    int32_t id = top;
+    while (id >= 0 && file.node(id).left >= 0) {
+      const BlockFile::KdNode& node = file.node(id);
+      id = -1;
+      for (const int32_t child : {node.left, node.right}) {
+        if (Misses(file.node_box(child), bounds)) continue;
+        const int64_t child_min = file.node(child).min_rank;
+        if (child_min == node.min_rank) {
+          id = child;
+        } else if (child_min < threshold) {
+          scr.heap.emplace_back(child_min, child);
+          std::push_heap(scr.heap.begin(), scr.heap.end(), by_min_rank);
         }
       }
+    }
+    if (id < 0) continue;
+    HDSKY_ASSIGN_OR_RETURN(
+        BufferPool::PageRef ref,
+        pool->Pin(file.data_page_id(file.node(id).page)));
+    ScanLeaf(file, ref.data(), bounds, threshold, want, &scr);
+    if (static_cast<int64_t>(scr.best.size()) == want) {
+      threshold = scr.ranks[static_cast<size_t>(scr.best.back())];
     }
   }
 
-  out->overflow = static_cast<int64_t>(scr.ids.size()) > k;
+  out->overflow = static_cast<int64_t>(scr.best.size()) > k;
   const size_t n =
-      out->overflow ? static_cast<size_t>(k) : scr.ids.size();
+      out->overflow ? static_cast<size_t>(k) : scr.best.size();
   out->ids.resize(n);
   out->tuples.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    out->ids[i] = scr.ids[i];
+    const size_t c = static_cast<size_t>(scr.best[i]);
+    out->ids[i] = scr.ids[c];
     data::Tuple& t = out->tuples[i];
-    t.resize(static_cast<size_t>(num_attrs));
-    for (int a = 0; a < num_attrs; ++a) {
-      t[static_cast<size_t>(a)] =
-          scr.values[i * static_cast<size_t>(num_attrs) +
-                     static_cast<size_t>(a)];
-    }
+    t.assign(scr.values.begin() +
+                 static_cast<std::ptrdiff_t>(c * static_cast<size_t>(num_attrs)),
+             scr.values.begin() + static_cast<std::ptrdiff_t>(
+                                      (c + 1) * static_cast<size_t>(num_attrs)));
   }
   return Status::OK();
 }

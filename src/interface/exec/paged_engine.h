@@ -1,24 +1,25 @@
 // Out-of-core top-k query execution over a paged block file.
 //
-// The paged counterpart of exec::VectorEngine: data pages hold column
-// blocks in baked static-rank order, so scanning page 0, 1, ... and
-// positions within each page in order visits rows best-rank-first, and
-// the engine stops the moment k+1 matches are known. Instead of the
-// in-memory per-block zone array, pruning walks the file's zone-map
-// index levels (an STR-packed tree over consecutive page ranges) — a
-// pruned level-l entry skips fanout^l data pages without faulting a
-// single one of them in. Every page touched, index and data alike, is
-// pinned through the BufferPool, so the query working set stays inside
-// the pool budget and every byte read has passed its CRC.
+// The paged counterpart of exec::VectorEngine. A format-v3 file
+// (data/block_file.h) clusters rows into the leaf pages of a k-d tree
+// whose directory — every node's bounding box and minimum rank — stays
+// in memory. ExecuteTopK walks that tree best-first: a min-heap of nodes
+// keyed by minimum rank, skipping any node whose box misses the compiled
+// bounds. Only leaf pages are pinned, through the BufferPool, so the
+// query working set stays inside the pool budget and every byte read
+// has passed its CRC. A leaf's rows are in rank order and carry their
+// ranks, so its scan stops at the rank of the (k+1)-th best match held,
+// and the walk stops once the next node's minimum rank is past it: a box
+// query reads only the few pages its box touches.
 //
-// The kernels are the PR 3 ones, unchanged: a page's PAX payload is
-// exactly the attribute-major layout the fused AVX-512/scalar
-// LeafMatchKernel consumes (selective queries, one pass over the whole
-// page), while broad queries run the same chunked SelectInterval/
-// RefineInterval loop as VectorEngine so the early exit still skips
-// most of the first page. Matched rows are copied out while the page
-// is pinned; results are bit-identical to the in-memory engine over
-// the same data and ranking.
+// The kernels are VectorEngine's, unchanged: a page's attribute-major
+// runs are exactly the layout the fused AVX-512/scalar LeafMatchKernel
+// consumes (selective queries, one pass over the whole page), while
+// broad queries and pages cut short by the rank threshold run the same
+// chunked SelectInterval/RefineInterval loop as VectorEngine. Matches
+// are copied out while the page is pinned and merged by rank; results
+// are bit-identical to the in-memory engine over the same data and
+// ranking.
 
 #ifndef HDSKY_INTERFACE_EXEC_PAGED_ENGINE_H_
 #define HDSKY_INTERFACE_EXEC_PAGED_ENGINE_H_

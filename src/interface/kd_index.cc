@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "data/kd_split.h"
+
 namespace hdsky {
 namespace interface {
 
@@ -111,79 +113,32 @@ KdIndex::KdIndex(const data::Table* table,
   }
 }
 
-int64_t KdIndex::PartitionRange(int64_t begin, int64_t end, int dim,
-                                Value pivot, std::vector<Value>& row_vals) {
-  // Hoare-style two-pointer pass over rows_ and the row-major mirror
-  // together: rows with value < pivot end up in [begin, split).
-  const size_t m = static_cast<size_t>(num_attrs_);
-  int64_t i = begin;
-  int64_t j = end - 1;
-  while (true) {
-    while (i <= j && row_vals[static_cast<size_t>(i) * m +
-                              static_cast<size_t>(dim)] < pivot) {
-      ++i;
-    }
-    while (i <= j && row_vals[static_cast<size_t>(j) * m +
-                              static_cast<size_t>(dim)] >= pivot) {
-      --j;
-    }
-    if (i >= j) break;
-    std::swap(rows_[static_cast<size_t>(i)], rows_[static_cast<size_t>(j)]);
-    Value* a = row_vals.data() + static_cast<size_t>(i) * m;
-    Value* b = row_vals.data() + static_cast<size_t>(j) * m;
-    for (size_t k = 0; k < m; ++k) std::swap(a[k], b[k]);
-    ++i;
-    --j;
-  }
-  return i;
-}
-
 int32_t KdIndex::Build(int64_t begin, int64_t end, int depth,
                        std::vector<Value>& row_vals) {
   const int32_t id = static_cast<int32_t>(nodes_.size());
   nodes_.emplace_back();
   if (depth > max_depth_) max_depth_ = depth;
-  if (end - begin <= kLeafSize) {
+  int dim = 0;
+  Value pivot = 0;
+  const int64_t split =
+      end - begin <= kLeafSize
+          ? begin
+          : data::KdMedianSplit(begin, end, depth, num_attrs_, rows_.data(),
+                                row_vals.data(), &dim, &pivot);
+  if (split == begin) {
+    // A small range, or every attribute's median is its minimum over the
+    // range (no split progress possible): a leaf, possibly oversized.
     nodes_[static_cast<size_t>(id)].row_begin = static_cast<int32_t>(begin);
     nodes_[static_cast<size_t>(id)].row_end = static_cast<int32_t>(end);
     return id;
   }
-  const int64_t len = end - begin;
-  const size_t m = static_cast<size_t>(num_attrs_);
-  // Round-robin dimension, skipping dimensions where every value in the
-  // range ties (no split progress possible there). The pivot is the
-  // exact median: a sampled-pivot variant builds ~40% faster but drifts
-  // the tree a few levels deeper, and the walk pays for that on every
-  // query — across a discovery run the per-query savings dwarf the
-  // one-time selection cost. The median feeds a single in-place Hoare
-  // partition of rows_ and the value mirror together.
-  int dim = depth % num_attrs_;
-  for (int tries = 0; tries < num_attrs_;
-       ++tries, dim = (dim + 1) % num_attrs_) {
-    thread_local std::vector<Value> vals;
-    vals.resize(static_cast<size_t>(len));
-    for (int64_t i = 0; i < len; ++i) {
-      vals[static_cast<size_t>(i)] =
-          row_vals[static_cast<size_t>(begin + i) * m +
-                   static_cast<size_t>(dim)];
-    }
-    std::nth_element(vals.begin(), vals.begin() + len / 2, vals.end());
-    const Value pivot = vals[static_cast<size_t>(len / 2)];
-    const int64_t split = PartitionRange(begin, end, dim, pivot, row_vals);
-    if (split > begin && split < end) {
-      const int32_t left = Build(begin, split, depth + 1, row_vals);
-      const int32_t right = Build(split, end, depth + 1, row_vals);
-      Node& node = nodes_[static_cast<size_t>(id)];
-      node.left = left;
-      node.right = right;
-      node.split_dim = dim;
-      node.split_value = pivot;
-      return id;
-    }
-  }
-  // Every attribute ties across the whole range: degenerate leaf.
-  nodes_[static_cast<size_t>(id)].row_begin = static_cast<int32_t>(begin);
-  nodes_[static_cast<size_t>(id)].row_end = static_cast<int32_t>(end);
+  const int32_t left = Build(begin, split, depth + 1, row_vals);
+  const int32_t right = Build(split, end, depth + 1, row_vals);
+  Node& node = nodes_[static_cast<size_t>(id)];
+  node.left = left;
+  node.right = right;
+  node.split_dim = dim;
+  node.split_value = pivot;
   return id;
 }
 

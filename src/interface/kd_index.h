@@ -82,9 +82,6 @@ class KdIndex {
 
   int32_t Build(int64_t begin, int64_t end, int depth,
                 std::vector<data::Value>& row_vals);
-  int64_t PartitionRange(int64_t begin, int64_t end, int dim,
-                         data::Value pivot,
-                         std::vector<data::Value>& row_vals);
 
   const data::Table* table_;
   int num_attrs_ = 0;

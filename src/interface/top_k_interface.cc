@@ -239,8 +239,8 @@ Status TopKInterface::Execute(const Query& q, QueryResult* out) {
   }
 
   if (paged_engine_ != nullptr) {
-    // Out-of-core path: compile bounds and walk the paged zone tree in
-    // the file's baked rank order. A storage failure (CRC on a page)
+    // Out-of-core path: compile bounds and walk the file's k-d directory
+    // best-first by minimum rank. A storage failure (CRC on a page)
     // undoes this query's accounting — it was never answered.
     thread_local std::vector<exec::AttrBound> paged_bounds;
     if (!exec::CollectBounds(q, &paged_bounds)) {

@@ -1,6 +1,8 @@
 #include "net/event_loop.h"
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <fcntl.h>
 #include <sys/epoll.h>
@@ -130,23 +132,33 @@ void EventLoop::DrainWakeups() {
 void EventLoop::RunPosted() {
   // Swap the whole queue out so posted tasks that Post() again (e.g. a
   // completion that schedules a follow-up) run on the next iteration
-  // instead of livelocking this drain.
-  std::deque<Task> batch;
+  // instead of livelocking this drain. The two vectors trade places and
+  // keep their capacity, so a wake-up allocates nothing.
   {
     std::lock_guard<std::mutex> lock(posted_mu_);
-    batch.swap(posted_);
+    running_.swap(posted_);
   }
-  for (Task& t : batch) t();
+  for (Task& t : running_) t();
+  running_.clear();
 }
 
 void EventLoop::Run(int tick_ms, const Task& on_tick) {
+  using Clock = std::chrono::steady_clock;
   run_thread_.store(std::this_thread::get_id());
   std::vector<epoll_event> events(64);
+  const auto period = std::chrono::milliseconds(tick_ms);
+  auto now = Clock::now();
+  auto next_tick = now + period;
   while (!stopping_.load(std::memory_order_acquire)) {
+    // Sleep no later than the tick deadline; round up so a wait shorter
+    // than a millisecond does not spin with zero timeouts.
+    const int wait_ms = static_cast<int>(std::max<int64_t>(
+        0, std::chrono::ceil<std::chrono::milliseconds>(next_tick - now)
+               .count()));
     int n;
     do {
       n = epoll_wait(epoll_fd_, events.data(),
-                     static_cast<int>(events.size()), tick_ms);
+                     static_cast<int>(events.size()), wait_ms);
     } while (n < 0 && errno == EINTR);
     if (n < 0) break;  // unrecoverable epoll failure
     for (int i = 0; i < n; ++i) {
@@ -163,7 +175,13 @@ void EventLoop::Run(int tick_ms, const Task& on_tick) {
       (*cb)(events[i].events);
     }
     RunPosted();
-    if (on_tick) on_tick();
+    // Tick on the deadline, not on every wake-up: a busy loop wakes once
+    // per reply, and the tick handler may scan every connection.
+    now = Clock::now();
+    if (now >= next_tick) {
+      if (on_tick) on_tick();
+      next_tick = now + period;
+    }
     if (n == static_cast<int>(events.size()) && events.size() < 4096) {
       events.resize(events.size() * 2);
     }

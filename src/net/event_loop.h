@@ -15,21 +15,22 @@
 // EAGAIN or starve" contract, although handlers do drain for
 // efficiency).
 //
-// Timers: the loop wakes at least every tick_ms and invokes the tick
-// handler — a deliberately blunt instrument that is exactly enough for
-// coarse idle/slow-peer timeout scans without a timer heap.
+// Timers: the loop invokes the tick handler once every tick_ms, whether
+// or not I/O woke it in between — a deliberately blunt instrument that
+// is exactly enough for coarse idle/slow-peer timeout scans without a
+// timer heap.
 
 #ifndef HDSKY_NET_EVENT_LOOP_H_
 #define HDSKY_NET_EVENT_LOOP_H_
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "common/status.h"
 
@@ -75,8 +76,9 @@ class EventLoop {
   /// when the loop exits.
   void Post(Task task);
 
-  /// Runs the loop on the calling thread until Stop(). `tick_ms` bounds
-  /// how long the loop sleeps between `on_tick` invocations (pass a
+  /// Runs the loop on the calling thread until Stop(). `on_tick` runs
+  /// once `tick_ms` has passed since the last tick (or since Run began),
+  /// however often I/O or posted tasks wake the loop in between (pass a
   /// no-op handler for pure I/O loops).
   void Run(int tick_ms, const Task& on_tick);
 
@@ -109,7 +111,9 @@ class EventLoop {
   std::unordered_map<int, std::shared_ptr<IoCallback>> callbacks_;
 
   std::mutex posted_mu_;
-  std::deque<Task> posted_;
+  std::vector<Task> posted_;
+  /// The batch RunPosted is draining; loop thread only.
+  std::vector<Task> running_;
 };
 
 }  // namespace net

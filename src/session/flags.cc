@@ -553,10 +553,14 @@ FlagTable PackFlags(PackConfig* c) {
   t.Add({
       String("--out", "FILE", "output block file (required)", &c->out),
       Int("--rows-per-block", "B", 1, 1 << 20,
-          "rows per data page (default 4096)", &c->rows_per_block),
+          "most rows per k-d leaf page (default " +
+              std::to_string(data::kDefaultRowsPerBlock) + ")",
+          &c->rows_per_block),
       Choice("--compress", "MODE", {"auto", "off"},
-             "(auto = format v2, default; off = format v1)", &c->compress),
-      Switch("--stats", "print page/level/compression stats", &c->stats),
+             "page run encoding (auto = smallest per run, default; "
+             "off = raw)",
+             &c->compress),
+      Switch("--stats", "print page/k-d/compression stats", &c->stats),
   });
   t.ExactlyOne({"--data", "--demo"},
                "exactly one of --data / --demo is required");

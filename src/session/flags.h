@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "data/block_file.h"
 
 namespace hdsky {
 namespace session {
@@ -203,7 +204,7 @@ struct ServeConfig {
 struct PackConfig {
   SourceConfig source;
   std::string out;
-  int64_t rows_per_block = 4096;
+  int64_t rows_per_block = data::kDefaultRowsPerBlock;
   std::string compress = "auto";
   bool stats = false;
 };

@@ -111,7 +111,12 @@ INSTANTIATE_TEST_SUITE_P(
         BbsParam{dataset::Distribution::kAntiCorrelated, 3, 400, 40, 14},
         BbsParam{dataset::Distribution::kAntiCorrelated, 4, 250, 15, 15},
         BbsParam{dataset::Distribution::kIndependent, 2, 400, 4, 16},
-        BbsParam{dataset::Distribution::kIndependent, 3, 1, 10, 17}));
+        BbsParam{dataset::Distribution::kIndependent, 3, 1, 10, 17}),
+    [](const ::testing::TestParamInfo<BbsParam>& info) {
+      return "m" + std::to_string(info.param.m) + "_n" +
+             std::to_string(info.param.n) + "_seed" +
+             std::to_string(info.param.seed);
+    });
 
 TEST(BbsTest, ProgressiveEmissionInMonotoneScoreOrder) {
   const Table t =

@@ -284,6 +284,30 @@ if [ -n "$PACK" ]; then
   rm -rf "$tmpdir"
 fi
 
+# A block file in a retired format (v1/v2: rank-ordered pages) is a load
+# failure, not a usage error: hdsky_serve exits 1 and says to re-pack.
+# The magic and version alone are enough; nothing past them is read.
+tmpr=$(mktemp -d)
+for v in 1 2; do
+  printf "HDSKYBF1\\00${v}\\000\\000\\000" > "$tmpr/v$v.hdb"
+  head -c 8192 /dev/zero >> "$tmpr/v$v.hdb"
+  err=$("$SERVE" --dataset-file "$tmpr/v$v.hdb" --port 0 2>&1 >/dev/null)
+  code=$?
+  if [ "$code" -ne 1 ]; then
+    echo "FAIL(serve-retired-format-v$v): exit $code, want 1" >&2
+    failures=$((failures + 1))
+  else
+    case "$err" in
+      *"re-pack it with hdsky_pack"*) ;;
+      *)
+        echo "FAIL(serve-retired-format-v$v): no re-pack hint; got: $err" >&2
+        failures=$((failures + 1))
+        ;;
+    esac
+  fi
+done
+rm -rf "$tmpr"
+
 # Vocabularies are checked at parse time, before any data is generated or
 # any journal is written: a typo'd --algorithm must not leave a MANIFEST
 # that binds the journal directory to the typo.

@@ -230,7 +230,17 @@ INSTANTIATE_TEST_SUITE_P(
         MixedParam{{RQ, PQ}, {5, 3}, 300, 5, 113},
         // Tiny databases.
         MixedParam{{RQ, PQ}, {50, 5}, 3, 1, 114},
-        MixedParam{{RQ, PQ}, {50, 5}, 0, 1, 115}));
+        MixedParam{{RQ, PQ}, {50, 5}, 0, 1, 115}),
+    [](const ::testing::TestParamInfo<MixedParam>& info) {
+      std::string name;
+      for (const InterfaceType t : info.param.ifaces) {
+        name += t == InterfaceType::kRQ   ? "RQ_"
+                : t == InterfaceType::kSQ ? "SQ_"
+                                          : "PQ_";
+      }
+      return name + "n" + std::to_string(info.param.n) + "_seed" +
+             std::to_string(info.param.seed);
+    });
 
 TEST(MqTest, RandomRankingMixed) {
   const Table t =

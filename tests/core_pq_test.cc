@@ -47,6 +47,13 @@ struct PqParam {
   uint64_t seed;
 };
 
+/// Stable case name: the printed struct would include padding bytes.
+std::string PqName(const PqParam& p) {
+  return "m" + std::to_string(p.m) + "_n" + std::to_string(p.n) + "_k" +
+         std::to_string(p.k) + "_" + p.ranking + "_seed" +
+         std::to_string(p.seed);
+}
+
 std::shared_ptr<interface::RankingPolicy> MakeRanking(const char* name,
                                                       uint64_t seed) {
   const std::string s = name;
@@ -79,7 +86,10 @@ INSTANTIATE_TEST_SUITE_P(
                       PqParam{2, 50, 100, 1, "sum", 47},   // sparse
                       PqParam{2, 1000, 6, 1, "sum", 48},   // dense tiny
                       PqParam{2, 1, 10, 1, "sum", 49},
-                      PqParam{2, 0, 10, 1, "sum", 50}));
+                      PqParam{2, 0, 10, 1, "sum", 50}),
+    [](const ::testing::TestParamInfo<PqParam>& info) {
+      return PqName(info.param);
+    });
 
 TEST(Pq2dTest, RejectsWrongDimensionality) {
   const Table t = MakePqData(3, 50, 10, 51);
@@ -166,7 +176,10 @@ INSTANTIATE_TEST_SUITE_P(
         PqParam{3, 40, 15, 1, "sum", 79},   // sparse planes
         PqParam{4, 2000, 5, 1, "sum", 80},  // dense tiny domains
         PqParam{3, 1, 10, 1, "sum", 81},
-        PqParam{3, 0, 10, 1, "sum", 82}));
+        PqParam{3, 0, 10, 1, "sum", 82}),
+    [](const ::testing::TestParamInfo<PqParam>& info) {
+      return PqName(info.param);
+    });
 
 TEST(PqDbTest, CorrelatedAndAntiCorrelated) {
   for (auto dist : {dataset::Distribution::kCorrelated,

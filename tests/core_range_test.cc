@@ -43,6 +43,14 @@ struct RangeParam {
   uint64_t seed;
 };
 
+/// Stable case name: the printed struct would include padding and
+/// pointer bytes.
+std::string RangeName(const RangeParam& p) {
+  return "m" + std::to_string(p.m) + "_n" + std::to_string(p.n) + "_k" +
+         std::to_string(p.k) + "_" + p.ranking + "_seed" +
+         std::to_string(p.seed);
+}
+
 std::shared_ptr<interface::RankingPolicy> MakeRanking(const char* name,
                                                       uint64_t seed) {
   const std::string s = name;
@@ -118,9 +126,15 @@ const RangeParam kRangeSweep[] = {
 };
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SqDbSkyCorrectness,
-                         ::testing::ValuesIn(kRangeSweep));
+                         ::testing::ValuesIn(kRangeSweep),
+    [](const ::testing::TestParamInfo<RangeParam>& info) {
+      return RangeName(info.param);
+    });
 INSTANTIATE_TEST_SUITE_P(Sweep, RqDbSkyCorrectness,
-                         ::testing::ValuesIn(kRangeSweep));
+                         ::testing::ValuesIn(kRangeSweep),
+    [](const ::testing::TestParamInfo<RangeParam>& info) {
+      return RangeName(info.param);
+    });
 
 TEST(SqDbSkyTest, EmptyDatabase) {
   const Table t = MakeData(

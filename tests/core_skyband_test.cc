@@ -57,6 +57,13 @@ struct BandParam {
   uint64_t seed;
 };
 
+/// Stable case name: the printed struct would include padding bytes.
+std::string BandName(const BandParam& p) {
+  return "m" + std::to_string(p.m) + "_n" + std::to_string(p.n) +
+         "_band" + std::to_string(p.band) + "_k" + std::to_string(p.k) +
+         "_seed" + std::to_string(p.seed);
+}
+
 class RqBandCorrectness : public ::testing::TestWithParam<BandParam> {};
 
 TEST_P(RqBandCorrectness, DiscoversExactBand) {
@@ -81,7 +88,10 @@ INSTANTIATE_TEST_SUITE_P(
                       BandParam{3, 150, 30, 2, 5, 134},
                       BandParam{3, 100, 20, 3, 2, 135},
                       BandParam{2, 300, 15, 2, 1, 136},  // duplicates
-                      BandParam{2, 5, 40, 2, 1, 137}));
+                      BandParam{2, 5, 40, 2, 1, 137}),
+    [](const ::testing::TestParamInfo<BandParam>& info) {
+      return BandName(info.param);
+    });
 
 class PqBandCorrectness : public ::testing::TestWithParam<BandParam> {};
 
@@ -105,7 +115,10 @@ INSTANTIATE_TEST_SUITE_P(
                       BandParam{3, 200, 8, 2, 3, 142},
                       BandParam{3, 200, 8, 3, 3, 143},
                       BandParam{2, 300, 10, 1, 1, 144},
-                      BandParam{4, 250, 6, 2, 4, 145}));
+                      BandParam{4, 250, 6, 2, 4, 145}),
+    [](const ::testing::TestParamInfo<BandParam>& info) {
+      return BandName(info.param);
+    });
 
 TEST(PqBandTest, RejectsKSmallerThanBand) {
   const Table t = MakeData(2, 50, 10, InterfaceType::kPQ, 146);

@@ -1,6 +1,7 @@
-// Tests for the epoll event loop: fd dispatch, cross-thread Post,
-// self-removal safety, tick cadence, and stop semantics. These run real
-// pipes and threads (the TSan CI job stresses them), not mocks.
+// Tests for the epoll event loop: fd dispatch, cross-thread Post and the
+// next-iteration rule for re-posted tasks, self-removal safety, tick
+// cadence, and stop semantics. These run real pipes and threads (the
+// TSan CI job stresses them), not mocks.
 
 #include <fcntl.h>
 #include <sys/epoll.h>
@@ -8,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -105,6 +107,52 @@ TEST(EventLoopTest, TickFiresWithoutIo) {
   EXPECT_GE(ticks, 3);
   EXPECT_GE(std::chrono::steady_clock::now() - start,
             std::chrono::milliseconds(10));
+}
+
+TEST(EventLoopTest, ManyWakeupsWithinOneTickPeriodTickAtMostTwice) {
+  // 100 separate wake-ups (each Post writes the eventfd) inside one 5 s
+  // tick period: the tick runs on its deadline, not once per wake-up.
+  auto loop = std::move(EventLoop::Create()).value();
+  std::atomic<int> ticks{0};
+  std::atomic<int> ran{0};
+  std::jthread poster([&] {
+    for (int i = 0; i < 100; ++i) {
+      loop->Post([&] { ran.fetch_add(1); });
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+    }
+    loop->Post([&] { loop->Stop(); });
+  });
+  loop->Run(5000, [&] { ticks.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 100);
+  EXPECT_LE(ticks.load(), 2);
+}
+
+TEST(EventLoopTest, TaskPostedDuringDrainRunsOnNextIteration) {
+  // A task that re-posts itself must yield to I/O between runs: its
+  // first run makes a pipe readable, and the pipe's callback must see
+  // the loop come round after at most one more run of the task. A drain
+  // that ran tasks until the queue emptied would spin here to the cap.
+  auto loop = std::move(EventLoop::Create()).value();
+  Pipe p;
+  int runs = 0;  // loop thread only
+  int runs_when_readable = -1;
+  ASSERT_TRUE(loop->Add(p.rd, EPOLLIN, [&](uint32_t) {
+    char buf[16];
+    while (read(p.rd, buf, sizeof(buf)) > 0) {
+    }
+    runs_when_readable = runs;
+    loop->Stop();
+  }).ok());
+  std::function<void()> spin = [&] {
+    if (++runs == 1) {
+      ASSERT_EQ(write(p.wr, "x", 1), 1);
+    }
+    if (runs_when_readable < 0 && runs < 100000) loop->Post(spin);
+  };
+  loop->Post(spin);
+  loop->Run(1000, [] {});
+  EXPECT_GE(runs_when_readable, 1);
+  EXPECT_LE(runs_when_readable, 2);
 }
 
 TEST(EventLoopTest, StopFromAnotherThreadUnblocksRun) {

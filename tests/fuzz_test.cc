@@ -120,7 +120,10 @@ TEST_P(MqFuzz, MatchesGroundTruthOnRandomScenario) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MqFuzz,
-                         ::testing::Range<uint64_t>(0, 60));
+                         ::testing::Range<uint64_t>(0, 60),
+    [](const ::testing::TestParamInfo<uint64_t>& info) {
+      return "seed" + std::to_string(info.param);
+    });
 
 }  // namespace
 }  // namespace core

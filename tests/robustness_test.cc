@@ -122,7 +122,12 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, NullSweep,
     ::testing::Values(NullParam{2, 0.05, 1, 700}, NullParam{3, 0.1, 1, 701},
                       NullParam{3, 0.3, 5, 702}, NullParam{4, 0.2, 3, 703},
-                      NullParam{2, 0.9, 1, 704}));
+                      NullParam{2, 0.9, 1, 704}),
+    [](const ::testing::TestParamInfo<NullParam>& info) {
+      return "m" + std::to_string(info.param.m) + "_k" +
+             std::to_string(info.param.k) + "_seed" +
+             std::to_string(info.param.seed);
+    });
 
 TEST(NullValueTest, KdIndexAgreesWithBruteForceUnderNulls) {
   const Table t = MakeNullySynthetic(3000, 3, 64, 0.15, 705,

@@ -176,7 +176,12 @@ INSTANTIATE_TEST_SUITE_P(
         SkylineParam{dataset::Distribution::kAntiCorrelated, 4, 200, 25, 7},
         SkylineParam{dataset::Distribution::kIndependent, 2, 500, 4, 8},
         SkylineParam{dataset::Distribution::kAntiCorrelated, 3, 350, 9,
-                     9}));
+                     9}),
+    [](const ::testing::TestParamInfo<SkylineParam>& info) {
+      return "m" + std::to_string(info.param.m) + "_n" +
+             std::to_string(info.param.n) + "_seed" +
+             std::to_string(info.param.seed);
+    });
 
 TEST(DominanceLayersTest, LayersPartitionAndOrder) {
   dataset::SyntheticOptions opts;

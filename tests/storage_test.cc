@@ -1,8 +1,8 @@
-// Out-of-core storage suite: block-file round trips and corruption
-// detection, buffer-pool residency invariants (LRU eviction order, pin
-// protection, single-flight CRC verification under concurrent readers —
-// the TSan target for the paged path), and the paged TopKInterface's
-// differential contract against the in-memory engine.
+// Out-of-core storage suite: block-file round trips, corruption and
+// malformed-directory rejection, buffer-pool residency invariants (LRU
+// eviction order, pin protection, single-flight CRC verification under
+// concurrent readers — the TSan target for the paged path), and the paged
+// TopKInterface's differential contract against the in-memory engine.
 
 #include <atomic>
 #include <cstdint>
@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "data/block_file.h"
 #include "data/encoding.h"
 #include "data/buffer_pool.h"
@@ -67,9 +68,9 @@ Table MakeTable(int64_t n, data::InterfaceType iface = InterfaceType::kRQ,
 }
 
 // Packs `table` under sum ranking into <dir>/<name>.hdb and returns the
-// path. 64-row blocks keep many pages even for small test tables.
-// Defaults to format v1 (kOff): the corruption tests below compute
-// on-disk offsets from the fixed v1 page geometry.
+// path. 64-row leaves keep many pages even for small test tables.
+// Defaults to raw runs (kOff): the corruption tests below compute
+// offsets inside a page from the raw run layout.
 std::string Pack(const Table& table, const std::string& dir,
                  const std::string& name, int64_t rows_per_block = 64,
                  Compression compression = Compression::kOff) {
@@ -106,6 +107,64 @@ void FlipByte(const std::string& path, int64_t offset) {
 // ---------------------------------------------------------------------------
 // Block file: format round trip and corruption rejection.
 
+// Reads every data page through a roomy pool and checks the file's
+// contract against the in-memory ranking: each page is one k-d leaf of at
+// most `rows_per_block` rows in strictly ascending rank order, every row
+// appears exactly once, rank r is the row an unconstrained top-n query
+// answers r-th, values match the table and lie inside the leaf's box.
+void ExpectLeavesCoverRankOrder(const Table& table, const BlockFile& file,
+                                int64_t rows_per_block) {
+  const int64_t n = table.num_rows();
+  auto iface = testutil::MakeInterface(&table, interface::MakeSumRanking(),
+                                       static_cast<int>(n));
+  auto truth = iface->Execute(Query(table.schema().num_attributes()));
+  ASSERT_TRUE(truth.ok()) << truth.status();
+  ASSERT_EQ(truth->size(), n);
+  const int m = file.num_attributes();
+
+  std::vector<int> seen(static_cast<size_t>(n), 0);
+  std::vector<int32_t> leaf_of_page(
+      static_cast<size_t>(file.num_data_pages()), -1);
+  for (int32_t i = 0; i < file.num_nodes(); ++i) {
+    if (file.node(i).left < 0) {
+      leaf_of_page[static_cast<size_t>(file.node(i).page)] = i;
+    }
+  }
+  BufferPool::Options popts;
+  popts.budget_bytes = size_t{64} << 20;
+  BufferPool pool(&file, popts);
+  for (int64_t b = 0; b < file.num_data_pages(); ++b) {
+    auto page = pool.Pin(file.data_page_id(b));
+    ASSERT_TRUE(page.ok()) << page.status();
+    const BlockFile::DataPageView v = file.data_page(page->data());
+    ASSERT_GE(v.rows, 1);
+    EXPECT_LE(v.rows, rows_per_block);
+    const int32_t leaf = leaf_of_page[static_cast<size_t>(b)];
+    ASSERT_GE(leaf, 0);
+    EXPECT_EQ(v.ranks[0], file.node(leaf).min_rank);
+    const Value* box = file.node_box(leaf);
+    for (int64_t i = 0; i < v.rows; ++i) {
+      if (i > 0) {
+        EXPECT_LT(v.ranks[i - 1], v.ranks[i]);
+      }
+      const int64_t r = v.ranks[i];
+      ASSERT_GE(r, 0);
+      ASSERT_LT(r, n);
+      ++seen[static_cast<size_t>(r)];
+      EXPECT_EQ(v.ids[i], truth->ids[static_cast<size_t>(r)]);
+      for (int a = 0; a < m; ++a) {
+        const Value val = v.values[a * v.rows + i];
+        EXPECT_EQ(val, table.value(v.ids[i], a));
+        EXPECT_GE(val, box[2 * a]);
+        EXPECT_LE(val, box[2 * a + 1]);
+      }
+    }
+  }
+  for (int64_t r = 0; r < n; ++r) {
+    EXPECT_EQ(seen[static_cast<size_t>(r)], 1) << "rank " << r;
+  }
+}
+
 TEST(StorageBlockFileTest, RoundTripContentAndRankOrder) {
   ScopedDir dir("roundtrip");
   Table table = MakeTable(500);
@@ -115,36 +174,24 @@ TEST(StorageBlockFileTest, RoundTripContentAndRankOrder) {
   EXPECT_EQ(file->num_rows(), 500);
   EXPECT_EQ(file->num_attributes(), 3);
   EXPECT_EQ(file->ranking_name(), "linear");  // MakeSumRanking's name
-  EXPECT_EQ(file->num_data_pages(), (500 + 63) / 64);
+  EXPECT_GE(file->num_data_pages(), (500 + 63) / 64);
+  EXPECT_EQ(file->num_nodes(), 2 * file->num_data_pages() - 1);
+  EXPECT_EQ(file->node(0).min_rank, 0);
+  EXPECT_EQ(file->node(0).rows, 500u);
   EXPECT_EQ(file->schema().num_attributes(),
             table.schema().num_attributes());
+  ExpectLeavesCoverRankOrder(table, *file, 64);
+}
 
-  // The file's row sequence must be exactly the rank order the
-  // in-memory interface would answer in: an unconstrained top-n query
-  // returns every row, best-ranked first.
-  auto iface = testutil::MakeInterface(&table, interface::MakeSumRanking(),
-                                       /*k=*/500);
-  auto truth = iface->Execute(Query(3));
-  ASSERT_TRUE(truth.ok()) << truth.status();
-  ASSERT_EQ(truth->size(), 500);
-
-  BufferPool::Options popts;
-  popts.budget_bytes = size_t{64} << 20;
-  BufferPool pool(file.get(), popts);
-  int64_t row = 0;
-  for (int64_t b = 0; b < file->num_data_pages(); ++b) {
-    auto page = pool.Pin(file->data_page_id(b));
-    ASSERT_TRUE(page.ok()) << page.status();
-    BlockFile::DataPageView v = file->data_page(page->data());
-    for (int64_t i = 0; i < v.rows; ++i, ++row) {
-      ASSERT_LT(row, 500);
-      EXPECT_EQ(v.ids[i], truth->ids[static_cast<size_t>(row)]);
-      for (int a = 0; a < 3; ++a) {
-        EXPECT_EQ(v.values[a * v.rows + i], table.value(v.ids[i], a));
-      }
-    }
-  }
-  EXPECT_EQ(row, 500);
+TEST(StorageBlockFileTest, TiedValuesStillFitTheLeafSize) {
+  // Domain 2 over three attributes: most ranges have a median equal to
+  // their minimum, so the median split fails and the writer halves them
+  // in rank order instead. Every leaf must still fit the block size.
+  ScopedDir dir("ties");
+  Table table = MakeTable(700, InterfaceType::kRQ, /*domain=*/2);
+  const std::string path = Pack(table, dir.path, "t", 16);
+  std::unique_ptr<BlockFile> file = OpenFile(path);
+  ExpectLeavesCoverRankOrder(table, *file, 16);
 }
 
 TEST(StorageBlockFileTest, BoundaryRowCounts) {
@@ -155,18 +202,29 @@ TEST(StorageBlockFileTest, BoundaryRowCounts) {
         Pack(table, dir.path, "n" + std::to_string(n));
     std::unique_ptr<BlockFile> file = OpenFile(path);
     EXPECT_EQ(file->num_rows(), n);
-    EXPECT_EQ(file->num_data_pages(), (n + 63) / 64);
-
-    BufferPool::Options popts;
-    BufferPool pool(file.get(), popts);
-    int64_t rows = 0;
-    for (int64_t b = 0; b < file->num_data_pages(); ++b) {
-      auto page = pool.Pin(file->data_page_id(b));
-      ASSERT_TRUE(page.ok()) << page.status();
-      rows += file->data_page(page->data()).rows;
-    }
-    EXPECT_EQ(rows, n);
+    EXPECT_GE(file->num_data_pages(), (n + 63) / 64);
+    ExpectLeavesCoverRankOrder(table, *file, 64);
   }
+}
+
+TEST(StorageBlockFileTest, EmptyTableRoundTrips) {
+  ScopedDir dir("empty");
+  Table table = MakeTable(0);
+  const std::string path = Pack(table, dir.path, "t");
+  std::unique_ptr<BlockFile> file = OpenFile(path);
+  EXPECT_EQ(file->num_rows(), 0);
+  EXPECT_EQ(file->num_data_pages(), 0);
+  EXPECT_EQ(file->num_nodes(), 0);
+  PagedTableOptions popts;
+  auto paged = PagedTable::Open(path, popts);
+  ASSERT_TRUE(paged.ok()) << paged.status();
+  TopKOptions topts;
+  topts.k = 3;
+  auto iface = TopKInterface::CreatePaged(paged->get(), topts);
+  ASSERT_TRUE(iface.ok()) << iface.status();
+  auto r = (*iface)->Execute(Query(3));
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_TRUE(r->empty());
 }
 
 TEST(StorageBlockFileTest, PackRejectsDynamicRanking) {
@@ -205,13 +263,17 @@ TEST(StorageBlockFileTest, OpenRejectsMissingFile) {
 
 TEST(BufferPoolTest, EvictsInLeastRecentlyUnpinnedOrder) {
   ScopedDir dir("lru");
-  Table table = MakeTable(640);  // 10 data pages of 64 rows
+  // Distinct values: exact median splits cut 640 rows into 16 leaves of
+  // 40 rows, so every frame has the same size.
+  Table table = MakeTable(640, InterfaceType::kRQ, /*domain=*/1 << 24);
   const std::string path = Pack(table, dir.path, "t");
   std::unique_ptr<BlockFile> file = OpenFile(path);
+  for (int64_t page = 2; page <= 4; ++page) {
+    ASSERT_EQ(file->frame_bytes(page), file->frame_bytes(1));
+  }
 
   BufferPool::Options popts;
-  // The pool budgets decoded frames, which for short pages are smaller
-  // than the on-disk page slot — room for exactly three full frames.
+  // The pool budgets decoded frames: room for exactly three of them.
   popts.budget_bytes = 3 * file->frame_bytes(1);
   BufferPool pool(file.get(), popts);
   auto touch = [&](int64_t page_id) {
@@ -333,10 +395,10 @@ TEST(BufferPoolTest, CorruptDataPageFailsEveryPin) {
   Table table = MakeTable(640);
   const std::string path = Pack(table, dir.path, "t");
   {
-    // Corrupt a value byte in data page 2's payload before mapping.
+    // Corrupt a byte in data page 2's payload before mapping.
     std::unique_ptr<BlockFile> probe = OpenFile(path);
-    FlipByte(path, static_cast<int64_t>(2 * probe->page_bytes()) +
-                       kPageHeaderBytes + 24);
+    FlipByte(path, static_cast<int64_t>(probe->extent(2).offset +
+                                        kPageHeaderBytes + 24));
   }
   std::unique_ptr<BlockFile> file = OpenFile(path);  // header is intact
 
@@ -351,28 +413,6 @@ TEST(BufferPoolTest, CorruptDataPageFailsEveryPin) {
   BufferPool::Stats s = pool.stats();
   EXPECT_EQ(s.crc_failures, 2u);
   EXPECT_EQ(s.resident_pages, 1u);
-}
-
-TEST(BufferPoolTest, CorruptIndexPageFailsPin) {
-  ScopedDir dir("crcindex");
-  Table table = MakeTable(640);
-  const std::string path = Pack(table, dir.path, "t");
-  int64_t index_page = 0;
-  size_t page_bytes = 0;
-  {
-    std::unique_ptr<BlockFile> probe = OpenFile(path);
-    ASSERT_GE(probe->num_index_levels(), 1);
-    index_page = probe->index_page_id(0, 0);
-    page_bytes = probe->page_bytes();
-  }
-  FlipByte(path, static_cast<int64_t>(page_bytes) * index_page +
-                     kPageHeaderBytes + 8);
-  std::unique_ptr<BlockFile> file = OpenFile(path);
-
-  BufferPool::Options popts;
-  BufferPool pool(file.get(), popts);
-  EXPECT_FALSE(pool.Pin(index_page).ok());
-  EXPECT_EQ(pool.stats().crc_failures, 1u);
 }
 
 TEST(BufferPoolTest, ConcurrentReadersStayCoherent) {
@@ -590,75 +630,82 @@ TEST(PagedInterfaceTest, RejectsUnsupportedPredicates) {
 }
 
 // ---------------------------------------------------------------------------
-// Format v2: compressed pages, backward compatibility, corruption.
+// Run encodings, retired formats, corruption.
 
 TEST(StorageBlockFileTest, CompressedRoundTripMatchesRaw) {
-  ScopedDir dir("v2roundtrip");
-  // Big blocks so the v1 slot dwarfs the 4 KiB alignment quantum the
-  // v2 pages round up to — otherwise tiny pages can't shrink.
+  ScopedDir dir("v3roundtrip");
+  // Big leaves so a raw page dwarfs the 4 KiB alignment quantum the
+  // encoded pages round up to — otherwise tiny pages can't shrink.
   Table table = MakeTable(3000);
-  const std::string v1 =
-      Pack(table, dir.path, "v1", 512, Compression::kOff);
-  const std::string v2 =
-      Pack(table, dir.path, "v2", 512, Compression::kAuto);
+  const std::string raw =
+      Pack(table, dir.path, "raw", 512, Compression::kOff);
+  const std::string comp =
+      Pack(table, dir.path, "comp", 512, Compression::kAuto);
 
-  std::unique_ptr<BlockFile> f1 = OpenFile(v1);
-  std::unique_ptr<BlockFile> f2 = OpenFile(v2);
-  EXPECT_EQ(f1->version(), 1);
-  EXPECT_FALSE(f1->compressed());
-  EXPECT_EQ(f2->version(), 2);
-  EXPECT_TRUE(f2->compressed());
+  std::unique_ptr<BlockFile> f1 = OpenFile(raw);
+  std::unique_ptr<BlockFile> f2 = OpenFile(comp);
+  EXPECT_EQ(f1->compression(), Compression::kOff);
+  EXPECT_EQ(f2->compression(), Compression::kAuto);
   ASSERT_EQ(f1->num_data_pages(), f2->num_data_pages());
-  ASSERT_EQ(f1->num_index_levels(), f2->num_index_levels());
+  ASSERT_EQ(f1->num_nodes(), f2->num_nodes());
 
-  // Low-cardinality anti-correlated data in rank order: the encoded
-  // file must be substantially smaller.
-  EXPECT_LT(std::filesystem::file_size(v2),
-            std::filesystem::file_size(v1) / 2);
+  // Low-cardinality anti-correlated data: the encoded file must be
+  // substantially smaller.
+  EXPECT_LT(std::filesystem::file_size(comp),
+            std::filesystem::file_size(raw) / 2);
 
-  // Every decoded frame — data and index — must be bit-identical.
+  // The encoding changes the stored bytes only: the same tree, and
+  // every decoded frame bit-identical past the stored-payload CRC.
   BufferPool::Options popts;
   BufferPool p1(f1.get(), popts);
   BufferPool p2(f2.get(), popts);
+  for (int32_t i = 0; i < f1->num_nodes(); ++i) {
+    EXPECT_EQ(f1->node(i).min_rank, f2->node(i).min_rank);
+    EXPECT_EQ(f1->node(i).page, f2->node(i).page);
+  }
   for (int64_t page = 1; page < f1->total_pages(); ++page) {
     auto r1 = p1.Pin(page);
     auto r2 = p2.Pin(page);
     ASSERT_TRUE(r1.ok()) << r1.status();
     ASSERT_TRUE(r2.ok()) << r2.status();
     ASSERT_EQ(f1->frame_bytes(page), f2->frame_bytes(page));
-    EXPECT_EQ(std::memcmp(r1->data(), r2->data(), f1->frame_bytes(page)),
+    EXPECT_EQ(std::memcmp(r1->data() + 4, r2->data() + 4,
+                          f1->frame_bytes(page) - 4),
               0)
         << "page " << page;
   }
 }
 
-TEST(StorageBlockFileTest, V1FilesStillOpenUnchanged) {
-  ScopedDir dir("v1compat");
-  Table table = MakeTable(300);
-  const std::string path = Pack(table, dir.path, "t");  // kOff default
-  std::unique_ptr<BlockFile> file = OpenFile(path);
-  EXPECT_EQ(file->version(), 1);
-  EXPECT_EQ(file->num_rows(), 300);
-  BufferPool::Options popts;
-  BufferPool pool(file.get(), popts);
-  int64_t rows = 0;
-  for (int64_t b = 0; b < file->num_data_pages(); ++b) {
-    auto page = pool.Pin(file->data_page_id(b));
-    ASSERT_TRUE(page.ok()) << page.status();
-    rows += file->data_page(page->data()).rows;
+TEST(StorageBlockFileTest, RetiredFormatsAreRefusedWithRepackMessage) {
+  ScopedDir dir("retired");
+  for (const uint32_t version : {1u, 2u}) {
+    // The magic and version of a v1/v2 header; the refusal comes before
+    // anything else in the header is read.
+    const std::string path =
+        dir.path + "/v" + std::to_string(version) + ".hdb";
+    std::string bytes = "HDSKYBF1";
+    bytes.append(reinterpret_cast<const char*>(&version), 4);
+    bytes.resize(kBlockFileAlign * 2, '\0');
+    std::ofstream(path, std::ios::binary) << bytes;
+    auto f = BlockFile::Open(path);
+    ASSERT_FALSE(f.ok());
+    EXPECT_TRUE(f.status().IsUnsupported()) << f.status();
+    EXPECT_NE(f.status().message().find("re-pack it with hdsky_pack"),
+              std::string::npos)
+        << f.status();
+    EXPECT_FALSE(PagedTable::Open(path, PagedTableOptions()).ok());
   }
-  EXPECT_EQ(rows, 300);
 }
 
 TEST(StorageBlockFileTest, CorruptCompressedPayloadFailsPin) {
-  ScopedDir dir("v2crc");
+  ScopedDir dir("v3crc");
   Table table = MakeTable(640);
   const std::string path =
       Pack(table, dir.path, "t", 64, Compression::kAuto);
   uint64_t payload_off = 0;
   {
     std::unique_ptr<BlockFile> probe = OpenFile(path);
-    ASSERT_TRUE(probe->compressed());
+    ASSERT_EQ(probe->compression(), Compression::kAuto);
     // A byte inside data page 2's encoded payload, past the page's
     // {crc, count} prologue and the first run header.
     payload_off = probe->extent(2).offset + kPageHeaderBytes +
@@ -678,7 +725,7 @@ TEST(StorageBlockFileTest, CorruptCompressedPayloadFailsPin) {
 }
 
 TEST(StorageBlockFileTest, CorruptPageDirectoryFailsOpen) {
-  ScopedDir dir("v2dir");
+  ScopedDir dir("v3dir");
   Table table = MakeTable(300);
   const std::string path =
       Pack(table, dir.path, "t", 64, Compression::kAuto);
@@ -687,6 +734,301 @@ TEST(StorageBlockFileTest, CorruptPageDirectoryFailsOpen) {
   const auto size = std::filesystem::file_size(path);
   FlipByte(path, static_cast<int64_t>(size) - 10);
   EXPECT_FALSE(BlockFile::Open(path).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Malformed k-d directories: CRC-consistent faults that only the
+// structural checks in Open and DecodePage can catch.
+
+// A packed file's directory, editable in memory. Layout (block_file.h):
+// the header holds num_pages at byte 32, num_nodes at 40 and the
+// directory offset at 48; the directory is num_pages extents of 12 bytes,
+// then num_nodes nodes of {i64 min_rank, i32 left, i32 right, i32 page,
+// u32 rows, 2m i64 box}, then a CRC32C over everything before it.
+struct DirImage {
+  std::string path;
+  std::vector<char> file;
+  uint64_t offset = 0;
+  int64_t pages = 0;
+  int64_t nodes = 0;
+  int m = 0;
+
+  DirImage(const std::string& p, int num_attrs) : path(p), m(num_attrs) {
+    std::ifstream in(path, std::ios::binary);
+    file.assign(std::istreambuf_iterator<char>(in), {});
+    std::memcpy(&pages, file.data() + 32, 8);
+    std::memcpy(&nodes, file.data() + 40, 8);
+    std::memcpy(&offset, file.data() + 48, 8);
+  }
+
+  char* node(int64_t i) {
+    return file.data() + offset + 12 * pages +
+           i * (24 + 16 * static_cast<int64_t>(m));
+  }
+  int64_t& min_rank(int64_t i) {
+    return *reinterpret_cast<int64_t*>(node(i));
+  }
+  int32_t& left(int64_t i) { return *reinterpret_cast<int32_t*>(node(i) + 8); }
+  int32_t& right(int64_t i) {
+    return *reinterpret_cast<int32_t*>(node(i) + 12);
+  }
+  int32_t& page(int64_t i) { return *reinterpret_cast<int32_t*>(node(i) + 16); }
+  Value* box(int64_t i) { return reinterpret_cast<Value*>(node(i) + 24); }
+  bool leaf(int64_t i) { return left(i) < 0; }
+
+  // Recomputes every internal node's minimum rank from its children
+  // (children lie after their parent, so one backward pass suffices).
+  void FixMinRanks() {
+    for (int64_t i = nodes - 1; i >= 0; --i) {
+      if (!leaf(i)) min_rank(i) = std::min(min_rank(left(i)), min_rank(right(i)));
+    }
+  }
+
+  // Re-seals the directory CRC and writes the file back.
+  void Write() {
+    const size_t dir_bytes = file.size() - offset;
+    const uint32_t crc = common::Crc32c(
+        std::string_view(file.data() + offset, dir_bytes - 4));
+    std::memcpy(file.data() + file.size() - 4, &crc, 4);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(file.data(), static_cast<std::streamsize>(file.size()));
+  }
+};
+
+// Packs a fresh 300-row file (about eight 64-row leaves) for one fault.
+std::string PackForFault(const std::string& dir, const std::string& name) {
+  return Pack(MakeTable(300), dir, name);
+}
+
+void ExpectOpenFails(const std::string& path, const std::string& why) {
+  auto f = BlockFile::Open(path);
+  ASSERT_FALSE(f.ok()) << "accepted a directory with " << why;
+  EXPECT_NE(f.status().message().find("k-d"), std::string::npos)
+      << f.status();
+}
+
+TEST(StorageDirectoryTest, ChildOutOfRangeIsRejected) {
+  ScopedDir dir("dirchild");
+  DirImage img(PackForFault(dir.path, "t"), 3);
+  ASSERT_FALSE(img.leaf(0));
+  img.left(0) = static_cast<int32_t>(img.nodes);
+  img.Write();
+  ExpectOpenFails(img.path, "a child past the node array");
+}
+
+TEST(StorageDirectoryTest, CyclicChildIsRejected) {
+  ScopedDir dir("dircycle");
+  DirImage img(PackForFault(dir.path, "t"), 3);
+  const int32_t inner = img.left(0);
+  ASSERT_FALSE(img.leaf(inner));
+  img.right(inner) = 0;  // back to the root
+  img.Write();
+  ExpectOpenFails(img.path, "a child pointing back at the root");
+}
+
+TEST(StorageDirectoryTest, SharedChildIsRejected) {
+  ScopedDir dir("dirshared");
+  DirImage img(PackForFault(dir.path, "t"), 3);
+  img.right(0) = img.left(0);
+  img.Write();
+  ExpectOpenFails(img.path, "one child reached twice");
+}
+
+TEST(StorageDirectoryTest, LeafPageMapMustBeABijection) {
+  ScopedDir dir("dirpages");
+  std::vector<int64_t> leaves;
+  {
+    DirImage probe(PackForFault(dir.path, "probe"), 3);
+    for (int64_t i = 0; i < probe.nodes; ++i) {
+      if (probe.leaf(i)) leaves.push_back(i);
+    }
+  }
+  ASSERT_GE(leaves.size(), 2u);
+  {
+    DirImage img(PackForFault(dir.path, "repeat"), 3);
+    img.page(leaves[1]) = img.page(leaves[0]);
+    img.Write();
+    ExpectOpenFails(img.path, "a page mapped twice (and one skipped)");
+  }
+  {
+    DirImage img(PackForFault(dir.path, "range"), 3);
+    img.page(leaves[0]) = static_cast<int32_t>(img.pages);
+    img.Write();
+    ExpectOpenFails(img.path, "a page past the page count");
+  }
+  {
+    DirImage img(PackForFault(dir.path, "inner"), 3);
+    img.page(0) = 0;
+    img.Write();
+    ExpectOpenFails(img.path, "an internal node claiming a page");
+  }
+}
+
+TEST(StorageDirectoryTest, BoxMustContainChildBoxes) {
+  ScopedDir dir("dirbox");
+  DirImage img(PackForFault(dir.path, "t"), 3);
+  const int32_t child = img.left(0);
+  // Shrink the root's max on every attribute just below the child's.
+  for (int a = 0; a < 3; ++a) {
+    img.box(0)[2 * a + 1] = img.box(child)[2 * a + 1] - 1;
+  }
+  img.Write();
+  ExpectOpenFails(img.path, "a box narrower than its child's");
+}
+
+TEST(StorageDirectoryTest, WrongMinimumRankIsRejected) {
+  ScopedDir dir("dirminrank");
+  {
+    DirImage img(PackForFault(dir.path, "inner"), 3);
+    img.min_rank(img.left(0)) += 1;  // disagrees with its children
+    img.Write();
+    ExpectOpenFails(img.path, "an internal minimum rank off by one");
+  }
+  {
+    // A leaf's minimum moved to another unused rank, with every
+    // ancestor made consistent: only the page itself can tell, so the
+    // pin fails when the page's first rank disagrees.
+    const std::string path = PackForFault(dir.path, "leaf");
+    DirImage img(path, 3);
+    int64_t leaf = -1;
+    for (int64_t i = 0; i < img.nodes; ++i) {
+      if (img.leaf(i) && img.min_rank(i) != 0) leaf = i;
+    }
+    ASSERT_GE(leaf, 0);
+    const int64_t page_id = 1 + img.page(leaf);
+    img.min_rank(leaf) += 1;
+    img.FixMinRanks();
+    img.Write();
+    std::unique_ptr<BlockFile> file = OpenFile(path);
+    BufferPool pool(file.get(), BufferPool::Options());
+    auto pinned = pool.Pin(page_id);
+    ASSERT_FALSE(pinned.ok());
+    EXPECT_NE(pinned.status().message().find("ranks disagree"),
+              std::string::npos)
+        << pinned.status();
+  }
+}
+
+TEST(StorageDirectoryTest, RankOutOfRangeOrRepeatedIsRejected) {
+  ScopedDir dir("dirrank");
+  {
+    DirImage img(PackForFault(dir.path, "range"), 3);
+    for (int64_t i = 0; i < img.nodes; ++i) {
+      if (img.leaf(i) && img.min_rank(i) != 0) {
+        img.min_rank(i) = 300;  // n
+        break;
+      }
+    }
+    img.FixMinRanks();
+    img.Write();
+    ExpectOpenFails(img.path, "a leaf minimum rank of n");
+  }
+  {
+    DirImage img(PackForFault(dir.path, "negative"), 3);
+    for (int64_t i = 0; i < img.nodes; ++i) {
+      if (img.leaf(i)) img.min_rank(i) = -5;
+    }
+    img.FixMinRanks();
+    img.Write();
+    ExpectOpenFails(img.path, "negative ranks");
+  }
+  {
+    DirImage img(PackForFault(dir.path, "repeat"), 3);
+    int64_t first = -1;
+    for (int64_t i = 0; i < img.nodes; ++i) {
+      if (!img.leaf(i)) continue;
+      if (first < 0) {
+        first = i;
+      } else {
+        img.min_rank(i) = img.min_rank(first);
+        break;
+      }
+    }
+    img.FixMinRanks();
+    img.Write();
+    ExpectOpenFails(img.path, "two leaves sharing a minimum rank");
+  }
+  {
+    // A rank repeated inside one page: rewrite the raw rank run of page
+    // 1 and re-seal its CRC, so only the decoder's rank check can tell.
+    const std::string path = PackForFault(dir.path, "inpage");
+    uint64_t off = 0;
+    int64_t rows = 0;
+    {
+      std::unique_ptr<BlockFile> probe = OpenFile(path);
+      off = probe->extent(1).offset;
+      rows = static_cast<int64_t>(
+          (probe->frame_bytes(1) - kPageHeaderBytes) / (8 * 5));
+    }
+    DirImage img(path, 3);
+    char* page = img.file.data() + off;
+    // Prologue, then the raw id run, then the raw rank run.
+    int64_t* ranks = reinterpret_cast<int64_t*>(
+        page + kPageHeaderBytes + kRunHeaderBytes + 8 * rows +
+        kRunHeaderBytes);
+    ASSERT_GE(rows, 2);
+    ranks[1] = ranks[0];
+    uint32_t stored = 0;
+    std::memcpy(&stored, page, 4);
+    const size_t payload = 5 * (kRunHeaderBytes + 8 * rows);
+    const uint32_t crc = common::Crc32c(
+        std::string_view(page + kPageHeaderBytes, payload));
+    std::memcpy(page, &crc, 4);
+    img.Write();
+    std::unique_ptr<BlockFile> file = OpenFile(path);
+    BufferPool pool(file.get(), BufferPool::Options());
+    auto pinned = pool.Pin(1);
+    ASSERT_FALSE(pinned.ok());
+    EXPECT_NE(pinned.status().message().find("strictly ascending"),
+              std::string::npos)
+        << pinned.status();
+  }
+}
+
+TEST(StorageDirectoryTest, ByteFlipsNeverCrashOpenOrQueries) {
+  // Deterministic, bounded pass: every byte of a small file's directory,
+  // two flips each, re-sealed so the CRC passes and the structural
+  // checks carry the load. A flip either fails Open, or leaves a tree
+  // that every query walks to completion — an answer or a Status, never
+  // a crash (the ASan/UBSan build runs this too).
+  ScopedDir dir("dirflips");
+  Table table = MakeTable(300);
+  const std::string path = Pack(table, dir.path, "t");
+  const DirImage pristine(path, 3);
+  const size_t dir_bytes = pristine.file.size() - pristine.offset - 4;
+  ASSERT_LT(dir_bytes, 4096u);
+  std::vector<Query> battery = {Query(3), Query(3).AddAtMost(0, 30),
+                                Query(3).AddAtLeast(1, 60).AddAtMost(2, 40)};
+  int opened = 0;
+  int rejected = 0;
+  for (size_t pos = 0; pos < dir_bytes; ++pos) {
+    for (const char mask : {'\x01', '\x40'}) {
+      DirImage img = pristine;
+      img.file[img.offset + pos] ^= mask;
+      img.Write();
+      PagedTableOptions popts;
+      popts.buffer_pool_bytes = 8192;
+      auto paged = PagedTable::Open(path, popts);
+      if (!paged.ok()) {
+        ++rejected;
+        continue;
+      }
+      ++opened;
+      TopKOptions topts;
+      topts.k = 5;
+      auto iface = TopKInterface::CreatePaged(paged->get(), topts);
+      ASSERT_TRUE(iface.ok()) << iface.status();
+      for (const Query& q : battery) {
+        QueryResult out;
+        (void)(*iface)->Execute(q, &out);
+        EXPECT_LE(out.ids.size(), 5u);
+      }
+    }
+  }
+  // Structural fields reject; some box and extent-length flips pass Open
+  // and are walked by the queries above.
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(opened, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-// hdsky_pack — streaming STR bulk load of a dataset into a paged block
-// file (data/block_file.h) that hdsky_serve / hdsky_discover can open
-// out-of-core via --dataset-file.
+// hdsky_pack — bulk load of a dataset into a paged block file
+// (data/block_file.h, format v3) that hdsky_serve / hdsky_discover can
+// open out-of-core via --dataset-file.
 //
 // Loads a dataset (CSV or a built-in simulator), binds the chosen
-// static-order ranking, and writes the table in rank order — header,
-// PAX data pages, zone-map index levels — through the atomic
-// temp+fsync+rename path, so a crash never leaves a half-written file.
+// static-order ranking, and writes the table as k-d leaf pages whose rows
+// carry their ranks — header, leaf pages, k-d directory — through the
+// atomic temp+fsync+rename path, so a crash never leaves a half-written
+// file.
 //
 //   hdsky_pack --demo bluenile --n 1000000 --out bluenile.hdb
 //   hdsky_pack --data listings.csv --ranking lex:price --out listings.hdb
@@ -72,20 +73,22 @@ int main(int argc, char** argv) {
     const double rows = stats.rows > 0 ? static_cast<double>(stats.rows)
                                        : 1.0;
     std::fprintf(stderr,
-                 "stats   : %lld data pages + %lld index pages, %d "
-                 "zone-map levels, %.1f bytes/row on disk (%.1f logical)\n",
+                 "stats   : %lld data pages (k-d leaves of <= %lld rows), "
+                 "%lld k-d nodes, depth %d, %.1f bytes/row on disk "
+                 "(%.1f logical)\n",
                  static_cast<long long>(stats.data_pages),
-                 static_cast<long long>(stats.index_pages),
-                 stats.num_index_levels,
+                 static_cast<long long>(options.rows_per_block),
+                 static_cast<long long>(stats.kd_nodes), stats.kd_depth,
                  static_cast<double>(stats.file_bytes) / rows,
                  static_cast<double>(stats.raw_payload_bytes()) / rows);
     for (size_t c = 0; c < stats.columns.size(); ++c) {
       const auto& col = stats.columns[c];
       const char* name =
-          c == 0 ? "<tuple id>"
-                 : table.schema()
-                       .attribute(static_cast<int>(c) - 1)
-                       .name.c_str();
+          c == 0   ? "<tuple id>"
+          : c == 1 ? "<rank>"
+                   : table.schema()
+                         .attribute(static_cast<int>(c) - 2)
+                         .name.c_str();
       const double ratio =
           col.encoded_bytes > 0
               ? static_cast<double>(col.raw_bytes) /
