@@ -128,7 +128,7 @@ void BM_ExecutePointQuery(benchmark::State& state) {
 // index off) — on the broad query, the pair the 2x warm gate in
 // scripts/compare_bench.py compares. Counters: pool_bytes, data_bytes,
 // evictions, bytes_read_per_iter (stored bytes fetched from disk per
-// query, prefetch included), and exact_match (1 when a differential
+// query), and exact_match (1 when a differential
 // battery of queries returned bit-identical answers from the paged and
 // in-memory interfaces). HDSKY_BUFFER_POOL_BYTES shrinks the pool
 // further (CI's eviction-churn smoke); values above the 1/8 cap are
@@ -212,7 +212,6 @@ OocContext MakeOocContext(const data::Table& t, const std::string& path,
   data::PagedTableOptions popts;
   popts.buffer_pool_bytes = pool;
   popts.read_path = kind;
-  popts.readahead_pages = 8;
 
   OocContext ctx;
   ctx.table =

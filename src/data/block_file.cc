@@ -596,19 +596,13 @@ BlockFile::~BlockFile() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-size_t BlockFile::frame_bytes(int64_t page_id) const {
-  if (page_id < 1 || page_id > num_data_pages()) return page_bytes();
-  const int32_t leaf = page_leaf_[static_cast<size_t>(page_id - 1)];
-  return FrameBytesFor(nodes_[static_cast<size_t>(leaf)].rows);
-}
-
 Status BlockFile::DecodePage(int64_t page_id, const uint8_t* raw,
                              size_t raw_len, uint8_t* frame) const {
-  if (page_id < 1 || page_id > num_data_pages()) {
+  if (page_id < 0 || page_id >= num_data_pages()) {
     return Corrupt(path_, "page id out of range");
   }
   const std::string page = "page " + std::to_string(page_id);
-  const int32_t leaf_id = page_leaf_[static_cast<size_t>(page_id - 1)];
+  const int32_t leaf_id = page_leaf_[static_cast<size_t>(page_id)];
   const KdNode& leaf = nodes_[static_cast<size_t>(leaf_id)];
   if (raw_len != extent(page_id).bytes || raw_len < kPageHeaderBytes) {
     return Corrupt(path_, page + " fetched with wrong extent");

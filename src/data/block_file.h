@@ -6,7 +6,7 @@
 //   offset 0                header (magic, version, geometry, ranking
 //                           name, serialized schema, CRC32C), padded to
 //                           a 4 KiB boundary
-//   pages 1..L              data pages, one per leaf of an exact-median
+//   pages 0..L-1            data pages, one per leaf of an exact-median
 //                           k-d tree over all rows (data/kd_split.h, the
 //                           split rule KdIndex uses), in leaf order, back
 //                           to back
@@ -37,7 +37,11 @@
 // page against its leaf: row count, ranks strictly ascending from the
 // leaf's minimum and below n, values inside the leaf's box. A directory
 // that passes these checks cannot send a reader outside the file or
-// into a loop; the CRCs are what vouch for its content.
+// into a loop; the CRCs are what vouch for its content. A rank is thus
+// caught repeating inside one page or among leaf minima. A rank
+// repeated across two pages would take decoding every page to see, so
+// Open does not look; the paged engine's merge fails any query whose
+// answer would hold both rows.
 //
 // Out-of-core queries (exec::PagedEngine) walk the tree best-first by
 // minimum rank, skip nodes whose box misses the query, and pin only the
@@ -158,8 +162,6 @@ class BlockFile {
   int64_t rows_per_block() const { return rows_per_block_; }
   /// Decoded size of a full leaf's frame (no frame exceeds this).
   size_t page_bytes() const { return FrameBytesFor(rows_per_block_); }
-  /// Pool page ids run over [1, total_pages()); 0 is the header.
-  int64_t total_pages() const { return 1 + num_data_pages(); }
   uint64_t file_bytes() const { return file_bytes_; }
   /// Logical payload bytes: ids + values of every row. The out-of-core
   /// ratio in the benches is data_bytes() / pool budget.
@@ -168,11 +170,9 @@ class BlockFile {
            static_cast<uint64_t>(num_attrs_ + 1) * sizeof(Value);
   }
 
-  int64_t data_page_id(int64_t block) const { return 1 + block; }
-
   /// A k-d node of the directory. Internal nodes have left, right >= 0
   /// and page == -1; leaves have left == right == -1 and page = their
-  /// data page index (pool page id data_page_id(page)).
+  /// data page index, the id the BufferPool pins it by.
   struct KdNode {
     int64_t min_rank;
     int32_t left;
@@ -191,24 +191,29 @@ class BlockFile {
   }
 
   /// Physical location of a page's stored (possibly encoded) bytes.
+  /// Data pages are indexed [0, num_data_pages()) here and below.
   struct Extent {
     uint64_t offset;
     uint32_t bytes;
   };
-  Extent extent(int64_t page_id) const {
-    return extents_[static_cast<size_t>(page_id - 1)];
+  Extent extent(int64_t page) const {
+    return extents_[static_cast<size_t>(page)];
   }
 
   /// Exact decoded size of a page's frame: 8-byte prologue + ids + ranks
   /// + values (never exceeds page_bytes()).
-  size_t frame_bytes(int64_t page_id) const;
+  size_t frame_bytes(int64_t page) const {
+    return FrameBytesFor(
+        nodes_[static_cast<size_t>(page_leaf_[static_cast<size_t>(page)])]
+            .rows);
+  }
 
   /// Validates the fetched bytes of a page (row count from the
   /// directory, then CRC32C over the stored payload), decodes its runs
-  /// into `frame` — which must hold frame_bytes(page_id) — and checks
-  /// the decoded ranks and values against the page's leaf. Any
+  /// into `frame` — which must hold frame_bytes(page) — and checks the
+  /// decoded ranks and values against the page's leaf. Any
   /// inconsistency fails like a CRC mismatch.
-  common::Status DecodePage(int64_t page_id, const uint8_t* raw,
+  common::Status DecodePage(int64_t page, const uint8_t* raw,
                             size_t raw_len, uint8_t* frame) const;
 
   struct DataPageView {

@@ -1,6 +1,7 @@
 #include "data/buffer_pool.h"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 namespace hdsky {
@@ -15,26 +16,13 @@ BufferPool::BufferPool(const BlockFile* file, const Options& options)
       budget_(options.budget_bytes < file->page_bytes()
                   ? file->page_bytes()
                   : options.budget_bytes),
-      kind_(options.read_path),
-      readahead_pages_(std::max(0, options.readahead_pages)) {
+      kind_(options.read_path) {
   auto rp = ReadPath::Create(kind_, *file);
   if (!rp.ok()) {
     init_status_ = rp.status();
     return;
   }
   read_path_ = std::move(rp).value();
-  if (kind_ == ReadPathKind::kPread && readahead_pages_ > 0) {
-    worker_ = std::thread(&BufferPool::WorkerLoop, this);
-  }
-}
-
-BufferPool::~BufferPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  if (worker_.joinable()) worker_.join();
 }
 
 const char* BufferPool::read_path_name() const {
@@ -87,6 +75,10 @@ Status BufferPool::LoadLocked(std::unique_lock<std::mutex>& lock,
 }
 
 Result<BufferPool::PageRef> BufferPool::Pin(int64_t page_id) {
+  if (page_id < 0 || page_id >= file_->num_data_pages()) {
+    return Status::InvalidArgument("page " + std::to_string(page_id) +
+                                   " is not a data page");
+  }
   std::unique_lock<std::mutex> lock(mu_);
   Frame& frame = frames_[page_id];
   ++frame.pins;
@@ -99,33 +91,16 @@ Result<BufferPool::PageRef> BufferPool::Pin(int64_t page_id) {
   }
   if (frame.data != nullptr) {
     ++stats_.hits;
-    if (frame.prefetched) {
-      frame.prefetched = false;
-      ++stats_.prefetch_hits;
-    }
     return PageRef(this, page_id, frame.data.get());
   }
   ++stats_.misses;
-  // Single-flight: one thread (a pin or the readahead worker) loads,
-  // the rest wait for the verdict.
+  // Single-flight: one pin loads, the rest wait for the verdict.
   while (frame.loading) {
     load_cv_.wait(lock);
     if (frame.data != nullptr) {
       ++stats_.hits;
-      if (frame.prefetched) {
-        frame.prefetched = false;
-        ++stats_.prefetch_hits;
-      }
       return PageRef(this, page_id, frame.data.get());
     }
-  }
-  if (frame.data != nullptr) {
-    ++stats_.hits;
-    if (frame.prefetched) {
-      frame.prefetched = false;
-      ++stats_.prefetch_hits;
-    }
-    return PageRef(this, page_id, frame.data.get());
   }
   frame.loading = true;
   const Status st = LoadLocked(lock, page_id);
@@ -135,81 +110,6 @@ Result<BufferPool::PageRef> BufferPool::Pin(int64_t page_id) {
     return st;
   }
   return PageRef(this, page_id, f.data.get());
-}
-
-void BufferPool::Prefetch(const int64_t* page_ids, int n) {
-  if (read_path_ == nullptr || n <= 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (int i = 0; i < n; ++i) {
-    const int64_t id = page_ids[i];
-    if (id < 1 || id >= file_->total_pages()) continue;
-    auto it = frames_.find(id);
-    if (it != frames_.end() &&
-        (it->second.data != nullptr || it->second.loading)) {
-      continue;
-    }
-    if (hinted_.count(id) != 0) continue;
-    if (kind_ == ReadPathKind::kMmap) {
-      const BlockFile::Extent ext = file_->extent(id);
-      read_path_->Hint(ext.offset, ext.bytes);
-      hinted_.insert(id);
-      ++stats_.prefetch_issued;
-      continue;
-    }
-    if (readahead_pages_ == 0 ||
-        queue_.size() >= static_cast<size_t>(readahead_pages_)) {
-      break;
-    }
-    // Never evict to make room for readahead: if the budget has no
-    // free headroom (the eviction-churn regime), drop the hint.
-    if (stats_.resident_bytes + file_->frame_bytes(id) > budget_) break;
-    queue_.push_back(id);
-    hinted_.insert(id);
-    ++stats_.prefetch_issued;
-    work_cv_.notify_one();
-  }
-}
-
-void BufferPool::WorkerLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    work_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
-    if (stop_) return;
-    const int64_t id = queue_.front();
-    queue_.pop_front();
-    hinted_.erase(id);
-    auto it = frames_.find(id);
-    if (it != frames_.end() &&
-        (it->second.data != nullptr || it->second.loading)) {
-      continue;
-    }
-    // Re-check headroom at dequeue time; the pool may have filled up
-    // since the hint was accepted.
-    if (stats_.resident_bytes + file_->frame_bytes(id) > budget_) {
-      continue;
-    }
-    Frame& frame = frames_[id];
-    frame.loading = true;
-    const Status st = LoadLocked(lock, id);
-    Frame& f = frames_[id];
-    if (!st.ok()) {
-      if (f.pins == 0 && f.data == nullptr) frames_.erase(id);
-      continue;
-    }
-    ++stats_.prefetch_loads;
-    f.prefetched = true;
-    if (f.pins == 0 && !f.in_lru) {
-      // Unpinned resident: eligible for eviction like any other.
-      if (spare_.empty()) {
-        f.lru_it = lru_.insert(lru_.end(), id);
-      } else {
-        lru_.splice(lru_.end(), spare_, spare_.begin());
-        f.lru_it = std::prev(lru_.end());
-        *f.lru_it = id;
-      }
-      f.in_lru = true;
-    }
-  }
 }
 
 void BufferPool::Unpin(int64_t page_id) {
@@ -240,7 +140,6 @@ void BufferPool::EvictFront() {
   stats_.resident_bytes -= it->second.bytes;
   --stats_.resident_pages;
   frames_.erase(it);
-  hinted_.erase(victim);
   ++stats_.evictions;
 }
 
@@ -253,8 +152,6 @@ void BufferPool::EvictToBudget() {
 
 void BufferPool::DropAll() {
   std::lock_guard<std::mutex> lock(mu_);
-  queue_.clear();
-  hinted_.clear();
   while (!lru_.empty()) {
     EvictFront();
   }

@@ -9,22 +9,17 @@
 // pages go through the pool — the k-d directory stays in the BlockFile
 // — so the byte budget bounds the decoded leaves a query touches.
 //
-// Readahead: with the pread path, Prefetch(ids) enqueues up to
-// `readahead_pages` page ids to a single worker thread that performs
-// the fetch + decode asynchronously. Prefetch shares the single-flight
-// machinery with Pin (a pin of an in-flight prefetch waits instead of
-// re-reading) and never evicts to make room — if the budget has no free
-// headroom (the eviction-churn regime) the hint is dropped, so
-// readahead cannot thrash the working set. On the mmap path the hints
-// degrade to MADV_WILLNEED. The paged engine's best-first walk does not
-// hint: it learns which leaf comes next only as it goes.
+// Pages are keyed by their data page index in [0, num_data_pages()).
+// Every load happens on the pinning thread: the paged engine's
+// best-first walk learns which leaf comes next only as it goes, so
+// there is nothing to read ahead of it.
 //
 // Invariants (exercised by tests/storage_test.cc, TSan-clean under the
 // event server's concurrent sessions):
 //   * a page with pins > 0 is never evicted, whatever the budget says;
 //   * verification + decode run exactly once per residency,
-//     single-flight: concurrent first pins of one page (and the
-//     readahead worker) wait on the loading thread instead of racing;
+//     single-flight: concurrent first pins of one page wait on the
+//     loading thread instead of racing;
 //   * a failed CRC or decode makes every waiting Pin fail and leaves
 //     the page non-resident (a retry re-reads — and re-fails — from
 //     disk);
@@ -38,13 +33,10 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/status.h"
 #include "data/block_file.h"
@@ -61,9 +53,6 @@ class BufferPool {
     size_t budget_bytes = size_t{256} << 20;
     /// How stored bytes reach memory (read_path.h).
     ReadPathKind read_path = ReadPathKind::kMmap;
-    /// Depth of the asynchronous readahead queue (pread path only;
-    /// 0 disables the worker). On mmap, hints become MADV_WILLNEED.
-    int readahead_pages = 8;
   };
 
   struct Stats {
@@ -73,17 +62,17 @@ class BufferPool {
     uint64_t evictions = 0;
     uint64_t crc_failures = 0;
     uint64_t overcommits = 0;  // budget exceeded because all pins held
-    uint64_t prefetch_issued = 0;  // hints accepted (queued or advised)
-    uint64_t prefetch_loads = 0;   // frames installed by the worker
-    uint64_t prefetch_hits = 0;    // pins served by a prefetched frame
-    uint64_t bytes_read = 0;  // stored bytes fetched, incl. prefetch
+    /// Always 0: the pool reads nothing ahead. Kept because the tools'
+    /// `pool    :` stats line, which perfbench parses, prints them.
+    uint64_t prefetch_loads = 0;
+    uint64_t prefetch_hits = 0;
+    uint64_t bytes_read = 0;  // stored bytes fetched
     uint64_t resident_bytes = 0;
     uint64_t resident_pages = 0;
   };
 
   /// `file` must outlive the pool.
   BufferPool(const BlockFile* file, const Options& options);
-  ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
@@ -129,19 +118,13 @@ class BufferPool {
     const uint8_t* data_ = nullptr;
   };
 
-  /// Pins a page, loading + verifying + decoding it if not resident.
-  /// Fails with the BlockFile's corruption status on CRC or decode
-  /// mismatch.
+  /// Pins data page `page_id` (in [0, file->num_data_pages())),
+  /// loading + verifying + decoding it if not resident. Fails with the
+  /// BlockFile's corruption status on CRC or decode mismatch.
   common::Result<PageRef> Pin(int64_t page_id);
 
-  /// Readahead hint: the pages are likely to be pinned soon, in order.
-  /// Best-effort and non-blocking; duplicates, resident pages, and
-  /// hints beyond the queue depth or the budget's free headroom are
-  /// dropped.
-  void Prefetch(const int64_t* page_ids, int n);
-
-  /// Evicts every unpinned resident page and drops queued readahead
-  /// (the benches' buffer-pool-cold reset). Pinned pages stay.
+  /// Evicts every unpinned resident page (the benches'
+  /// buffer-pool-cold reset). Pinned pages stay.
   void DropAll();
 
   Stats stats() const;
@@ -157,7 +140,6 @@ class BufferPool {
   struct Frame {
     int pins = 0;
     bool loading = false;
-    bool prefetched = false;  // installed by the worker, not pinned yet
     std::unique_ptr<uint8_t[]> data;  // non-null == resident
     uint32_t bytes = 0;               // frame size (budget accounting)
     std::list<int64_t>::iterator lru_it{};
@@ -176,7 +158,6 @@ class BufferPool {
   /// bookkeeping / LRU insertion afterwards.
   common::Status LoadLocked(std::unique_lock<std::mutex>& lock,
                             int64_t page_id);
-  void WorkerLoop();
 
   const BlockFile* file_;
   const size_t requested_budget_;
@@ -184,25 +165,16 @@ class BufferPool {
   std::unique_ptr<ReadPath> read_path_;
   common::Status init_status_;
   const ReadPathKind kind_;
-  const int readahead_pages_;
 
   mutable std::mutex mu_;
   std::condition_variable load_cv_;
-  std::condition_variable work_cv_;
   std::unordered_map<int64_t, Frame> frames_;
   std::list<int64_t> lru_;  // unpinned residents, least recent first
   /// Recycled lru_ nodes (bounded by the peak resident page count):
   /// repinning and unpinning splice nodes between the two lists, so the
   /// steady-state warm path never touches the allocator.
   std::list<int64_t> spare_;
-  /// Pages with an outstanding hint: queued for the worker (pread) or
-  /// already MADV_WILLNEED'd (mmap). Cleared on eviction so a page can
-  /// be hinted again after it leaves.
-  std::unordered_set<int64_t> hinted_;
-  std::deque<int64_t> queue_;  // readahead work, FIFO
-  bool stop_ = false;
   Stats stats_;
-  std::thread worker_;  // last member: joins before state tears down
 };
 
 }  // namespace data

@@ -14,7 +14,6 @@ Result<std::unique_ptr<PagedTable>> PagedTable::Open(
   BufferPool::Options pool_opts;
   pool_opts.budget_bytes = options.buffer_pool_bytes;
   pool_opts.read_path = options.read_path;
-  pool_opts.readahead_pages = options.readahead_pages;
   auto pool = std::make_unique<BufferPool>(file.get(), pool_opts);
   return std::unique_ptr<PagedTable>(
       new PagedTable(std::move(file), std::move(pool)));

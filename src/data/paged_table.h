@@ -1,8 +1,8 @@
 // PagedTable: an out-of-core hidden-database backing store — a BlockFile
 // plus the BufferPool that bounds its resident working set. This is the
 // paged counterpart of an in-memory Table for the query path: it does
-// not support appends or row-at-a-time access (the data lives in rank
-// order inside mapped pages); TopKInterface::CreatePaged and the
+// not support appends or row-at-a-time access (the data lives in the
+// leaf pages of a k-d tree); TopKInterface::CreatePaged and the
 // exec::PagedEngine consume it directly.
 
 #ifndef HDSKY_DATA_PAGED_TABLE_H_
@@ -23,14 +23,11 @@ struct PagedTableOptions {
   size_t buffer_pool_bytes = size_t{256} << 20;
   /// How stored bytes reach memory (--read-path in the tools).
   ReadPathKind read_path = ReadPathKind::kMmap;
-  /// Asynchronous readahead depth for the pread path
-  /// (--readahead-pages in the tools).
-  int readahead_pages = 8;
 };
 
 class PagedTable {
  public:
-  /// Opens a block file written by BlockFileWriter / dataset::PackTable.
+  /// Opens a block file written by WriteBlockFile / dataset::PackTable.
   static common::Result<std::unique_ptr<PagedTable>> Open(
       const std::string& path, const PagedTableOptions& options);
 

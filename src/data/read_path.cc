@@ -39,10 +39,6 @@ class MmapReadPath final : public ReadPath {
     Advise(off, len, MADV_DONTNEED);
   }
 
-  void Hint(uint64_t off, size_t len) override {
-    Advise(off, len, MADV_WILLNEED);
-  }
-
   const char* name() const override { return "mmap"; }
 
  private:

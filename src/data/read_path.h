@@ -5,14 +5,10 @@
 //   kMmap   the whole file is mapped PROT_READ/MAP_SHARED with
 //           MADV_RANDOM; Fetch returns a pointer into the mapping (the
 //           kernel faults the bytes in), Discard hands them back with
-//           MADV_DONTNEED, Hint issues MADV_WILLNEED. This is the
-//           original PR 7 path: zero-copy, but every cold touch is a
+//           MADV_DONTNEED. Zero-copy, but every cold touch is a
 //           blocking page fault on the pinning thread.
-//   kPread  Fetch pread(2)s the extent into caller scratch. No page
-//           cache aliasing games, and — because the bytes land in
-//           caller-owned memory — the buffer pool can move the whole
-//           fetch+decode onto its readahead worker, turning cold-run
-//           faults into overlapped asynchronous reads.
+//   kPread  Fetch pread(2)s the extent into caller scratch: one
+//           explicit read per page, no page-cache aliasing games.
 //
 // Both paths are stateless per call and safe to share across threads
 // (pread is positionless; the mapping is read-only).
@@ -54,11 +50,6 @@ class ReadPath {
   /// Tells the path the extent's bytes were consumed (decoded into a
   /// pool frame) and won't be re-read soon. Best-effort.
   virtual void Discard(uint64_t /*off*/, size_t /*len*/) {}
-
-  /// Readahead hint: the extent is likely to be fetched soon.
-  /// Best-effort; the mmap path forwards it to the kernel, the pread
-  /// path ignores it (the buffer pool's worker does real readahead).
-  virtual void Hint(uint64_t /*off*/, size_t /*len*/) {}
 
   /// "mmap" or "pread" (stats lines, bench labels).
   virtual const char* name() const = 0;

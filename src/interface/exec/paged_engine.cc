@@ -53,10 +53,13 @@ bool Misses(const Value* box, const std::vector<AttrBound>& bounds) {
 /// Scans one pinned leaf page and merges its matches into the best
 /// k+1. Rows sit in rank order, so only the rows ranked above
 /// `threshold` (the current (k+1)-th best) and, of those, the first
-/// `want` matches can enter.
-void ScanLeaf(const BlockFile& file, const uint8_t* frame,
-              const std::vector<AttrBound>& bounds, int64_t threshold,
-              int64_t want, Scratch* scr) {
+/// `want` matches can enter. Fails if a match has the rank of one
+/// already held: Open and DecodePage cannot see a rank repeated across
+/// two pages without decoding every page, but the merge meets any such
+/// pair that would share an answer.
+Status ScanLeaf(const BlockFile& file, const uint8_t* frame,
+                const std::vector<AttrBound>& bounds, int64_t threshold,
+                int64_t want, Scratch* scr) {
   const BlockFile::DataPageView view = file.data_page(frame);
   const int64_t rows = view.rows;
   const int64_t limit =
@@ -98,7 +101,7 @@ void ScanLeaf(const BlockFile& file, const uint8_t* frame,
       count += c;
     }
   }
-  if (count == 0) return;
+  if (count == 0) return Status::OK();
 
   const size_t m = static_cast<size_t>(file.num_attributes());
   const size_t first = scr->ids.size();
@@ -120,7 +123,7 @@ void ScanLeaf(const BlockFile& file, const uint8_t* frame,
   }
   // Both runs are rank-ascending: merge from the back, in place, keeping
   // the first `want`. Work is proportional to the entries that move, not
-  // to k.
+  // to k. Equal ranks from the two runs always meet in one comparison.
   std::vector<int32_t>& best = scr->best;
   const auto rank_of = [&](int32_t cand) {
     return scr->ranks[static_cast<size_t>(cand)];
@@ -130,9 +133,16 @@ void ScanLeaf(const BlockFile& file, const uint8_t* frame,
   int64_t i = b - 1;
   int64_t j = count - 1;
   const int32_t base = static_cast<int32_t>(first);
+  bool repeated = false;
+  // True when held entry i has a larger (worse) rank than candidate j.
+  const auto held_is_worse = [&] {
+    const int64_t held = rank_of(best[static_cast<size_t>(i)]);
+    const int64_t cand = rank_of(base + static_cast<int32_t>(j));
+    repeated |= held == cand;
+    return held > cand;
+  };
   for (int64_t drop = b + count - keep; drop > 0; --drop) {
-    if (j < 0 || (i >= 0 && rank_of(best[static_cast<size_t>(i)]) >
-                                rank_of(base + static_cast<int32_t>(j)))) {
+    if (j < 0 || (i >= 0 && held_is_worse())) {
       --i;
     } else {
       --j;
@@ -140,13 +150,16 @@ void ScanLeaf(const BlockFile& file, const uint8_t* frame,
   }
   best.resize(static_cast<size_t>(keep));
   for (int64_t pos = keep - 1; j >= 0; --pos) {
-    if (i >= 0 && rank_of(best[static_cast<size_t>(i)]) >
-                      rank_of(base + static_cast<int32_t>(j))) {
+    if (i >= 0 && held_is_worse()) {
       best[static_cast<size_t>(pos)] = best[static_cast<size_t>(i--)];
     } else {
       best[static_cast<size_t>(pos)] = base + static_cast<int32_t>(j--);
     }
   }
+  if (repeated) {
+    return Status::IOError(file.path() + ": a rank appears on two pages");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -203,8 +216,9 @@ Status PagedEngine::ExecuteTopK(const std::vector<AttrBound>& bounds,
     if (id < 0) continue;
     HDSKY_ASSIGN_OR_RETURN(
         BufferPool::PageRef ref,
-        pool->Pin(file.data_page_id(file.node(id).page)));
-    ScanLeaf(file, ref.data(), bounds, threshold, want, &scr);
+        pool->Pin(file.node(id).page));
+    HDSKY_RETURN_IF_ERROR(
+        ScanLeaf(file, ref.data(), bounds, threshold, want, &scr));
     if (static_cast<int64_t>(scr.best.size()) == want) {
       threshold = scr.ranks[static_cast<size_t>(scr.best.back())];
     }

@@ -45,12 +45,13 @@ class PagedEngine {
   /// out->ids with the first k matching row ids in rank order,
   /// materializes out->tuples, and sets out->overflow when a (k+1)-th
   /// match exists. Fails (leaving *out* unspecified) only on storage
-  /// errors — a page that no longer passes its CRC.
+  /// errors — a page that no longer passes its CRC or its leaf's
+  /// checks, or two matches of one rank from different pages.
   common::Status ExecuteTopK(const std::vector<AttrBound>& bounds, int k,
                              QueryResult* out) const;
 
   /// The engine's I/O counters: a snapshot of the underlying pool's
-  /// hit/miss/eviction/prefetch/bytes-read stats (the engine performs
+  /// hit/miss/eviction/bytes-read stats (the engine performs
   /// no I/O outside the pool, so these are exactly its costs).
   data::BufferPool::Stats pool_stats() const;
 

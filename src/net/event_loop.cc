@@ -148,12 +148,12 @@ void EventLoop::Run(int tick_ms, const Task& on_tick) {
   std::vector<epoll_event> events(64);
   const auto period = std::chrono::milliseconds(tick_ms);
   auto now = Clock::now();
-  auto next_tick = now + period;
+  next_tick_ = now + period;
   while (!stopping_.load(std::memory_order_acquire)) {
     // Sleep no later than the tick deadline; round up so a wait shorter
     // than a millisecond does not spin with zero timeouts.
     const int wait_ms = static_cast<int>(std::max<int64_t>(
-        0, std::chrono::ceil<std::chrono::milliseconds>(next_tick - now)
+        0, std::chrono::ceil<std::chrono::milliseconds>(next_tick_ - now)
                .count()));
     int n;
     do {
@@ -178,9 +178,9 @@ void EventLoop::Run(int tick_ms, const Task& on_tick) {
     // Tick on the deadline, not on every wake-up: a busy loop wakes once
     // per reply, and the tick handler may scan every connection.
     now = Clock::now();
-    if (now >= next_tick) {
+    if (now >= next_tick_) {
+      next_tick_ = now + period;
       if (on_tick) on_tick();
-      next_tick = now + period;
     }
     if (n == static_cast<int>(events.size()) && events.size() < 4096) {
       events.resize(events.size() * 2);

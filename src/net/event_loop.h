@@ -18,12 +18,15 @@
 // Timers: the loop invokes the tick handler once every tick_ms, whether
 // or not I/O woke it in between — a deliberately blunt instrument that
 // is exactly enough for coarse idle/slow-peer timeout scans without a
-// timer heap.
+// timer heap. A handler that needs an earlier tick for one deadline (a
+// backoff that expires before the next period) asks for it with
+// TickNoLaterThan.
 
 #ifndef HDSKY_NET_EVENT_LOOP_H_
 #define HDSKY_NET_EVENT_LOOP_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -82,6 +85,12 @@ class EventLoop {
   /// no-op handler for pure I/O loops).
   void Run(int tick_ms, const Task& on_tick);
 
+  /// Brings the next tick forward to `when` if it is due later. Loop
+  /// thread only; the period restarts from the tick that follows.
+  void TickNoLaterThan(std::chrono::steady_clock::time_point when) {
+    if (when < next_tick_) next_tick_ = when;
+  }
+
   /// Requests Run() to return; thread-safe and idempotent.
   void Stop();
 
@@ -104,6 +113,8 @@ class EventLoop {
   int wake_fd_ = -1;
   std::atomic<bool> stopping_{false};
   std::atomic<std::thread::id> run_thread_{};
+  /// When Run next calls on_tick; loop thread only.
+  std::chrono::steady_clock::time_point next_tick_{};
 
   /// shared_ptr so a handler that removes itself (or another fd) while
   /// the dispatch loop still holds a reference cannot free the functor

@@ -171,6 +171,10 @@ class LoadDriver {
   void FinishSession(Conn* conn);
   void OnSessionFinished();
   void Tick(size_t loop_index);
+  /// Tick resumes a BUSY-barred connection once nothing is awaited and
+  /// its backoff has expired. When nothing is awaited, asks the
+  /// connection's loop to tick at the expiry, not up to a period later.
+  void ScheduleResume(Conn* conn);
   void RequestStats();
   void StopAll();
 
@@ -332,13 +336,20 @@ void LoadDriver::Tick(size_t loop_index) {
   // Resume connections whose BUSY backoff expired.
   const Clock::time_point now = Clock::now();
   for (auto& conn : conns_[loop_index]) {
-    if (conn->dead || conn->done) continue;
-    if (conn->rewind_to != 0 && conn->awaiting.empty() &&
-        now >= conn->backoff_until) {
+    if (conn->dead || conn->done || conn->rewind_to == 0) continue;
+    if (conn->awaiting.empty() && now >= conn->backoff_until) {
       conn->next_seq = conn->rewind_to;
       conn->rewind_to = 0;
       PumpSend(conn.get());
+    } else {
+      ScheduleResume(conn.get());
     }
+  }
+}
+
+void LoadDriver::ScheduleResume(Conn* conn) {
+  if (conn->rewind_to != 0 && conn->awaiting.empty()) {
+    loops_[conn->loop_index]->TickNoLaterThan(conn->backoff_until);
   }
 }
 
@@ -477,6 +488,7 @@ void LoadDriver::HandleFrame(Conn* conn, FrameType type,
         FinishSession(conn);
         return;
       }
+      ScheduleResume(conn);
       PumpSend(conn);
       return;
     }
@@ -501,6 +513,7 @@ void LoadDriver::HandleFrame(Conn* conn, FrameType type,
                             seq);
         if (it != conn->awaiting.end()) conn->awaiting.erase(it);
         conn->sent_at.erase(seq);
+        ScheduleResume(conn);
         return;
       }
       // Any other status (budget, unsupported, protocol) is terminal for

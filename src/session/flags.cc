@@ -375,9 +375,6 @@ std::vector<Flag> PagedFlags(SourceConfig* s) {
           &s->buffer_pool_bytes),
       Choice("--read-path", "P", {"mmap", "pread"},
              "page fetch for --dataset-file (default mmap)", &s->read_path),
-      Int("--readahead-pages", "N", 0, 1 << 16,
-          "pread readahead depth, 0 disables (default 8)",
-          &s->readahead_pages),
   };
 }
 
@@ -399,8 +396,8 @@ std::vector<Flag> ListenFlags(int64_t* port, std::string* bind) {
   };
 }
 
-const std::vector<std::string> kPoolFlags = {
-    "--buffer-pool-bytes", "--read-path", "--readahead-pages"};
+const std::vector<std::string> kPoolFlags = {"--buffer-pool-bytes",
+                                             "--read-path"};
 
 }  // namespace
 

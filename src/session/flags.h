@@ -156,7 +156,6 @@ struct SourceConfig {
   std::string dataset_file;  // --dataset-file: a packed block file
   int64_t buffer_pool_bytes = 0;  // 0 = PagedTableOptions default
   std::string read_path = "mmap";
-  int64_t readahead_pages = 8;
   int64_t n = 0;  // 0 = the simulator's paper-sized default
   int64_t seed = 42;
   std::string ranking = "sum";

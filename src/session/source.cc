@@ -63,7 +63,6 @@ ExitCode LoadSource(const SourceConfig& s, std::FILE* err, LocalSource* out) {
     popts.buffer_pool_bytes = static_cast<size_t>(s.buffer_pool_bytes);
   }
   data::ParseReadPathKind(s.read_path, &popts.read_path);
-  popts.readahead_pages = static_cast<int>(s.readahead_pages);
   auto paged = data::Table::OpenPaged(s.dataset_file, popts);
   if (!paged.ok()) return ReportFailure(err, "load", paged.status());
   out->paged = std::move(paged).value();

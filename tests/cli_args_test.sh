@@ -240,20 +240,10 @@ expect_usage "discover-read-path-dangling" \
   "$DISCOVER" --dataset-file /tmp/x.hdb --read-path
 expect_usage "discover-read-path-without-dataset-file" \
   "$DISCOVER" --demo route --read-path pread
-expect_usage "discover-readahead-garbage" \
-  "$DISCOVER" --dataset-file /tmp/x.hdb --readahead-pages 8x
-expect_usage "discover-readahead-negative" \
-  "$DISCOVER" --dataset-file /tmp/x.hdb --readahead-pages -1
-expect_usage "discover-readahead-without-dataset-file" \
-  "$DISCOVER" --demo route --readahead-pages 8
 expect_usage "serve-read-path-unknown" \
   "$SERVE" --dataset-file /tmp/x.hdb --read-path directio
 expect_usage "serve-read-path-without-dataset-file" \
   "$SERVE" --demo route --read-path mmap
-expect_usage "serve-readahead-garbage" \
-  "$SERVE" --dataset-file /tmp/x.hdb --readahead-pages p
-expect_usage "serve-readahead-without-dataset-file" \
-  "$SERVE" --demo route --readahead-pages 4
 
 # A below-one-page --buffer-pool-bytes must not be silently clamped:
 # the run proceeds (exit 0) but a warning with the effective budget

@@ -1,6 +1,6 @@
 // Tests for the epoll event loop: fd dispatch, cross-thread Post and the
 // next-iteration rule for re-posted tasks, self-removal safety, tick
-// cadence, and stop semantics. These run real pipes and threads (the
+// cadence and early ticks, and stop semantics. These run real pipes and threads (the
 // TSan CI job stresses them), not mocks.
 
 #include <fcntl.h>
@@ -125,6 +125,32 @@ TEST(EventLoopTest, ManyWakeupsWithinOneTickPeriodTickAtMostTwice) {
   loop->Run(5000, [&] { ticks.fetch_add(1); });
   EXPECT_EQ(ran.load(), 100);
   EXPECT_LE(ticks.load(), 2);
+}
+
+TEST(EventLoopTest, TickNoLaterThanBringsTheTickForward) {
+  // A 60 s period, and a task asking for a tick 20 ms out: the tick
+  // comes at the requested deadline, not a period later. Asked again
+  // from inside the tick, a second one follows just as soon.
+  auto loop = std::move(EventLoop::Create()).value();
+  using Clock = std::chrono::steady_clock;
+  const auto start = Clock::now();
+  std::vector<Clock::time_point> asked;
+  int ticks = 0;
+  loop->Post([&] {
+    asked.push_back(Clock::now() + std::chrono::milliseconds(20));
+    loop->TickNoLaterThan(asked.back());
+  });
+  loop->Run(60000, [&] {
+    EXPECT_GE(Clock::now(), asked.back());
+    if (++ticks == 2) {
+      loop->Stop();
+      return;
+    }
+    asked.push_back(Clock::now() + std::chrono::milliseconds(20));
+    loop->TickNoLaterThan(asked.back());
+  });
+  EXPECT_EQ(ticks, 2);
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(30));
 }
 
 TEST(EventLoopTest, TaskPostedDuringDrainRunsOnNextIteration) {

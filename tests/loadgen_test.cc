@@ -3,7 +3,8 @@
 // retry barrier, slow-reader and write-stall shedding, idle-timeout
 // eviction, per-session budgets, in-place execution of never-blocking
 // backends on the loop thread, and concurrent sessions driven through
-// RunLoad, twice against one server (the TSan CI job's LoadGen stress).
+// RunLoad, twice against one server and through BUSY backoffs (the
+// TSan CI job's LoadGen stress).
 
 #include <atomic>
 #include <chrono>
@@ -639,6 +640,37 @@ TEST(LoadGenTest, SecondRunAgainstOneServerUsesFreshSessions) {
     EXPECT_EQ(report.server.queries_served, run * 4 * 8);
     EXPECT_EQ(report.server.protocol_errors, 0);
   }
+  server->Stop();
+}
+
+TEST(LoadGenTest, BusySessionsResumeAfterTheirBackoff) {
+  // One admission slot and a slow backend: pipelined sessions are shed
+  // with BUSY, back off, and must each resume and finish. A connection
+  // resumes only from the driver's tick, so a resume that is never
+  // scheduled shows up as a run that times out.
+  const data::Table t = MakeTable(data::InterfaceType::kRQ);
+  auto backend = MakeBackend(&t);
+  auto slow = MakeSlowBackend(backend.get(), 2);
+  EventDrivenServer::Options opts;
+  opts.max_pending_queries = 1;
+  opts.num_workers = 1;
+  opts.serialize_backend = true;
+  auto server = std::move(EventDrivenServer::Start(slow.get(), opts)).value();
+
+  LoadOptions load;
+  load.port = server->port();
+  load.sessions = 4;
+  load.queries_per_session = 6;
+  load.pipeline_depth = 3;
+  load.num_loops = 1;
+  load.busy_backoff_ms = 5;
+  load.total_timeout_ms = 60000;
+  const auto report = std::move(RunLoad(load)).value();
+
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.sessions_failed, 0);
+  EXPECT_EQ(report.queries_completed, 4 * 6);
+  EXPECT_GT(report.busy_retries, 0);
   server->Stop();
 }
 

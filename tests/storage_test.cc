@@ -134,7 +134,7 @@ void ExpectLeavesCoverRankOrder(const Table& table, const BlockFile& file,
   popts.budget_bytes = size_t{64} << 20;
   BufferPool pool(&file, popts);
   for (int64_t b = 0; b < file.num_data_pages(); ++b) {
-    auto page = pool.Pin(file.data_page_id(b));
+    auto page = pool.Pin(b);
     ASSERT_TRUE(page.ok()) << page.status();
     const BlockFile::DataPageView v = file.data_page(page->data());
     ASSERT_GE(v.rows, 1);
@@ -268,53 +268,53 @@ TEST(BufferPoolTest, EvictsInLeastRecentlyUnpinnedOrder) {
   Table table = MakeTable(640, InterfaceType::kRQ, /*domain=*/1 << 24);
   const std::string path = Pack(table, dir.path, "t");
   std::unique_ptr<BlockFile> file = OpenFile(path);
-  for (int64_t page = 2; page <= 4; ++page) {
-    ASSERT_EQ(file->frame_bytes(page), file->frame_bytes(1));
+  for (int64_t page = 1; page <= 3; ++page) {
+    ASSERT_EQ(file->frame_bytes(page), file->frame_bytes(0));
   }
 
   BufferPool::Options popts;
   // The pool budgets decoded frames: room for exactly three of them.
-  popts.budget_bytes = 3 * file->frame_bytes(1);
+  popts.budget_bytes = 3 * file->frame_bytes(0);
   BufferPool pool(file.get(), popts);
   auto touch = [&](int64_t page_id) {
     auto r = pool.Pin(page_id);
     ASSERT_TRUE(r.ok()) << r.status();
   };
 
+  touch(0);
   touch(1);
   touch(2);
-  touch(3);
   BufferPool::Stats s = pool.stats();
   EXPECT_EQ(s.loads, 3u);
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.evictions, 0u);
   EXPECT_EQ(s.resident_pages, 3u);
 
-  // A fourth page exceeds the budget: page 1 — least recently
+  // A fourth page exceeds the budget: page 0 — least recently
   // unpinned — goes.
-  touch(4);
+  touch(3);
   s = pool.stats();
   EXPECT_EQ(s.loads, 4u);
   EXPECT_EQ(s.evictions, 1u);
   EXPECT_EQ(s.resident_pages, 3u);
 
-  // Page 2 is still resident (hit) and becomes most recent.
-  touch(2);
+  // Page 1 is still resident (hit) and becomes most recent.
+  touch(1);
   s = pool.stats();
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.loads, 4u);
 
-  // Reloading page 1 evicts page 3, now the coldest.
-  touch(1);
-  // And pinning 3 again must be a fresh load that evicts page 4.
-  touch(3);
+  // Reloading page 0 evicts page 2, now the coldest.
+  touch(0);
+  // And pinning 2 again must be a fresh load that evicts page 3.
+  touch(2);
   s = pool.stats();
   EXPECT_EQ(s.loads, 6u);
   EXPECT_EQ(s.evictions, 3u);
   EXPECT_EQ(s.resident_pages, 3u);
 
-  // Page 2 survived the whole dance.
-  touch(2);
+  // Page 1 survived the whole dance.
+  touch(1);
   EXPECT_EQ(pool.stats().hits, 2u);
 }
 
@@ -329,24 +329,24 @@ TEST(BufferPoolTest, PinnedPagesSurviveBudgetPressure) {
   BufferPool pool(file.get(), popts);
   EXPECT_EQ(pool.budget_bytes(), file->page_bytes());
 
-  auto held = pool.Pin(1);
+  auto held = pool.Pin(0);
   ASSERT_TRUE(held.ok()) << held.status();
   const BlockFile::DataPageView before = file->data_page(held->data());
   const TupleId first_id = before.ids[0];
   const Value first_val = before.values[0];
 
   {
-    // Over-budget churn while page 1 stays pinned.
-    auto h2 = pool.Pin(2);
+    // Over-budget churn while page 0 stays pinned.
+    auto h2 = pool.Pin(1);
     ASSERT_TRUE(h2.ok()) << h2.status();
-    auto h3 = pool.Pin(3);
+    auto h3 = pool.Pin(2);
     ASSERT_TRUE(h3.ok()) << h3.status();
     BufferPool::Stats s = pool.stats();
     EXPECT_EQ(s.resident_pages, 3u);  // nothing evictable
     EXPECT_GT(s.overcommits, 0u);
     EXPECT_EQ(s.evictions, 0u);
   }
-  for (int64_t p = 4; p <= 8; ++p) {
+  for (int64_t p = 3; p <= 7; ++p) {
     auto r = pool.Pin(p);
     ASSERT_TRUE(r.ok()) << r.status();
   }
@@ -372,10 +372,10 @@ TEST(BufferPoolTest, DropAllSparesPinnedPages) {
   BufferPool::Options popts;
   popts.budget_bytes = 8 * file->page_bytes();
   BufferPool pool(file.get(), popts);
-  auto held = pool.Pin(1);
+  auto held = pool.Pin(0);
   ASSERT_TRUE(held.ok()) << held.status();
+  { auto r = pool.Pin(1); ASSERT_TRUE(r.ok()); }
   { auto r = pool.Pin(2); ASSERT_TRUE(r.ok()); }
-  { auto r = pool.Pin(3); ASSERT_TRUE(r.ok()); }
 
   pool.DropAll();
   BufferPool::Stats s = pool.stats();
@@ -383,8 +383,8 @@ TEST(BufferPoolTest, DropAllSparesPinnedPages) {
   EXPECT_EQ(s.resident_pages, 1u);
 
   // The pinned page answers from residency; the dropped one reloads.
+  { auto r = pool.Pin(0); ASSERT_TRUE(r.ok()); }
   { auto r = pool.Pin(1); ASSERT_TRUE(r.ok()); }
-  { auto r = pool.Pin(2); ASSERT_TRUE(r.ok()); }
   s = pool.stats();
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.loads, 4u);
@@ -395,20 +395,20 @@ TEST(BufferPoolTest, CorruptDataPageFailsEveryPin) {
   Table table = MakeTable(640);
   const std::string path = Pack(table, dir.path, "t");
   {
-    // Corrupt a byte in data page 2's payload before mapping.
+    // Corrupt a byte in data page 1's payload before mapping.
     std::unique_ptr<BlockFile> probe = OpenFile(path);
-    FlipByte(path, static_cast<int64_t>(probe->extent(2).offset +
+    FlipByte(path, static_cast<int64_t>(probe->extent(1).offset +
                                         kPageHeaderBytes + 24));
   }
   std::unique_ptr<BlockFile> file = OpenFile(path);  // header is intact
 
   BufferPool::Options popts;
   BufferPool pool(file.get(), popts);
-  { auto r = pool.Pin(1); EXPECT_TRUE(r.ok()) << r.status(); }
-  auto bad = pool.Pin(2);
+  { auto r = pool.Pin(0); EXPECT_TRUE(r.ok()) << r.status(); }
+  auto bad = pool.Pin(1);
   EXPECT_FALSE(bad.ok());
   // A retry re-reads and re-fails; the page never becomes resident.
-  auto again = pool.Pin(2);
+  auto again = pool.Pin(1);
   EXPECT_FALSE(again.ok());
   BufferPool::Stats s = pool.stats();
   EXPECT_EQ(s.crc_failures, 2u);
@@ -431,7 +431,7 @@ TEST(BufferPoolTest, ConcurrentReadersStayCoherent) {
     BufferPool::Options roomy;
     BufferPool ref_pool(file.get(), roomy);
     for (int64_t b = 0; b < data_pages; ++b) {
-      auto page = ref_pool.Pin(file->data_page_id(b));
+      auto page = ref_pool.Pin(b);
       ASSERT_TRUE(page.ok()) << page.status();
       BlockFile::DataPageView v = file->data_page(page->data());
       want_ids[static_cast<size_t>(b)].assign(v.ids, v.ids + v.rows);
@@ -440,48 +440,68 @@ TEST(BufferPoolTest, ConcurrentReadersStayCoherent) {
     }
   }
 
-  // Two-page budget over ten data pages: every thread's pins contend
-  // on load, eviction, and the single-flight CRC path.
-  BufferPool::Options tiny;
-  tiny.budget_bytes = 2 * file->page_bytes();
-  BufferPool pool(file.get(), tiny);
+  for (const ReadPathKind kind : {ReadPathKind::kMmap, ReadPathKind::kPread}) {
+    SCOPED_TRACE(kind == ReadPathKind::kMmap ? "mmap" : "pread");
+    // Two-page budget over ten data pages: every thread's pins contend
+    // on load, eviction, and the single-flight CRC path.
+    BufferPool::Options tiny;
+    tiny.budget_bytes = 2 * file->page_bytes();
+    tiny.read_path = kind;
+    BufferPool pool(file.get(), tiny);
 
-  constexpr int kThreads = 8;
-  constexpr int kIters = 300;
-  std::vector<std::thread> threads;
-  std::atomic<int> mismatches{0};
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      std::mt19937 rng(static_cast<uint32_t>(1000 + t));
-      std::uniform_int_distribution<int64_t> pick(0, data_pages - 1);
-      for (int i = 0; i < kIters; ++i) {
-        const int64_t b = pick(rng);
-        auto page = pool.Pin(file->data_page_id(b));
-        if (!page.ok()) {
-          ++mismatches;
-          continue;
+    constexpr int kThreads = 8;
+    constexpr int kIters = 300;
+    std::vector<std::thread> threads;
+    std::atomic<int> mismatches{0};
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        std::mt19937 rng(static_cast<uint32_t>(1000 + t));
+        std::uniform_int_distribution<int64_t> pick(0, data_pages - 1);
+        for (int i = 0; i < kIters; ++i) {
+          const int64_t b = pick(rng);
+          auto page = pool.Pin(b);
+          if (!page.ok()) {
+            ++mismatches;
+            continue;
+          }
+          BlockFile::DataPageView v = file->data_page(page->data());
+          const auto& ids = want_ids[static_cast<size_t>(b)];
+          const auto& vals = want_vals[static_cast<size_t>(b)];
+          if (v.rows != static_cast<int64_t>(ids.size()) ||
+              v.ids[0] != ids[0] ||
+              v.ids[v.rows - 1] != ids[ids.size() - 1] ||
+              v.values[3 * v.rows - 1] != vals[vals.size() - 1]) {
+            ++mismatches;
+          }
+          if (i % 64 == 0 && t == 0) pool.DropAll();
         }
-        BlockFile::DataPageView v = file->data_page(page->data());
-        const auto& ids = want_ids[static_cast<size_t>(b)];
-        const auto& vals = want_vals[static_cast<size_t>(b)];
-        if (v.rows != static_cast<int64_t>(ids.size()) ||
-            v.ids[0] != ids[0] ||
-            v.ids[v.rows - 1] != ids[ids.size() - 1] ||
-            v.values[3 * v.rows - 1] != vals[vals.size() - 1]) {
-          ++mismatches;
-        }
-        if (i % 64 == 0 && t == 0) pool.DropAll();
-      }
-    });
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(mismatches.load(), 0);
+
+    BufferPool::Stats s = pool.stats();
+    EXPECT_EQ(s.hits + s.loads,
+              static_cast<uint64_t>(kThreads) * kIters);
+    EXPECT_EQ(s.crc_failures, 0u);
+    EXPECT_LE(s.resident_bytes, pool.budget_bytes());
   }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(mismatches.load(), 0);
+}
 
-  BufferPool::Stats s = pool.stats();
-  EXPECT_EQ(s.hits + s.loads,
-            static_cast<uint64_t>(kThreads) * kIters);
-  EXPECT_EQ(s.crc_failures, 0u);
-  EXPECT_LE(s.resident_bytes, pool.budget_bytes());
+TEST(BufferPoolTest, PinRejectsIdsOutsideTheDataPages) {
+  ScopedDir dir("pinrange");
+  Table table = MakeTable(300);
+  const std::string path = Pack(table, dir.path, "t");
+  std::unique_ptr<BlockFile> file = OpenFile(path);
+  BufferPool pool(file.get(), BufferPool::Options());
+  EXPECT_TRUE(pool.Pin(0).ok());
+  EXPECT_TRUE(pool.Pin(file->num_data_pages() - 1).ok());
+  for (const int64_t id : {int64_t{-1}, file->num_data_pages()}) {
+    auto r = pool.Pin(id);
+    ASSERT_FALSE(r.ok()) << "pinned page " << id;
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+  }
+  EXPECT_EQ(pool.stats().misses, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -634,8 +654,7 @@ TEST(PagedInterfaceTest, RejectsUnsupportedPredicates) {
 
 TEST(StorageBlockFileTest, CompressedRoundTripMatchesRaw) {
   ScopedDir dir("v3roundtrip");
-  // Big leaves so a raw page dwarfs the 4 KiB alignment quantum the
-  // encoded pages round up to — otherwise tiny pages can't shrink.
+  // Big leaves: long runs, where the encodings pay for their headers.
   Table table = MakeTable(3000);
   const std::string raw =
       Pack(table, dir.path, "raw", 512, Compression::kOff);
@@ -663,7 +682,7 @@ TEST(StorageBlockFileTest, CompressedRoundTripMatchesRaw) {
     EXPECT_EQ(f1->node(i).min_rank, f2->node(i).min_rank);
     EXPECT_EQ(f1->node(i).page, f2->node(i).page);
   }
-  for (int64_t page = 1; page < f1->total_pages(); ++page) {
+  for (int64_t page = 0; page < f1->num_data_pages(); ++page) {
     auto r1 = p1.Pin(page);
     auto r2 = p2.Pin(page);
     ASSERT_TRUE(r1.ok()) << r1.status();
@@ -706,9 +725,9 @@ TEST(StorageBlockFileTest, CorruptCompressedPayloadFailsPin) {
   {
     std::unique_ptr<BlockFile> probe = OpenFile(path);
     ASSERT_EQ(probe->compression(), Compression::kAuto);
-    // A byte inside data page 2's encoded payload, past the page's
+    // A byte inside data page 1's encoded payload, past the page's
     // {crc, count} prologue and the first run header.
-    payload_off = probe->extent(2).offset + kPageHeaderBytes +
+    payload_off = probe->extent(1).offset + kPageHeaderBytes +
                   kRunHeaderBytes + 2;
   }
   FlipByte(path, static_cast<int64_t>(payload_off));
@@ -716,9 +735,9 @@ TEST(StorageBlockFileTest, CorruptCompressedPayloadFailsPin) {
 
   BufferPool::Options popts;
   BufferPool pool(file.get(), popts);
-  { auto r = pool.Pin(1); EXPECT_TRUE(r.ok()) << r.status(); }
-  EXPECT_FALSE(pool.Pin(2).ok());
-  EXPECT_FALSE(pool.Pin(2).ok());  // retry re-reads and re-fails
+  { auto r = pool.Pin(0); EXPECT_TRUE(r.ok()) << r.status(); }
+  EXPECT_FALSE(pool.Pin(1).ok());
+  EXPECT_FALSE(pool.Pin(1).ok());  // retry re-reads and re-fails
   BufferPool::Stats s = pool.stats();
   EXPECT_EQ(s.crc_failures, 2u);
   EXPECT_EQ(s.resident_pages, 1u);
@@ -895,7 +914,7 @@ TEST(StorageDirectoryTest, WrongMinimumRankIsRejected) {
       if (img.leaf(i) && img.min_rank(i) != 0) leaf = i;
     }
     ASSERT_GE(leaf, 0);
-    const int64_t page_id = 1 + img.page(leaf);
+    const int64_t page_id = img.page(leaf);
     img.min_rank(leaf) += 1;
     img.FixMinRanks();
     img.Write();
@@ -950,15 +969,15 @@ TEST(StorageDirectoryTest, RankOutOfRangeOrRepeatedIsRejected) {
   }
   {
     // A rank repeated inside one page: rewrite the raw rank run of page
-    // 1 and re-seal its CRC, so only the decoder's rank check can tell.
+    // 0 and re-seal its CRC, so only the decoder's rank check can tell.
     const std::string path = PackForFault(dir.path, "inpage");
     uint64_t off = 0;
     int64_t rows = 0;
     {
       std::unique_ptr<BlockFile> probe = OpenFile(path);
-      off = probe->extent(1).offset;
+      off = probe->extent(0).offset;
       rows = static_cast<int64_t>(
-          (probe->frame_bytes(1) - kPageHeaderBytes) / (8 * 5));
+          (probe->frame_bytes(0) - kPageHeaderBytes) / (8 * 5));
     }
     DirImage img(path, 3);
     char* page = img.file.data() + off;
@@ -977,12 +996,65 @@ TEST(StorageDirectoryTest, RankOutOfRangeOrRepeatedIsRejected) {
     img.Write();
     std::unique_ptr<BlockFile> file = OpenFile(path);
     BufferPool pool(file.get(), BufferPool::Options());
-    auto pinned = pool.Pin(1);
+    auto pinned = pool.Pin(0);
     ASSERT_FALSE(pinned.ok());
     EXPECT_NE(pinned.status().message().find("strictly ascending"),
               std::string::npos)
         << pinned.status();
   }
+}
+
+TEST(StorageDirectoryTest, RankRepeatedAcrossPagesFailsTheQueryHoldingBoth) {
+  // Page A's last rank rewritten to page B's last rank (larger, so A
+  // stays strictly ascending) and A's CRC re-sealed. Open cannot see a
+  // repeat across pages without decoding them all; the engine's merge
+  // must refuse an answer that would hold both rows.
+  ScopedDir dir("dirrepeat");
+  const std::string path = PackForFault(dir.path, "t");
+  std::vector<uint64_t> offs;
+  std::vector<int64_t> rows;
+  {
+    std::unique_ptr<BlockFile> probe = OpenFile(path);
+    for (int64_t p = 0; p < probe->num_data_pages(); ++p) {
+      offs.push_back(probe->extent(p).offset);
+      rows.push_back(static_cast<int64_t>(
+          (probe->frame_bytes(p) - kPageHeaderBytes) / (8 * 5)));
+    }
+  }
+  DirImage img(path, 3);
+  // Prologue, then the raw id run, then the raw rank run.
+  const auto ranks_of = [&](size_t p) {
+    return reinterpret_cast<int64_t*>(img.file.data() + offs[p] +
+                                      kPageHeaderBytes + kRunHeaderBytes +
+                                      8 * rows[p] + kRunHeaderBytes);
+  };
+  const auto last_rank = [&](size_t p) {
+    return ranks_of(p)[rows[p] - 1];
+  };
+  size_t a = 0;
+  size_t b = 1;
+  ASSERT_GE(offs.size(), 2u);
+  if (last_rank(a) > last_rank(b)) std::swap(a, b);
+  ASSERT_GE(rows[a], 2);
+  ranks_of(a)[rows[a] - 1] = last_rank(b);
+  char* page = img.file.data() + offs[a];
+  const uint32_t crc = common::Crc32c(std::string_view(
+      page + kPageHeaderBytes,
+      static_cast<size_t>(5 * (kRunHeaderBytes + 8 * rows[a]))));
+  std::memcpy(page, &crc, 4);
+  img.Write();
+
+  PagedTableOptions popts;
+  auto paged = PagedTable::Open(path, popts);
+  ASSERT_TRUE(paged.ok()) << paged.status();
+  TopKOptions topts;
+  topts.k = 300;  // every row: both copies enter the answer
+  auto iface = TopKInterface::CreatePaged(paged->get(), topts);
+  ASSERT_TRUE(iface.ok()) << iface.status();
+  auto got = (*iface)->Execute(Query(3));
+  ASSERT_FALSE(got.ok()) << "answered with a repeated rank";
+  EXPECT_NE(got.status().message().find("two pages"), std::string::npos)
+      << got.status();
 }
 
 TEST(StorageDirectoryTest, ByteFlipsNeverCrashOpenOrQueries) {
@@ -1032,7 +1104,7 @@ TEST(StorageDirectoryTest, ByteFlipsNeverCrashOpenOrQueries) {
 }
 
 // ---------------------------------------------------------------------------
-// Read paths and readahead.
+// Read paths.
 
 TEST(BufferPoolTest, PreadPathServesIdenticalFrames) {
   ScopedDir dir("pread");
@@ -1048,12 +1120,11 @@ TEST(BufferPoolTest, PreadPathServesIdenticalFrames) {
     BufferPool mmap_pool(file.get(), mopts);
     BufferPool::Options popts;
     popts.read_path = ReadPathKind::kPread;
-    popts.readahead_pages = 4;
     BufferPool pread_pool(file.get(), popts);
     EXPECT_STREQ(mmap_pool.read_path_name(), "mmap");
     EXPECT_STREQ(pread_pool.read_path_name(), "pread");
 
-    for (int64_t page = 1; page < file->total_pages(); ++page) {
+    for (int64_t page = 0; page < file->num_data_pages(); ++page) {
       auto a = mmap_pool.Pin(page);
       auto b = pread_pool.Pin(page);
       ASSERT_TRUE(a.ok()) << a.status();
@@ -1084,141 +1155,6 @@ TEST(BufferPoolTest, BudgetClampIsReported) {
   BufferPool fine(file.get(), roomy);
   EXPECT_FALSE(fine.budget_was_clamped());
   EXPECT_EQ(fine.requested_budget_bytes(), fine.budget_bytes());
-}
-
-TEST(BufferPoolReadaheadTest, PrefetchedPagesCountAsPrefetchHits) {
-  ScopedDir dir("prefetch");
-  Table table = MakeTable(640);  // 10 data pages
-  const std::string path = Pack(table, dir.path, "t");
-  std::unique_ptr<BlockFile> file = OpenFile(path);
-
-  BufferPool::Options popts;
-  popts.read_path = ReadPathKind::kPread;
-  popts.readahead_pages = 8;
-  popts.budget_bytes = size_t{64} << 20;  // plenty of headroom
-  BufferPool pool(file.get(), popts);
-
-  // Hint every data page, then wait for the worker by pinning each:
-  // a pin either finds the loaded frame (prefetch hit) or loads it
-  // itself — both must serve identical bytes and account consistently.
-  std::vector<int64_t> ids;
-  for (int64_t b = 0; b < file->num_data_pages(); ++b) {
-    ids.push_back(file->data_page_id(b));
-  }
-  pool.Prefetch(ids.data(), static_cast<int>(ids.size()));
-  int64_t rows = 0;
-  for (const int64_t id : ids) {
-    auto r = pool.Pin(id);
-    ASSERT_TRUE(r.ok()) << r.status();
-    rows += file->data_page(r->data()).rows;
-  }
-  EXPECT_EQ(rows, 640);
-
-  BufferPool::Stats s = pool.stats();
-  EXPECT_GT(s.prefetch_issued, 0u);
-  EXPECT_EQ(s.prefetch_loads, s.prefetch_hits);
-  // Every data page was loaded exactly once, by the worker or by a pin.
-  EXPECT_EQ(s.loads, static_cast<uint64_t>(file->num_data_pages()));
-  // Every pin was served: prefetched frames count as hits, the rest as
-  // this thread's own loads.
-  EXPECT_EQ(s.hits + (s.loads - s.prefetch_loads),
-            static_cast<uint64_t>(file->num_data_pages()));
-  EXPECT_GT(s.bytes_read, 0u);
-}
-
-TEST(BufferPoolReadaheadTest, ChurnPoolNeverPrefetchEvicts) {
-  ScopedDir dir("churnguard");
-  Table table = MakeTable(640);
-  const std::string path = Pack(table, dir.path, "t");
-  std::unique_ptr<BlockFile> file = OpenFile(path);
-
-  BufferPool::Options popts;
-  popts.read_path = ReadPathKind::kPread;
-  popts.readahead_pages = 8;
-  popts.budget_bytes = file->page_bytes();  // one frame of budget
-  BufferPool pool(file.get(), popts);
-
-  for (int round = 0; round < 3; ++round) {
-    for (int64_t b = 0; b < file->num_data_pages(); ++b) {
-      auto held = pool.Pin(file->data_page_id(b));
-      ASSERT_TRUE(held.ok()) << held.status();
-      std::vector<int64_t> ahead;
-      for (int64_t nb = b + 1; nb < file->num_data_pages(); ++nb) {
-        ahead.push_back(file->data_page_id(nb));
-      }
-      pool.Prefetch(ahead.data(), static_cast<int>(ahead.size()));
-    }
-  }
-  // With the whole budget held by the pinned page, every readahead
-  // hint must have been dropped, not loaded over the budget.
-  BufferPool::Stats s = pool.stats();
-  EXPECT_EQ(s.prefetch_loads, 0u);
-  EXPECT_LE(s.resident_bytes, pool.budget_bytes());
-}
-
-TEST(BufferPoolReadaheadTest, ConcurrentPinsAndPrefetchStayCoherent) {
-  ScopedDir dir("rathreads");
-  Table table = MakeTable(640);
-  const std::string path = Pack(table, dir.path, "t");
-  std::unique_ptr<BlockFile> file = OpenFile(path);
-  const int64_t data_pages = file->num_data_pages();
-
-  std::vector<std::vector<TupleId>> want_ids(
-      static_cast<size_t>(data_pages));
-  {
-    BufferPool::Options roomy;
-    BufferPool ref_pool(file.get(), roomy);
-    for (int64_t b = 0; b < data_pages; ++b) {
-      auto page = ref_pool.Pin(file->data_page_id(b));
-      ASSERT_TRUE(page.ok()) << page.status();
-      BlockFile::DataPageView v = file->data_page(page->data());
-      want_ids[static_cast<size_t>(b)].assign(v.ids, v.ids + v.rows);
-    }
-  }
-
-  // Three-page budget, pread + readahead worker live, every thread
-  // racing pins, hints, and DropAll: the TSan target for the
-  // asynchronous readahead pipeline.
-  BufferPool::Options tiny;
-  tiny.budget_bytes = 3 * file->page_bytes();
-  tiny.read_path = ReadPathKind::kPread;
-  tiny.readahead_pages = 4;
-  BufferPool pool(file.get(), tiny);
-
-  constexpr int kThreads = 8;
-  constexpr int kIters = 200;
-  std::vector<std::thread> threads;
-  std::atomic<int> mismatches{0};
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      std::mt19937 rng(static_cast<uint32_t>(7000 + t));
-      std::uniform_int_distribution<int64_t> pick(0, data_pages - 1);
-      for (int i = 0; i < kIters; ++i) {
-        const int64_t b = pick(rng);
-        const int64_t ahead[2] = {
-            file->data_page_id((b + 1) % data_pages),
-            file->data_page_id((b + 2) % data_pages)};
-        pool.Prefetch(ahead, 2);
-        auto page = pool.Pin(file->data_page_id(b));
-        if (!page.ok()) {
-          ++mismatches;
-          continue;
-        }
-        BlockFile::DataPageView v = file->data_page(page->data());
-        const auto& ids = want_ids[static_cast<size_t>(b)];
-        if (v.rows != static_cast<int64_t>(ids.size()) ||
-            v.ids[0] != ids[0] ||
-            v.ids[v.rows - 1] != ids[ids.size() - 1]) {
-          ++mismatches;
-        }
-        if (i % 64 == 0 && t == 0) pool.DropAll();
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(mismatches.load(), 0);
-  BufferPool::Stats s = pool.stats();
-  EXPECT_EQ(s.crc_failures, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1256,7 +1192,6 @@ TEST(PagedInterfaceTest, MatchesInMemoryAcrossFormatsAndReadPaths) {
       PagedTableOptions popts;
       popts.buffer_pool_bytes = 8192;  // tiny: evicts during queries
       popts.read_path = kind;
-      popts.readahead_pages = 4;
       auto paged = PagedTable::Open(path, popts);
       ASSERT_TRUE(paged.ok()) << paged.status();
       TopKOptions topts;
