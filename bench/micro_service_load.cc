@@ -60,8 +60,6 @@ void ReportCounters(benchmark::State& state,
   state.counters["qps"] = report.qps;
   state.counters["p50_us"] = report.latency_p50_us;
   state.counters["p99_us"] = report.latency_p99_us;
-  state.counters["busy_retries"] =
-      static_cast<double>(report.busy_retries);
   if (!report.complete) state.SkipWithError("load run incomplete");
 }
 

@@ -21,11 +21,21 @@
 #   HDSKY_BENCH_OUT    output directory (default: repo root)
 #   HDSKY_SCALE        dataset scale multiplier, honored by the benches
 #                      themselves (e.g. 0.02 for a CI smoke run)
+#   HDSKY_BENCH_INTERLEAVE
+#                      1 = run repetitions in random interleaved order
+#                      (--benchmark_enable_random_interleaving), so a
+#                      stretch of host load lands on the repetitions of
+#                      several benchmarks instead of on every repetition
+#                      of one (default: 0). It steadies the out-of-core
+#                      cold ratios; the ~150 ns in-memory query benches
+#                      read noisier under it.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="${BUILD_DIR:-$ROOT/build}"
 REPS="${HDSKY_BENCH_REPS:-3}"
+INTERLEAVE=false
+if [ "${HDSKY_BENCH_INTERLEAVE:-0}" = 1 ]; then INTERLEAVE=true; fi
 FILTER="${HDSKY_BENCH_FILTER:-}"
 OUT_DIR="${HDSKY_BENCH_OUT:-$ROOT}"
 
@@ -63,6 +73,7 @@ run_bench() {
   "$BUILD_DIR/bench/$bin" \
     ${FILTER:+--benchmark_filter="$FILTER"} \
     --benchmark_repetitions="$REPS" \
+    --benchmark_enable_random_interleaving="$INTERLEAVE" \
     --benchmark_report_aggregates_only=true \
     --benchmark_out_format=json \
     --benchmark_out="$out"

@@ -85,13 +85,6 @@ class HiddenDatabase {
   virtual common::Status ValidateQuery(const Query& q) const {
     return ValidateAgainstSchema(schema(), q);
   }
-
-  /// True when Execute only computes: it never waits on I/O, a lock held
-  /// across I/O, a page fault or a remote peer. service::EventDrivenServer
-  /// answers such a backend's queries on its event-loop thread instead of
-  /// handing them to its executor. The default is the safe answer;
-  /// wrappers keep it unless they can vouch for what they wrap.
-  virtual bool NeverBlocks() const { return false; }
 };
 
 /// Adapter for external backends (e.g. a scraper or HTTP API client):

@@ -124,10 +124,6 @@ class TopKInterface : public HiddenDatabase {
   }
   int k() const override { return options_.k; }
 
-  /// In-memory answers never block. A paged interface may wait on a
-  /// pread or a page fault under the buffer pool, so it does not qualify.
-  bool NeverBlocks() const override { return paged_ == nullptr; }
-
   /// Snapshot of the counters, merged over the internal per-thread
   /// tally shards. Cheap (a handful of relaxed loads) and safe to call
   /// concurrently with Execute.

@@ -227,14 +227,15 @@ struct ServiceStats {
   int64_t backend_executions = 0;
   /// Retried sequences replayed from per-session reply caches.
   int64_t queries_replayed = 0;
-  /// BUSY (kRateLimited) responses issued by admission control.
+  /// Query BUSY (kRateLimited) responses; EventDrivenServer sends none,
+  /// so it reports 0. The field keeps the frame layout unchanged.
   int64_t busy_rejections = 0;
   /// kBudgetExhausted responses issued.
   int64_t budget_rejections = 0;
   int64_t connections_accepted = 0;
   int64_t connections_rejected = 0;
-  /// Connections dropped by the server (slow reader, pipeline abuse,
-  /// idle timeout).
+  /// Connections dropped by the server (slow reader, write stall, idle
+  /// timeout).
   int64_t connections_shed = 0;
   int64_t protocol_errors = 0;
 };

@@ -43,25 +43,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   work_cv_.notify_one();
 }
 
-bool ThreadPool::TrySubmit(std::function<void()>& task,
-                           int64_t max_pending) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (max_pending > 0 &&
-        static_cast<int64_t>(queue_.size()) + in_flight_ >= max_pending) {
-      return false;
-    }
-    queue_.push_back(std::move(task));
-  }
-  work_cv_.notify_one();
-  return true;
-}
-
-int64_t ThreadPool::pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(queue_.size()) + in_flight_;
-}
-
 void ThreadPool::WaitIdle() {
   std::unique_lock<std::mutex> lock(mu_);
   idle_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });

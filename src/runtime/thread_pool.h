@@ -53,18 +53,6 @@ class ThreadPool {
   /// a task that does throw terminates via std::terminate in the worker.
   void Submit(std::function<void()> task);
 
-  /// Enqueues only when fewer than `max_pending` tasks are queued or
-  /// running; returns false (task untouched) otherwise. The admission-
-  /// control primitive of the event-driven service: an overloaded server
-  /// sheds work at the door instead of growing an unbounded queue.
-  /// `max_pending` <= 0 means unlimited (always admits).
-  bool TrySubmit(std::function<void()>& task, int64_t max_pending);
-
-  /// Tasks queued plus tasks currently running. Advisory: the value may
-  /// be stale by the time the caller acts on it — use TrySubmit for an
-  /// atomic check-and-enqueue.
-  int64_t pending() const;
-
   /// Blocks until every submitted task has finished and the queue is
   /// empty. Safe to call from any non-worker thread.
   void WaitIdle();
@@ -72,7 +60,7 @@ class ThreadPool {
  private:
   void Worker(std::stop_token stop);
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable_any work_cv_;   // signals: task queued / stop
   std::condition_variable idle_cv_;       // signals: pool drained
   std::deque<std::function<void()>> queue_;

@@ -11,6 +11,7 @@
 #include <cstring>
 
 #include "net/wire.h"
+#include "runtime/thread_pool.h"
 
 namespace hdsky {
 namespace service {
@@ -41,11 +42,8 @@ Result<std::unique_ptr<EventDrivenServer>> EventDrivenServer::Start(
   if (options.per_client_query_budget < 0) {
     return Status::InvalidArgument("per_client_query_budget must be >= 0");
   }
-  if (options.num_loops < 0 || options.num_workers < 0) {
-    return Status::InvalidArgument("thread counts must be >= 0");
-  }
-  if (options.max_pipeline_depth < 1) {
-    return Status::InvalidArgument("max_pipeline_depth must be >= 1");
+  if (options.num_loops < 0) {
+    return Status::InvalidArgument("num_loops must be >= 0");
   }
   if (options.write_buffer_limit > 0 &&
       options.read_pause_bytes >= options.write_buffer_limit) {
@@ -58,9 +56,6 @@ Result<std::unique_ptr<EventDrivenServer>> EventDrivenServer::Start(
   Options& opts = server->options_;
   if (opts.num_loops == 0) {
     opts.num_loops = std::min(4, runtime::HardwareThreadCount());
-  }
-  if (opts.num_workers == 0) {
-    opts.num_workers = std::min(8, runtime::HardwareThreadCount());
   }
 
   // Best effort: thousands of sessions need more than the default 1024
@@ -80,11 +75,7 @@ Result<std::unique_ptr<EventDrivenServer>> EventDrivenServer::Start(
     HDSKY_ASSIGN_OR_RETURN(auto loop, net::EventLoop::Create());
     server->loops_.push_back(std::move(loop));
   }
-  // A never-blocking backend runs on the loops; it needs no executor.
-  if (!server->inline_backend_) {
-    server->executor_ =
-        std::make_unique<runtime::ThreadPool>(opts.num_workers);
-  }
+  server->answers_.resize(server->loops_.size());
 
   // Listener lives on loop 0. Registered before the loop threads start,
   // which is the other moment Add may be called safely off-thread.
@@ -106,7 +97,7 @@ Result<std::unique_ptr<EventDrivenServer>> EventDrivenServer::Start(
 
 EventDrivenServer::EventDrivenServer(interface::HiddenDatabase* db,
                                      const Options& options)
-    : db_(db), options_(options), inline_backend_(db->NeverBlocks()) {}
+    : db_(db), options_(options) {}
 
 EventDrivenServer::~EventDrivenServer() { Stop(); }
 
@@ -115,9 +106,6 @@ void EventDrivenServer::Stop() {
   for (auto& loop : loops_) loop->Stop();
   loop_threads_.clear();  // joins
   listener_.Close();
-  // Drains in-flight backend executions; their completions post into the
-  // stopped loops, where they are retained but never run.
-  executor_.reset();
   // No loop thread is alive, so the connection maps are safe to clear
   // from here; Socket destructors close the fds.
   for (auto& m : conn_maps_) m.clear();
@@ -132,7 +120,6 @@ EventDrivenServer::Stats EventDrivenServer::stats() const {
   s.queries_served = queries_served_.load();
   s.backend_executions = backend_executions_.load();
   s.queries_replayed = queries_replayed_.load();
-  s.busy_rejections = busy_rejections_.load();
   s.budget_rejections = budget_rejections_.load();
   s.protocol_errors = protocol_errors_.load();
   return s;
@@ -168,13 +155,6 @@ EventDrivenServer::Conn* EventDrivenServer::FindConn(size_t loop_index,
   auto& map = conn_maps_[loop_index];
   auto it = map.find(conn_id);
   return it == map.end() ? nullptr : it->second.get();
-}
-
-bool EventDrivenServer::SubmitBackendTask(std::function<void()> task) {
-  // TrySubmit is an atomic check-and-enqueue over queued + running
-  // backend executions; the executor runs nothing else, so its pending
-  // count is exactly the backend admission queue.
-  return executor_->TrySubmit(task, options_.max_pending_queries);
 }
 
 // ---------------------------------------------------------------------------
@@ -262,8 +242,7 @@ void EventDrivenServer::TickLoop(size_t loop_index) {
         continue;
       }
     }
-    // A connection waiting on a slow backend is busy, not idle.
-    if (options_.idle_timeout_ms <= 0 || conn->in_flight) continue;
+    if (options_.idle_timeout_ms <= 0) continue;
     if (now - conn->last_activity > idle_limit) {
       idle_closed_.fetch_add(1);
       connections_shed_.fetch_add(1);
@@ -298,10 +277,10 @@ void EventDrivenServer::HandleIo(size_t loop_index, uint64_t conn_id,
 }
 
 void EventDrivenServer::HandleRead(Conn* conn) {
-  // One read per wake-up. In-memory queries are answered as they are
-  // parsed, so this bounds the work one connection does before the
-  // loop's other ready connections get their turn; epoll is
-  // level-triggered, so bytes left in the socket bring it back.
+  // One read per wake-up. Queries are answered as they are parsed, so
+  // this bounds the work one connection does before the loop's other
+  // ready connections get their turn; epoll is level-triggered, so bytes
+  // left in the socket bring it back.
   char buf[16384];
   ssize_t n;
   do {
@@ -381,23 +360,6 @@ void EventDrivenServer::HandleFrame(Conn* conn, FrameType type,
         if (!conn->dead) CloseConn(conn);
         return;
       }
-      if (conn->busy_floor != 0) {
-        if (seq == conn->busy_floor) {
-          conn->busy_floor = 0;  // client restarted from the barrier
-        } else if (seq > conn->busy_floor) {
-          DeliverBusy(conn, seq);
-          return;
-        }
-      }
-      if (conn->in_flight || !conn->pending.empty()) {
-        if (static_cast<int>(conn->pending.size()) >=
-            options_.max_pipeline_depth) {
-          DeliverBusy(conn, seq);
-          return;
-        }
-        conn->pending.emplace_back(seq, std::move(query));
-        return;
-      }
       HandleQuery(conn, seq, query);
       return;
     }
@@ -408,8 +370,8 @@ void EventDrivenServer::HandleFrame(Conn* conn, FrameType type,
         CloseConn(conn);
         return;
       }
-      // Stats replies are out-of-band: they bypass any queued queries
-      // (load generators ask after their workload has been answered).
+      // Answered in frame order, like queries (load generators ask after
+      // their workload has been answered).
       std::string reply;
       net::EncodeStats(seq, wire_stats(), &reply);
       EnqueueFrame(conn, FrameType::kStats, reply);
@@ -480,86 +442,34 @@ void EventDrivenServer::HandleQuery(Conn* conn, uint64_t seq,
     }
   }
 
-  // Fresh query. A never-blocking backend answers it right here, on this
-  // loop thread; any other backend runs it on the executor, and the
-  // completion funnels through FinalizeAsync on this connection's loop.
-  conn->in_flight = true;
-  if (inline_backend_) {
-    std::shared_ptr<const interface::QueryResult> result;
-    const Status s = ExecuteBackend(query, &result);
-    FinishQuery(conn, seq, s, result);
-    return;
-  }
-  const size_t li = conn->loop_index;
-  const uint64_t id = conn->id;
-  const bool admitted = SubmitBackendTask([this, li, id, seq, query] {
-    std::shared_ptr<const interface::QueryResult> result;
-    const Status s = ExecuteBackend(query, &result);
-    loops_[li]->Post([this, li, id, seq, s, result] {
-      FinalizeAsync(li, id, seq, s, result);
-    });
-  });
-  if (!admitted) {
-    conn->in_flight = false;
-    DeliverBusy(conn, seq);
-  }
+  // Fresh query: answered right here, on this loop thread, into the
+  // loop's reused answer buffer.
+  interface::QueryResult& answer = answers_[conn->loop_index];
+  const Status s = ExecuteBackend(query, &answer);
+  Deliver(conn, seq, s, answer);
 }
 
-Status EventDrivenServer::ExecuteBackend(
-    const interface::Query& query,
-    std::shared_ptr<const interface::QueryResult>* out) {
-  interface::QueryResult result;
+Status EventDrivenServer::ExecuteBackend(const interface::Query& query,
+                                         interface::QueryResult* out) {
   Status s;
   if (options_.serialize_backend) {
     std::lock_guard<std::mutex> lock(backend_mu_);
-    s = db_->Execute(query, &result);
+    s = db_->Execute(query, out);
   } else {
-    s = db_->Execute(query, &result);
+    s = db_->Execute(query, out);
   }
-  if (!s.ok()) return s;
-  backend_executions_.fetch_add(1);
-  *out = std::make_shared<const interface::QueryResult>(std::move(result));
+  if (s.ok()) backend_executions_.fetch_add(1);
   return s;
 }
 
-void EventDrivenServer::FinalizeAsync(
-    size_t loop_index, uint64_t conn_id, uint64_t seq, const Status& status,
-    std::shared_ptr<const interface::QueryResult> result) {
-  Conn* conn = FindConn(loop_index, conn_id);
-  if (conn == nullptr || conn->dead) {
-    // The client is gone: nothing is delivered, the session is not
-    // charged, and nothing enters the replay cache. A reconnecting
-    // session retries the same sequence, which runs on the backend again.
-    return;
-  }
-  FinishQuery(conn, seq, status, result);
-  if (!conn->dead) ProcessPending(conn);
-}
-
-void EventDrivenServer::FinishQuery(
-    Conn* conn, uint64_t seq, const Status& status,
-    const std::shared_ptr<const interface::QueryResult>& result) {
-  conn->in_flight = false;
-  conn->last_activity = std::chrono::steady_clock::now();
-  Deliver(conn, seq, status, result);
-}
-
-void EventDrivenServer::ProcessPending(Conn* conn) {
-  while (!conn->dead && !conn->in_flight && !conn->pending.empty()) {
-    auto [seq, query] = std::move(conn->pending.front());
-    conn->pending.pop_front();
-    HandleQuery(conn, seq, query);
-  }
-}
-
-void EventDrivenServer::Deliver(
-    Conn* conn, uint64_t seq, const Status& status,
-    const std::shared_ptr<const interface::QueryResult>& result) {
+void EventDrivenServer::Deliver(Conn* conn, uint64_t seq,
+                                const Status& status,
+                                const interface::QueryResult& result) {
   std::string payload;
   FrameType type;
   if (status.ok()) {
     type = FrameType::kResult;
-    net::EncodeResult(seq, *result, &payload);
+    net::EncodeResult(seq, result, &payload);
   } else {
     type = FrameType::kStatus;
     net::EncodeStatus(seq, net::WireStatusFromStatus(status),
@@ -575,33 +485,6 @@ void EventDrivenServer::Deliver(
   }
   if (status.ok()) queries_served_.fetch_add(1);
   EnqueueFrame(conn, type, payload);
-}
-
-void EventDrivenServer::DeliverBusy(Conn* conn, uint64_t seq) {
-  // Raise the barrier: later seqs cannot be processed in order anymore,
-  // so they are BUSY'd too until the client retries `seq` itself.
-  if (conn->busy_floor == 0 || seq < conn->busy_floor) {
-    conn->busy_floor = seq;
-  }
-  busy_rejections_.fetch_add(1);
-  std::string payload;
-  net::EncodeStatus(seq, WireStatus::kRateLimited,
-                    "server busy, retry later", &payload);
-  // Deliberately NOT recorded in the session replay cache: the client
-  // retries the same sequence number and it must be processed fresh.
-  EnqueueFrame(conn, FrameType::kStatus, payload);
-  // Pipelined queries already queued behind the barrier are a suffix of
-  // `pending` (seqs ascend); flush them with BUSY in order.
-  while (!conn->dead && !conn->pending.empty() &&
-         conn->pending.front().first > conn->busy_floor) {
-    const uint64_t flushed = conn->pending.front().first;
-    conn->pending.pop_front();
-    busy_rejections_.fetch_add(1);
-    std::string flush_payload;
-    net::EncodeStatus(flushed, WireStatus::kRateLimited,
-                      "server busy, retry later", &flush_payload);
-    EnqueueFrame(conn, FrameType::kStatus, flush_payload);
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -6,41 +6,35 @@
 // Architecture
 //
 //   listener ──► loop 0 ──┐ round-robin
-//   conns ◄──► loop 0..L-1 ┘──┬─ never blocks ──► backend, in place
-//        nonblocking sockets   │
-//        read/write buffers    └─ may block ────► executor ThreadPool
-//        request pipelining                            │ (Execute calls)
-//        admission control ◄───────────────────────────┘ completions
-//        idle/slow timeouts          posted back to the owning loop
+//   conns ◄──► loop 0..L-1 ┘──► backend Execute, in place on the loop
+//        nonblocking sockets        (in-memory, paged, callback: every
+//        read/write buffers          backend answers on the thread that
+//        request pipelining          owns the connection)
+//        idle/slow timeouts
 //
 //  * N event-loop threads (net/event_loop.h) own the sockets: each
 //    connection lives on exactly one loop, so connection state is
 //    lock-free. The accept path (listener on loop 0) spreads new
 //    connections round-robin.
-//  * A backend whose NeverBlocks() is true (the in-memory TopKInterface)
-//    is executed on the connection's loop thread, with no hop to another
-//    thread and back. A connection is read at most 16 KiB per wake-up,
-//    so one wake-up answers at most that many bytes of query frames
-//    before the loop's other connections get their turn
-//    (docs/service.md records why this is unconditional).
-//  * Every other backend (paged data, CallbackDatabase, wrappers) runs on
-//    a runtime::ThreadPool executor, never on a loop thread, so one query
-//    waiting on I/O cannot stall unrelated connections. Completions are
-//    posted back to the owning loop.
+//  * Every query is answered on its connection's loop thread, as it is
+//    parsed: there is no executor and no hop to another thread and back.
+//    The server simulates the paper's top-k site, whose answer is a
+//    k-d walk over memory or a few buffer-pool pages; moving that work
+//    to another thread cost more CPU than the work itself
+//    (docs/performance.md). A connection is read at most 16 KiB per
+//    wake-up, so one wake-up answers at most that many bytes of query
+//    frames before the loop's other connections get their turn
+//    (docs/service.md records why this is unconditional). A backend
+//    that really waits (a CallbackDatabase over a remote site) holds
+//    its loop for that wait; serve such a backend with more loops.
 //  * Request pipelining: a client may stream many Query frames on one
 //    connection without waiting; the server answers strictly in order
-//    (the per-session sequence contract requires it). Queries that
-//    arrive while one is outstanding wait in a per-connection queue;
-//    beyond Options::max_pipeline_depth they are answered with a
-//    transient BUSY (kRateLimited) instead of being buffered without
-//    bound. An inline query is answered as it is parsed, so only a
-//    backend that may block ever fills the queue.
-//  * Admission control: at most Options::max_pending_queries executor
-//    runs may be queued or running; excess fresh queries get BUSY so an
-//    overloaded server degrades by shedding work, not by growing queues
-//    until it falls over. Inline executions never queue: at most one per
-//    loop runs at a time. Accept-time overload (max_connections) sheds
-//    whole connections the same way.
+//    (the per-session sequence contract requires it), each one before
+//    the next frame is parsed, so no query is ever queued server-side.
+//  * Overload: accept-time overload (max_connections) sheds whole
+//    connections with a transient kRateLimited frame. Past that a
+//    connection's load is bounded by what it sends, read 16 KiB at a
+//    time; there is no per-query BUSY.
 //  * Slow clients: a connection whose unsent reply backlog exceeds
 //    write_buffer_limit is shed; above read_pause_bytes the server
 //    additionally stops reading from it (backpressure) until the
@@ -83,7 +77,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -97,7 +90,6 @@
 #include "interface/hidden_database.h"
 #include "net/event_loop.h"
 #include "net/socket.h"
-#include "runtime/thread_pool.h"
 
 namespace hdsky {
 namespace service {
@@ -111,8 +103,8 @@ class EventDrivenServer {
     uint16_t port = 0;
     /// Event-loop (I/O) threads. 0 = min(4, hardware threads).
     int num_loops = 0;
-    /// Backend executor threads. 0 = min(8, hardware threads). Unused
-    /// (none are started) when the backend never blocks.
+    /// Ignored: every query is answered on its loop thread. Kept because
+    /// perfbench's trace driver still sets it.
     int num_workers = 0;
     /// Concurrent connections; excess gets a best-effort kRateLimited
     /// frame and is closed at accept time.
@@ -120,12 +112,6 @@ class EventDrivenServer {
     /// Per-session query budget (0 = unlimited); charges client-visible
     /// answers, replays never count.
     int64_t per_client_query_budget = 0;
-    /// Executor runs queued or running before fresh queries are answered
-    /// BUSY (0 = unlimited). Inline executions are not counted.
-    int max_pending_queries = 1024;
-    /// Unanswered pipelined queries buffered per connection before BUSY.
-    /// Only a backend that may block ever buffers any.
-    int max_pipeline_depth = 64;
     /// Unsent reply bytes before a slow reader is shed.
     size_t write_buffer_limit = 8u << 20;
     /// Unsent reply bytes above which the server stops reading from the
@@ -154,13 +140,15 @@ class EventDrivenServer {
     int64_t cache_hits = 0;
     int64_t singleflight_joins = 0;
     int64_t queries_replayed = 0;
+    /// Always 0: no query is answered BUSY. Kept because perfbench parses
+    /// it from the server's summary line.
     int64_t busy_rejections = 0;
     int64_t budget_rejections = 0;
     int64_t protocol_errors = 0;
   };
 
-  /// Binds, listens, spawns the loops and executor. `db` must outlive
-  /// the server; it is the single backend all sessions share.
+  /// Binds, listens, spawns the loops. `db` must outlive the server; it
+  /// is the single backend all sessions share.
   static common::Result<std::unique_ptr<EventDrivenServer>> Start(
       interface::HiddenDatabase* db, const Options& options);
 
@@ -168,8 +156,7 @@ class EventDrivenServer {
 
   uint16_t port() const { return listener_.port(); }
 
-  /// Stops accepting, closes every connection, joins loops and executor.
-  /// Idempotent.
+  /// Stops accepting, closes every connection, joins the loops. Idempotent.
   void Stop();
 
   Stats stats() const;
@@ -196,9 +183,6 @@ class EventDrivenServer {
     net::Socket sock;
     bool handshaken = false;
     bool dead = false;
-    /// True while a backend execution is outstanding for this connection
-    /// (per-session ordering admits only one).
-    bool in_flight = false;
     /// Reading paused because the reply backlog crossed read_pause_bytes.
     bool read_paused = false;
     std::string rbuf;
@@ -215,13 +199,6 @@ class EventDrivenServer {
     std::chrono::steady_clock::time_point stall_since;
     /// The epoll interest mask currently registered for sock.
     uint32_t interest = 0;
-    /// Parsed-but-unprocessed pipelined queries (seq, query).
-    std::deque<std::pair<uint64_t, interface::Query>> pending;
-    /// BUSY barrier: after answering BUSY for this seq, every arriving
-    /// query with a larger seq is also answered BUSY (it could not be
-    /// processed in order anymore). Cleared when the client retries the
-    /// barrier seq itself. 0 = no barrier.
-    uint64_t busy_floor = 0;
     Session* session = nullptr;
     std::chrono::steady_clock::time_point last_activity;
   };
@@ -235,43 +212,28 @@ class EventDrivenServer {
   void ParseFrames(Conn* conn);
   void HandleFrame(Conn* conn, net::FrameType type,
                    std::string_view payload);
+  /// Answers one query in place: replay, budget, then the backend.
   void HandleQuery(Conn* conn, uint64_t seq, const interface::Query& query);
-  void ProcessPending(Conn* conn);
-  /// Runs on the owning loop thread when an executor run completes:
-  /// FinishQuery, then the queued pipeline.
-  void FinalizeAsync(size_t loop_index, uint64_t conn_id, uint64_t seq,
-                     const common::Status& status,
-                     std::shared_ptr<const interface::QueryResult> result);
-  /// Clears in_flight and delivers the answer for `seq`.
-  void FinishQuery(Conn* conn, uint64_t seq, const common::Status& status,
-                   const std::shared_ptr<const interface::QueryResult>& result);
   /// Encodes and enqueues the reply, charges the session budget on
   /// success, and records the reply in the session replay cache.
   void Deliver(Conn* conn, uint64_t seq, const common::Status& status,
-               const std::shared_ptr<const interface::QueryResult>& result);
-  /// Transient BUSY: kRateLimited, never recorded for replay.
-  void DeliverBusy(Conn* conn, uint64_t seq);
+               const interface::QueryResult& result);
   void EnqueueFrame(Conn* conn, net::FrameType type,
                     std::string_view payload);
   void FlushWrites(Conn* conn);
   void UpdateInterest(Conn* conn);
   void CloseConn(Conn* conn);
   void TickLoop(size_t loop_index);
-  /// Admission-controlled enqueue onto the executor; false = answer BUSY.
-  bool SubmitBackendTask(std::function<void()> task);
-  /// Runs the query on the backend (optionally serialized) and counts it;
-  /// *out is set iff the status is OK.
-  common::Status ExecuteBackend(
-      const interface::Query& query,
-      std::shared_ptr<const interface::QueryResult>* out);
+  /// Runs the query on the backend (optionally serialized) into *out and
+  /// counts it.
+  common::Status ExecuteBackend(const interface::Query& query,
+                                interface::QueryResult* out);
   Session* GetSession(uint64_t session_id);
 
   Conn* FindConn(size_t loop_index, uint64_t conn_id);
 
   interface::HiddenDatabase* db_;
   Options options_;
-  /// db_->NeverBlocks(): queries run on the loop thread, not the executor.
-  const bool inline_backend_;
   net::ServerSocket listener_;
   std::atomic<bool> stopping_{false};
   std::atomic<int> active_connections_{0};
@@ -283,7 +245,7 @@ class EventDrivenServer {
 
   std::mutex backend_mu_;  // only used when serialize_backend
 
-  // Atomic counters: bumped from loop threads and the executor.
+  // Atomic counters: bumped from every loop thread.
   std::atomic<int64_t> connections_accepted_{0};
   std::atomic<int64_t> connections_rejected_{0};
   std::atomic<int64_t> connections_shed_{0};
@@ -291,17 +253,15 @@ class EventDrivenServer {
   std::atomic<int64_t> queries_served_{0};
   std::atomic<int64_t> backend_executions_{0};
   std::atomic<int64_t> queries_replayed_{0};
-  std::atomic<int64_t> busy_rejections_{0};
   std::atomic<int64_t> budget_rejections_{0};
   std::atomic<int64_t> protocol_errors_{0};
 
-  /// Loops before executor: executor tasks post completions into loops,
-  /// so the loops must be destroyed after the executor drains.
   std::vector<std::unique_ptr<net::EventLoop>> loops_;
-  /// conn_maps_[i] is owned by loop i's thread exclusively.
+  /// conn_maps_[i] and answers_[i] are owned by loop i's thread
+  /// exclusively. answers_[i] is the one QueryResult every query on loop
+  /// i is answered into, so a steady-state answer allocates nothing.
   std::vector<std::unordered_map<uint64_t, std::unique_ptr<Conn>>> conn_maps_;
-  /// Null when the backend never blocks.
-  std::unique_ptr<runtime::ThreadPool> executor_;
+  std::vector<interface::QueryResult> answers_;
   std::vector<std::jthread> loop_threads_;  // last: joins first
 };
 

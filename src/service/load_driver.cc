@@ -30,7 +30,6 @@ namespace service {
 using common::Result;
 using common::Status;
 using net::FrameType;
-using net::WireStatus;
 
 namespace {
 
@@ -141,17 +140,12 @@ class LoadDriver {
     uint64_t next_seq = 1;
     /// Sent, reply still pending — replies arrive in this order.
     std::deque<uint64_t> awaiting;
-    /// Nonzero: a BUSY barrier; resend from this seq once `awaiting`
-    /// drains and the backoff expires.
-    uint64_t rewind_to = 0;
-    Clock::time_point backoff_until{};
     std::unordered_map<uint64_t, Clock::time_point> sent_at;
   };
 
   /// Loop-thread-owned accumulator (no locks on the hot path).
   struct LoopState {
     std::vector<uint32_t> latencies_us;
-    int64_t busy_retries = 0;
     int64_t completed = 0;
     int sessions_done = 0;
     int sessions_failed = 0;
@@ -171,10 +165,6 @@ class LoadDriver {
   void FinishSession(Conn* conn);
   void OnSessionFinished();
   void Tick(size_t loop_index);
-  /// Tick resumes a BUSY-barred connection once nothing is awaited and
-  /// its backoff has expired. When nothing is awaited, asks the
-  /// connection's loop to tick at the expiry, not up to a period later.
-  void ScheduleResume(Conn* conn);
   void RequestStats();
   void StopAll();
 
@@ -271,14 +261,14 @@ Result<LoadReport> LoadDriver::Run() {
 
   start_ = Clock::now();
   deadline_ = start_ + std::chrono::milliseconds(options_.total_timeout_ms);
-  const int tick_ms =
-      std::clamp(options_.busy_backoff_ms, 1, 50);
+  // The tick only checks the whole-run deadline.
+  constexpr int kTickMs = 50;
   {
     std::vector<std::jthread> threads;
     threads.reserve(loops_.size());
     for (size_t i = 0; i < loops_.size(); ++i) {
       threads.emplace_back(
-          [this, i, tick_ms] { loops_[i]->Run(tick_ms, [this, i] { Tick(i); }); });
+          [this, i] { loops_[i]->Run(kTickMs, [this, i] { Tick(i); }); });
     }
     // jthread destructors join: the run is over when every loop stopped.
   }
@@ -289,7 +279,6 @@ Result<LoadReport> LoadDriver::Run() {
     report.sessions_completed += ls.sessions_done;
     report.sessions_failed += ls.sessions_failed;
     report.queries_completed += ls.completed;
-    report.busy_retries += ls.busy_retries;
     latencies.insert(latencies.end(), ls.latencies_us.begin(),
                      ls.latencies_us.end());
   }
@@ -331,25 +320,6 @@ void LoadDriver::Tick(size_t loop_index) {
   if (loop_index == 0 && Clock::now() > deadline_) {
     timed_out_.store(true);
     StopAll();
-    return;
-  }
-  // Resume connections whose BUSY backoff expired.
-  const Clock::time_point now = Clock::now();
-  for (auto& conn : conns_[loop_index]) {
-    if (conn->dead || conn->done || conn->rewind_to == 0) continue;
-    if (conn->awaiting.empty() && now >= conn->backoff_until) {
-      conn->next_seq = conn->rewind_to;
-      conn->rewind_to = 0;
-      PumpSend(conn.get());
-    } else {
-      ScheduleResume(conn.get());
-    }
-  }
-}
-
-void LoadDriver::ScheduleResume(Conn* conn) {
-  if (conn->rewind_to != 0 && conn->awaiting.empty()) {
-    loops_[conn->loop_index]->TickNoLaterThan(conn->backoff_until);
   }
 }
 
@@ -488,39 +458,14 @@ void LoadDriver::HandleFrame(Conn* conn, FrameType type,
         FinishSession(conn);
         return;
       }
-      ScheduleResume(conn);
       PumpSend(conn);
       return;
     }
-    case FrameType::kStatus: {
-      uint64_t seq = 0;
-      uint16_t code = 0;
-      std::string message;
-      if (!net::DecodeStatusFrame(payload, &seq, &code, &message).ok()) {
-        FailSession(conn);
-        return;
-      }
-      if (static_cast<WireStatus>(code) == WireStatus::kRateLimited) {
-        ls.busy_retries += 1;
-        if (conn->rewind_to == 0 || seq < conn->rewind_to) {
-          conn->rewind_to = seq;
-        }
-        conn->backoff_until =
-            Clock::now() + std::chrono::milliseconds(options_.busy_backoff_ms);
-        // Drop it (and any later BUSY'd seq) from the await queue; the
-        // rewound resend re-adds them.
-        auto it = std::find(conn->awaiting.begin(), conn->awaiting.end(),
-                            seq);
-        if (it != conn->awaiting.end()) conn->awaiting.erase(it);
-        conn->sent_at.erase(seq);
-        ScheduleResume(conn);
-        return;
-      }
-      // Any other status (budget, unsupported, protocol) is terminal for
-      // the session.
+    case FrameType::kStatus:
+      // Every status is terminal for the session: the server answers no
+      // query BUSY, and a kRateLimited here is a connection it refused.
       FailSession(conn);
       return;
-    }
     case FrameType::kStats: {
       uint64_t seq = 0;
       net::ServiceStats stats;
@@ -539,7 +484,7 @@ void LoadDriver::HandleFrame(Conn* conn, FrameType type,
 }
 
 void LoadDriver::PumpSend(Conn* conn) {
-  if (conn->dead || conn->done || conn->rewind_to != 0) return;
+  if (conn->dead || conn->done) return;
   if (!workload_ready_.load(std::memory_order_acquire)) return;
   while (static_cast<int>(conn->awaiting.size()) <
              options_.pipeline_depth &&

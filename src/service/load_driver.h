@@ -1,10 +1,9 @@
 // LoadDriver: an epoll-based load-generation client for the hdsky wire
 // protocol, built on the same net::EventLoop substrate as the server it
 // exercises. It opens many concurrent sessions (one connection each),
-// pipelines queries on every connection, retries transient BUSY
-// rejections with backoff, measures per-query latency, and finally asks
-// the server for its ServiceStats (kStatsRequest) so callers can report
-// how many queries it served and executed.
+// pipelines queries on every connection, measures per-query latency, and
+// finally asks the server for its ServiceStats (kStatsRequest) so callers
+// can report how many queries it served and executed.
 //
 // Workload model: every session runs the SAME deterministic query
 // sequence, derived from the served schema's interface taxonomy (SQ
@@ -47,8 +46,6 @@ struct LoadOptions {
   int num_loops = 0;
   /// Whole-run deadline; the run fails (partial report) past it.
   int total_timeout_ms = 120000;
-  /// Backoff before retrying after a BUSY rejection.
-  int busy_backoff_ms = 2;
   /// Seed of the deterministic workload generator.
   uint64_t workload_seed = 42;
   /// Fetch the server's ServiceStats after the workload completes.
@@ -58,12 +55,11 @@ struct LoadOptions {
 struct LoadReport {
   /// Sessions whose full workload was answered.
   int sessions_completed = 0;
-  /// Sessions that failed (connect error, protocol error, reset).
+  /// Sessions that failed (connect error, refused connection, any error
+  /// status, reset).
   int sessions_failed = 0;
   /// Successful query answers received (across all sessions).
   int64_t queries_completed = 0;
-  /// BUSY (kRateLimited) replies received and retried.
-  int64_t busy_retries = 0;
   double elapsed_ms = 0;
   /// Successful answers per second of wall clock.
   double qps = 0;

@@ -524,12 +524,7 @@ FlagTable ServeFlags(ServeConfig* c) {
           "concurrent connections (default 4096)", &c->max_connections),
       Int("--loops", "L", 0, 256, "event-loop threads (0 = auto)", &c->loops),
       Int("--workers", "W", 0, 256,
-          "backend workers for paged data (0 = auto; in-memory data is "
-          "answered on the loops)",
-          &c->workers),
-      Int("--max-pending", "P", 0, 1000000,
-          "backend admission limit for paged data (default 1024)",
-          &c->max_pending),
+          "ignored: every query is answered on the loops", &c->workers),
       Int("--idle-timeout-ms", "T", 0, INT64_MAX,
           "idle eviction, 0 = never (default 60000)", &c->idle_timeout_ms),
   });
@@ -614,21 +609,13 @@ FlagTable LoadgenFlags(LoadgenConfig* c) {
       // The in-process server's knobs.
       Int("--server-loops", "L", 0, 256, "server event loops (0 = auto)",
           &c->server_loops),
-      Int("--workers", "W", 0, 256,
-          "server backend workers (0 = auto; unused: its in-memory data "
-          "is answered on the loops)",
-          &c->workers),
       Int("--n", "N", 1, INT64_MAX, "synthetic dataset size (default 20000)",
           &c->n),
       Int("--m", "M", 2, 64, "synthetic attributes (default 3)", &c->m),
       Int("--k", "K", 1, 1000000, "interface page size (default 10)", &c->k),
-      Int("--max-pending", "P", 0, 1000000,
-          "server admission limit (default 1024; unused, as --workers)",
-          &c->max_pending),
   });
   t.Excludes({Given("--connect")},
-             {"--server-loops", "--workers", "--n", "--m", "--k",
-              "--max-pending"},
+             {"--server-loops", "--n", "--m", "--k"},
              "configures the in-process server; it cannot be combined with "
              "--connect");
   return t;

@@ -195,8 +195,7 @@ struct ServeConfig {
   std::string bind = "127.0.0.1";
   int64_t max_connections = 4096;
   int64_t loops = 0;
-  int64_t workers = 0;
-  int64_t max_pending = 1024;
+  int64_t workers = 0;  // accepted and ignored
   int64_t idle_timeout_ms = 60000;
 };
 
@@ -229,11 +228,9 @@ struct LoadgenConfig {
   int64_t pipeline = 8;
   int64_t loops = 0;
   int64_t server_loops = 0;
-  int64_t workers = 0;
   int64_t n = 20000;
   int64_t m = 3;
   int64_t k = 10;
-  int64_t max_pending = 1024;
   int64_t timeout_ms = 120000;
   int64_t seed = 42;
   std::vector<std::string> connect;

@@ -61,12 +61,13 @@ expect_usage "budget-negative" "$DISCOVER" --demo route --budget -1
 expect_usage "serve-port-garbage" "$SERVE" --demo route --port 80h
 expect_usage "serve-max-conn-zero" "$SERVE" --demo route --max-connections 0
 
-# Server knobs: there is one engine, so --engine is an unknown flag;
-# malformed values of the real knobs are rejected.
+# Server knobs: there is one engine, so --engine is an unknown flag, and
+# no admission queue, so --max-pending is one too; malformed values of
+# the real knobs are rejected.
 expect_usage "serve-engine-removed" "$SERVE" --demo route --engine threaded
 expect_usage "serve-loops-garbage" "$SERVE" --demo route --loops 2x
 expect_usage "serve-loops-negative" "$SERVE" --demo route --loops -1
-expect_usage "serve-max-pending-garbage" "$SERVE" --demo route --max-pending p
+expect_usage "serve-max-pending-removed" "$SERVE" --demo route --max-pending 8
 expect_usage "serve-idle-timeout-negative" \
   "$SERVE" --demo route --idle-timeout-ms -5
 
@@ -352,8 +353,7 @@ if [ -n "$LOADGEN" ]; then
   expect_usage "loadgen-sessions-garbage" "$LOADGEN" --sessions 10x
   expect_usage "loadgen-connect-malformed" "$LOADGEN" --connect localhost
   # The in-process server's knobs mean nothing beside --connect.
-  for f in "--n 5" "--m 3" "--k 5" "--server-loops 1" "--workers 1" \
-      "--max-pending 8"; do
+  for f in "--n 5" "--m 3" "--k 5" "--server-loops 1"; do
     # shellcheck disable=SC2086
     expect_usage "loadgen-connect-with-${f%% *}" \
       "$LOADGEN" --connect 127.0.0.1:1 $f

@@ -1,10 +1,10 @@
 // End-to-end tests for the event-driven server and the epoll load
-// driver: request pipelining on one connection, BUSY shedding and the
-// retry barrier, slow-reader and write-stall shedding, idle-timeout
-// eviction, per-session budgets, in-place execution of never-blocking
-// backends on the loop thread, and concurrent sessions driven through
-// RunLoad, twice against one server and through BUSY backoffs (the
-// TSan CI job's LoadGen stress).
+// driver: request pipelining on one connection, in-place execution of
+// every backend (in-memory, paged, callback) on the loop thread, the
+// write-buffer cap and write-stall shedding of slow readers,
+// idle-timeout eviction, per-session budgets, and concurrent sessions
+// driven through RunLoad, twice against one server (the TSan CI job's
+// LoadGen stress).
 
 #include <atomic>
 #include <chrono>
@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "data/paged_table.h"
+#include "dataset/blue_nile.h"
 #include "dataset/pack.h"
 #include "dataset/synthetic.h"
 #include "interface/hidden_database.h"
@@ -109,26 +110,13 @@ std::string PipelineBuffer(const std::vector<Query>& queries,
   return buf;
 }
 
-/// A backend that sleeps before delegating, to hold executor slots open
-/// long enough for admission control to fire deterministically.
-std::unique_ptr<interface::HiddenDatabase> MakeSlowBackend(
-    TopKInterface* inner, int delay_ms) {
-  return std::make_unique<interface::CallbackDatabase>(
-      inner->schema(), inner->k(),
-      [inner, delay_ms](const Query& q) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-        return inner->Execute(q);
-      });
-}
-
-/// Delegates to an in-memory interface and reports `never_blocks` from
-/// NeverBlocks(). Counts executions and notes which threads ran them, and
-/// which thread last asked k(): the server asks only while answering a
-/// Hello, on the connection's loop thread.
+/// Delegates to another backend. Counts executions and notes which
+/// threads ran them, and which thread last asked k(): the server asks
+/// only while answering a Hello, on the connection's loop thread.
 class ThreadRecordingBackend : public interface::HiddenDatabase {
  public:
-  ThreadRecordingBackend(TopKInterface* inner, bool never_blocks)
-      : inner_(inner), never_blocks_(never_blocks) {}
+  explicit ThreadRecordingBackend(interface::HiddenDatabase* inner)
+      : inner_(inner) {}
 
   using HiddenDatabase::Execute;
   common::Result<QueryResult> Execute(const Query& q) override {
@@ -145,7 +133,6 @@ class ThreadRecordingBackend : public interface::HiddenDatabase {
     hello_thread_ = std::this_thread::get_id();
     return inner_->k();
   }
-  bool NeverBlocks() const override { return never_blocks_; }
 
   int executions() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -161,12 +148,48 @@ class ThreadRecordingBackend : public interface::HiddenDatabase {
   }
 
  private:
-  TopKInterface* inner_;
-  const bool never_blocks_;
+  interface::HiddenDatabase* inner_;
   mutable std::mutex mu_;
   int executions_ = 0;
   std::set<std::thread::id> execute_threads_;
   mutable std::thread::id hello_thread_;
+};
+
+/// `t` packed into a v3 block file and served by a paged TopKInterface
+/// over a pread buffer pool of one page, so answers pin, miss, pread and
+/// decode pages. The temporary file is removed on destruction.
+class PagedBackend {
+ public:
+  explicit PagedBackend(const data::Table& t) {
+    dir_ = (std::filesystem::temp_directory_path() /
+            "hdsky_loadgen_paged.XXXXXX")
+               .string();
+    EXPECT_NE(::mkdtemp(dir_.data()), nullptr);
+    const std::string path = dir_ + "/t.hdb";
+    EXPECT_TRUE(dataset::PackTable(t, interface::MakeSumRanking(), path,
+                                   data::BlockFileOptions())
+                    .ok());
+    data::PagedTableOptions popts;
+    popts.read_path = data::ReadPathKind::kPread;
+    popts.buffer_pool_bytes = 4096;
+    paged_ = std::move(data::PagedTable::Open(path, popts)).value();
+    TopKOptions topk;
+    topk.k = 5;
+    iface_ = std::move(TopKInterface::CreatePaged(paged_.get(), topk)).value();
+  }
+  ~PagedBackend() {
+    iface_.reset();
+    paged_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+
+  TopKInterface* iface() const { return iface_.get(); }
+  const data::PagedTable& paged() const { return *paged_; }
+
+ private:
+  std::string dir_;
+  std::unique_ptr<data::PagedTable> paged_;
+  std::unique_ptr<TopKInterface> iface_;
 };
 
 /// Reads one frame that must be the kResult of `want_seq`; returns its
@@ -239,76 +262,29 @@ TEST(EventServerTest, AnswersPipelinedQueriesInOrder) {
   EXPECT_EQ(server->stats().protocol_errors, 0);
 }
 
-TEST(EventServerTest, OverDeepPipelineGetsBusyAndRetrySucceeds) {
-  const data::Table t = MakeTable(data::InterfaceType::kRQ);
-  auto backend = MakeBackend(&t);
-  auto slow = MakeSlowBackend(backend.get(), 50);
-  EventDrivenServer::Options opts;
-  opts.max_pipeline_depth = 2;
-  opts.serialize_backend = true;  // CallbackDatabase is a shared closure
-  auto server =
-      std::move(EventDrivenServer::Start(slow.get(), opts)).value();
-
-  auto sock = ConnectAndHello(server->port(), 1);
-  const auto queries = GenerateWorkload(t.schema(), 5, 42);
-  const std::string buf = PipelineBuffer(queries, 1);
-  ASSERT_TRUE(sock.SendAll(buf.data(), buf.size()).ok());
-
-  // Seq 1 occupies the backend (50 ms), 2-3 fill the pipeline buffer,
-  // 4-5 overflow: they must come back BUSY, the rest as results.
-  std::set<uint64_t> results;
-  std::set<uint64_t> busy;
-  for (int i = 0; i < 5; ++i) {
-    net::Frame frame;
-    ASSERT_TRUE(net::ReadFrame(sock, &frame).ok()) << i;
-    uint64_t seq = 0;
-    if (frame.type == net::FrameType::kResult) {
-      QueryResult result;
-      ASSERT_TRUE(net::DecodeResult(frame.payload,
-                                    t.schema().num_attributes(), &seq,
-                                    &result)
-                      .ok());
-      results.insert(seq);
-    } else {
-      ASSERT_EQ(frame.type, net::FrameType::kStatus);
-      uint16_t code = 0;
-      std::string message;
-      ASSERT_TRUE(
-          net::DecodeStatusFrame(frame.payload, &seq, &code, &message)
-              .ok());
-      EXPECT_EQ(code, static_cast<uint16_t>(net::WireStatus::kRateLimited))
-          << message;
-      busy.insert(seq);
-    }
-  }
-  EXPECT_EQ(results, (std::set<uint64_t>{1, 2, 3}));
-  EXPECT_EQ(busy, (std::set<uint64_t>{4, 5}));
-
-  // The BUSY barrier: retrying from the lowest rejected seq clears it and
-  // both queries now succeed.
-  for (uint64_t seq = 4; seq <= 5; ++seq) {
-    SendQuery(sock, seq, queries[seq - 1]);
-    net::Frame frame;
-    ASSERT_TRUE(net::ReadFrame(sock, &frame).ok()) << seq;
-    ASSERT_EQ(frame.type, net::FrameType::kResult) << seq;
-  }
-  server->Stop();
-  EXPECT_EQ(server->stats().queries_served, 5);
-  EXPECT_GE(server->stats().busy_rejections, 2);
-}
-
-// --- never-blocking backends: in place on the loop thread ---------------
+// --- every backend: in place on the loop thread --------------------------
 
 TEST(EventServerTest, NeverBlockingBackendExecutesOnTheLoopThread) {
+  // Every backend is answered in place: a paged interface that pins and
+  // preads pages, and a callback standing in for a real site, run every
+  // query on the loop thread that answered the Hello.
   const data::Table t = MakeTable(data::InterfaceType::kRQ);
-  auto inner = MakeBackend(&t);
+  PagedBackend paged(t);
+  auto in_memory = MakeBackend(&t);
+  std::atomic<int> callback_runs{0};
+  interface::CallbackDatabase callback(
+      t.schema(), 5, [&](const Query& q) {
+        callback_runs.fetch_add(1);
+        return in_memory->Execute(q);
+      });
   const auto queries = GenerateWorkload(t.schema(), 4, 42);
-  for (const bool never_blocks : {true, false}) {
-    SCOPED_TRACE(never_blocks ? "never blocks" : "may block");
-    ThreadRecordingBackend backend(inner.get(), never_blocks);
+  const std::pair<const char*, interface::HiddenDatabase*> backends[] = {
+      {"paged", paged.iface()}, {"callback", &callback}};
+  for (const auto& [name, inner] : backends) {
+    SCOPED_TRACE(name);
+    ThreadRecordingBackend backend(inner);
     EventDrivenServer::Options opts;
-    opts.num_loops = 1;
-    opts.num_workers = 2;
+    opts.num_loops = 2;
     auto server =
         std::move(EventDrivenServer::Start(&backend, opts)).value();
     auto sock = ConnectAndHello(server->port(), 1);
@@ -319,26 +295,22 @@ TEST(EventServerTest, NeverBlockingBackendExecutesOnTheLoopThread) {
     }
     server->Stop();
     EXPECT_EQ(backend.executions(), 4);
-    const std::set<std::thread::id> threads = backend.execute_threads();
-    if (never_blocks) {
-      // Every execution ran on the thread that answered the Hello.
-      EXPECT_EQ(threads, std::set<std::thread::id>{backend.hello_thread()});
-    } else {
-      // The executor's workers ran them, never the loop thread.
-      EXPECT_FALSE(threads.empty());
-      EXPECT_EQ(threads.count(backend.hello_thread()), 0u);
-    }
+    EXPECT_EQ(backend.execute_threads(),
+              std::set<std::thread::id>{backend.hello_thread()});
   }
+  EXPECT_EQ(callback_runs.load(), 4);
+  EXPECT_GT(paged.paged().pool_stats().misses, 0u);
 }
 
 TEST(EventServerTest, NeverBlockingPipelineAnswersInOrderAndReplaysRetry) {
+  // A paged backend under a one-page pool: every answer may miss.
   const data::Table t = MakeTable(data::InterfaceType::kRQ);
-  auto inner = MakeBackend(&t);
+  PagedBackend paged(t);
   // 600 queries of 68 bytes: the server reads them 16 KiB per wake-up,
   // so the pipeline spans several reads and some frames straddle two.
   constexpr int kQueries = 600;
   const auto queries = GenerateWorkload(t.schema(), kQueries, 42);
-  ThreadRecordingBackend backend(inner.get(), /*never_blocks=*/true);
+  ThreadRecordingBackend backend(paged.iface());
   auto server = std::move(EventDrivenServer::Start(&backend, {})).value();
   auto sock = ConnectAndHello(server->port(), 1);
   const std::string buf = PipelineBuffer(queries, 1);
@@ -354,6 +326,7 @@ TEST(EventServerTest, NeverBlockingPipelineAnswersInOrderAndReplaysRetry) {
   EXPECT_EQ(ReadResultFrame(sock, t.schema(), kQueries), last);
   server->Stop();
   EXPECT_EQ(backend.executions(), kQueries);
+  EXPECT_EQ(paged.iface()->stats().queries_issued, kQueries);
   const EventDrivenServer::Stats stats = server->stats();
   EXPECT_EQ(stats.backend_executions, kQueries);
   EXPECT_EQ(stats.queries_served, kQueries);
@@ -364,7 +337,7 @@ TEST(EventServerTest, NeverBlockingPipelineAnswersInOrderAndReplaysRetry) {
 TEST(EventServerTest, TwoSessionsAskingOneQueryCauseTwoExecutions) {
   const data::Table t = MakeTable(data::InterfaceType::kRQ);
   auto inner = MakeBackend(&t);
-  ThreadRecordingBackend backend(inner.get(), /*never_blocks=*/true);
+  ThreadRecordingBackend backend(inner.get());
   EventDrivenServer::Options opts;
   opts.num_loops = 1;
   auto server = std::move(EventDrivenServer::Start(&backend, opts)).value();
@@ -386,108 +359,7 @@ TEST(EventServerTest, TwoSessionsAskingOneQueryCauseTwoExecutions) {
   EXPECT_EQ(stats.queries_served, 2);
 }
 
-TEST(EventServerTest, OnlyInMemoryTopKInterfaceNeverBlocks) {
-  const data::Table t = MakeTable(data::InterfaceType::kRQ);
-  EXPECT_TRUE(MakeBackend(&t)->NeverBlocks());
-
-  std::string dir = (std::filesystem::temp_directory_path() /
-                     "hdsky_loadgen_paged.XXXXXX")
-                        .string();
-  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
-  {
-    const std::string path = dir + "/t.hdb";
-    ASSERT_TRUE(dataset::PackTable(t, interface::MakeSumRanking(), path,
-                                   data::BlockFileOptions())
-                    .ok());
-    auto paged = data::PagedTable::Open(path, data::PagedTableOptions());
-    ASSERT_TRUE(paged.ok()) << paged.status();
-    TopKOptions topk;
-    topk.k = 5;
-    auto iface = TopKInterface::CreatePaged(paged->get(), topk);
-    ASSERT_TRUE(iface.ok()) << iface.status();
-    // A paged answer may wait on a pread or a page fault.
-    EXPECT_FALSE((*iface)->NeverBlocks());
-  }
-  std::filesystem::remove_all(dir);
-
-  // So may an arbitrary callback; wrappers keep the default too.
-  auto backend = MakeBackend(&t);
-  auto slow = MakeSlowBackend(backend.get(), 0);
-  EXPECT_FALSE(slow->NeverBlocks());
-}
-
-// --- overload and misbehaving clients ------------------------------------
-
-TEST(EventServerTest, BackendSaturationShedsBusyNotQueues) {
-  const data::Table t = MakeTable(data::InterfaceType::kRQ);
-  auto backend = MakeBackend(&t);
-  // The occupying query parks inside the backend until the test releases
-  // it, so the single admission slot is provably held when the second
-  // session's query arrives — no sleep-based timing to flake when the
-  // suite runs alongside a parallel ctest load.
-  std::atomic<int> started{0};
-  std::atomic<bool> release{false};
-  interface::CallbackDatabase gated(
-      backend->schema(), backend->k(), [&](const Query& query) {
-        started.fetch_add(1);
-        while (!release.load()) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        return backend->Execute(query);
-      });
-  EventDrivenServer::Options opts;
-  opts.max_pending_queries = 1;
-  opts.num_workers = 2;
-  opts.serialize_backend = true;
-  auto server = std::move(EventDrivenServer::Start(&gated, opts)).value();
-
-  Query q(t.schema().num_attributes());
-  q.AddAtMost(0, 10);
-
-  auto first = ConnectAndHello(server->port(), 1);
-  auto second = ConnectAndHello(server->port(), 2);
-  SendQuery(first, 1, q);
-  for (int i = 0; i < 5000 && started.load() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(started.load(), 1);  // first query pinned in the backend
-
-  SendQuery(second, 1, q);
-  net::Frame frame;
-  ASSERT_TRUE(net::ReadFrame(second, &frame).ok());
-  ASSERT_EQ(frame.type, net::FrameType::kStatus);
-  uint64_t seq = 0;
-  uint16_t code = 0;
-  std::string message;
-  ASSERT_TRUE(
-      net::DecodeStatusFrame(frame.payload, &seq, &code, &message).ok());
-  EXPECT_EQ(code, static_cast<uint16_t>(net::WireStatus::kRateLimited));
-  EXPECT_EQ(seq, 1u);
-
-  // The occupying query finishes normally...
-  release.store(true);
-  ASSERT_TRUE(net::ReadFrame(first, &frame).ok());
-  EXPECT_EQ(frame.type, net::FrameType::kResult);
-  // ...and the shed client's retry of the SAME seq is then admitted.
-  // The admission slot frees when the worker task returns, which can
-  // lag the result frame by a beat, so a retry may still draw BUSY —
-  // retry until admitted, as a real client would.
-  for (int attempt = 0;; ++attempt) {
-    SendQuery(second, 1, q);
-    ASSERT_TRUE(net::ReadFrame(second, &frame).ok());
-    if (frame.type == net::FrameType::kResult) break;
-    ASSERT_EQ(frame.type, net::FrameType::kStatus);
-    ASSERT_TRUE(
-        net::DecodeStatusFrame(frame.payload, &seq, &code, &message).ok());
-    ASSERT_EQ(code, static_cast<uint16_t>(net::WireStatus::kRateLimited));
-    ASSERT_LT(attempt, 500);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-
-  server->Stop();
-  EXPECT_GE(server->stats().busy_rejections, 1);
-  EXPECT_EQ(server->stats().queries_served, 2);
-}
+// --- misbehaving clients --------------------------------------------------
 
 TEST(EventServerTest, SlowReaderIsShedNotBufferedWithoutBound) {
   // Wide results (k = 50) so the reply volume — roughly 10 MB across
@@ -501,8 +373,6 @@ TEST(EventServerTest, SlowReaderIsShedNotBufferedWithoutBound) {
                                &t, interface::MakeSumRanking(), topk))
                      .value();
   EventDrivenServer::Options opts;
-  opts.max_pipeline_depth = 16384;
-  opts.max_pending_queries = 0;
   opts.write_buffer_limit = 256u << 10;
   opts.read_pause_bytes = 64u << 10;
   auto server =
@@ -524,6 +394,45 @@ TEST(EventServerTest, SlowReaderIsShedNotBufferedWithoutBound) {
   }
   EXPECT_TRUE(shed);
   server->Stop();
+}
+
+TEST(EventServerTest, FloodOfWideRepliesIsShedAtTheWriteBufferLimit) {
+  // Blue Nile at k = 500: every broad answer is a 28 KB reply, and one
+  // 16 KiB read holds hundreds of query frames, all answered before the
+  // read pause can take effect. Once the kernel's socket buffers are
+  // full, a single wake-up drives the backlog past write_buffer_limit,
+  // and the server sheds the connection there and then, long before the
+  // 10 s stall limit could.
+  dataset::BlueNileOptions gen;
+  gen.num_tuples = 20000;
+  const data::Table t = std::move(dataset::GenerateBlueNile(gen)).value();
+  TopKOptions topk;
+  topk.k = 500;
+  auto backend = std::move(TopKInterface::Create(
+                               &t, interface::MakeSumRanking(), topk))
+                     .value();
+  EventDrivenServer::Options opts;
+  opts.write_buffer_limit = 1u << 20;
+  opts.read_pause_bytes = 256u << 10;
+  auto server =
+      std::move(EventDrivenServer::Start(backend.get(), opts)).value();
+
+  auto sock = ConnectAndHello(server->port(), 1);
+  // 4000 unconstrained queries would be 112 MB of replies; we read none.
+  const std::vector<Query> queries(4000, Query(t.schema().num_attributes()));
+  const std::string buf = PipelineBuffer(queries, 1);
+  const auto start = std::chrono::steady_clock::now();
+  sock.SendAll(buf.data(), buf.size());  // may fail once we are shed
+
+  bool shed = false;
+  while (!shed &&
+         std::chrono::steady_clock::now() - start < std::chrono::seconds(5)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    shed = server->stats().connections_shed >= 1;
+  }
+  EXPECT_TRUE(shed) << "not shed within 5 s";
+  server->Stop();
+  EXPECT_EQ(server->stats().idle_closed, 0);
 }
 
 TEST(EventServerTest, IdleConnectionIsEvicted) {
@@ -640,37 +549,6 @@ TEST(LoadGenTest, SecondRunAgainstOneServerUsesFreshSessions) {
     EXPECT_EQ(report.server.queries_served, run * 4 * 8);
     EXPECT_EQ(report.server.protocol_errors, 0);
   }
-  server->Stop();
-}
-
-TEST(LoadGenTest, BusySessionsResumeAfterTheirBackoff) {
-  // One admission slot and a slow backend: pipelined sessions are shed
-  // with BUSY, back off, and must each resume and finish. A connection
-  // resumes only from the driver's tick, so a resume that is never
-  // scheduled shows up as a run that times out.
-  const data::Table t = MakeTable(data::InterfaceType::kRQ);
-  auto backend = MakeBackend(&t);
-  auto slow = MakeSlowBackend(backend.get(), 2);
-  EventDrivenServer::Options opts;
-  opts.max_pending_queries = 1;
-  opts.num_workers = 1;
-  opts.serialize_backend = true;
-  auto server = std::move(EventDrivenServer::Start(slow.get(), opts)).value();
-
-  LoadOptions load;
-  load.port = server->port();
-  load.sessions = 4;
-  load.queries_per_session = 6;
-  load.pipeline_depth = 3;
-  load.num_loops = 1;
-  load.busy_backoff_ms = 5;
-  load.total_timeout_ms = 60000;
-  const auto report = std::move(RunLoad(load)).value();
-
-  EXPECT_TRUE(report.complete);
-  EXPECT_EQ(report.sessions_failed, 0);
-  EXPECT_EQ(report.queries_completed, 4 * 6);
-  EXPECT_GT(report.busy_retries, 0);
   server->Stop();
 }
 

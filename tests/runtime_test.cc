@@ -95,68 +95,6 @@ TEST(ThreadPoolTest, TasksActuallyRunConcurrently) {
   EXPECT_EQ(arrived.load(), kTasks);
 }
 
-TEST(ThreadPoolTest, TrySubmitAdmitsUpToLimitAndShedsBeyond) {
-  ThreadPool pool(1);
-  // Block the single worker so queued tasks cannot drain.
-  std::atomic<bool> release{false};
-  pool.Submit([&release] {
-    while (!release.load()) std::this_thread::yield();
-  });
-  // Wait for the blocker to be dequeued (pending counts it as in-flight).
-  while (pool.pending() != 1) std::this_thread::yield();
-
-  std::atomic<int> ran{0};
-  int admitted = 0;
-  for (int i = 0; i < 10; ++i) {
-    std::function<void()> task = [&ran] { ran.fetch_add(1); };
-    if (pool.TrySubmit(task, /*max_pending=*/4)) ++admitted;
-  }
-  // 1 blocker in flight + 3 queued reach the limit of 4.
-  EXPECT_EQ(admitted, 3);
-  EXPECT_EQ(pool.pending(), 4);
-
-  release.store(true);
-  pool.WaitIdle();
-  EXPECT_EQ(ran.load(), 3);
-  EXPECT_EQ(pool.pending(), 0);
-
-  // After draining, admission opens up again.
-  std::function<void()> task = [&ran] { ran.fetch_add(1); };
-  EXPECT_TRUE(pool.TrySubmit(task, /*max_pending=*/4));
-  pool.WaitIdle();
-  EXPECT_EQ(ran.load(), 4);
-}
-
-TEST(ThreadPoolTest, TrySubmitUnlimitedWhenMaxPendingNonPositive) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 100; ++i) {
-    std::function<void()> task = [&ran] { ran.fetch_add(1); };
-    EXPECT_TRUE(pool.TrySubmit(task, /*max_pending=*/0));
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(ThreadPoolTest, TrySubmitLeavesTaskIntactOnRejection) {
-  ThreadPool pool(1);
-  std::atomic<bool> release{false};
-  pool.Submit([&release] {
-    while (!release.load()) std::this_thread::yield();
-  });
-  while (pool.pending() != 1) std::this_thread::yield();
-
-  std::atomic<int> ran{0};
-  std::function<void()> task = [&ran] { ran.fetch_add(1); };
-  EXPECT_FALSE(pool.TrySubmit(task, /*max_pending=*/1));
-  ASSERT_TRUE(static_cast<bool>(task));  // rejection must not consume it
-  release.store(true);
-  pool.WaitIdle();
-  EXPECT_TRUE(pool.TrySubmit(task, /*max_pending=*/1));
-  pool.WaitIdle();
-  EXPECT_EQ(ran.load(), 1);
-}
-
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   ThreadPool pool(8);
   constexpr int64_t kN = 10000;

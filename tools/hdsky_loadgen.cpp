@@ -13,8 +13,7 @@
 //   hdsky_loadgen --connect 127.0.0.1:7447 --sessions 200
 //
 // Flags: LoadgenFlags in src/session/flags.cc. The in-process server's
-// knobs (--n, --m, --k, --server-loops, --workers, --max-pending) are
-// rejected beside --connect. --probe pre-flights a single
+// knobs (--n, --m, --k, --server-loops) are rejected beside --connect. --probe pre-flights a single
 // RemoteHiddenDatabase client before the load and reports its wire
 // counters (handshake bytes, retries, backoff) to stderr.
 //
@@ -97,7 +96,6 @@ void WriteJson(const std::string& path, const Args& args,
                "      \"sessions\": %d,\n"
                "      \"sessions_failed\": %d,\n"
                "      \"queries_completed\": %" PRId64 ",\n"
-               "      \"busy_retries\": %" PRId64 ",\n"
                "      \"qps\": %.1f,\n"
                "      \"p50_us\": %.1f,\n"
                "      \"p99_us\": %.1f,\n"
@@ -110,7 +108,7 @@ void WriteJson(const std::string& path, const Args& args,
                args.sessions, args.queries, args.sessions, args.queries,
                report.elapsed_ms, report.elapsed_ms,
                report.sessions_completed, report.sessions_failed,
-               report.queries_completed, report.busy_retries, report.qps,
+               report.queries_completed, report.qps,
                report.latency_p50_us, report.latency_p99_us,
                report.latency_mean_us,
                report.server_stats_valid ? report.server.queries_served : -1,
@@ -157,9 +155,7 @@ int main(int argc, char** argv) {
 
     service::EventDrivenServer::Options opts;
     opts.num_loops = static_cast<int>(args.server_loops);
-    opts.num_workers = static_cast<int>(args.workers);
     opts.max_connections = static_cast<int>(args.sessions) + 16;
-    opts.max_pending_queries = static_cast<int>(args.max_pending);
     auto server_result =
         service::EventDrivenServer::Start(iface.get(), opts);
     if (!server_result.ok()) {
@@ -216,10 +212,8 @@ int main(int argc, char** argv) {
                report.sessions_completed, report.sessions_failed,
                args.sessions);
   std::fprintf(stderr,
-               "queries  : %" PRId64 " answered in %.1f ms (%.0f qps, "
-               "%" PRId64 " busy retries)\n",
-               report.queries_completed, report.elapsed_ms, report.qps,
-               report.busy_retries);
+               "queries  : %" PRId64 " answered in %.1f ms (%.0f qps)\n",
+               report.queries_completed, report.elapsed_ms, report.qps);
   std::fprintf(stderr, "latency  : p50 %.0f us, p99 %.0f us, mean %.0f us\n",
                report.latency_p50_us, report.latency_p99_us,
                report.latency_mean_us);

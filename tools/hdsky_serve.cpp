@@ -56,8 +56,6 @@ int main(int argc, char** argv) {
   server_options.max_connections = static_cast<int>(args.max_connections);
   server_options.per_client_query_budget = args.client_budget;
   server_options.num_loops = static_cast<int>(args.loops);
-  server_options.num_workers = static_cast<int>(args.workers);
-  server_options.max_pending_queries = static_cast<int>(args.max_pending);
   server_options.idle_timeout_ms = static_cast<int>(args.idle_timeout_ms);
   server_options.serialize_backend = false;
   auto server_result =
