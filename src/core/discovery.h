@@ -47,8 +47,8 @@ using ProgressTrace = std::vector<ProgressPoint>;
 
 class DiscoveryRun;
 
-/// Fills *out with the algorithm's encoded frontier (queue / stack /
-/// plane cursor). Handed to DiscoveryOptions::on_checkpoint lazily so the
+/// Fills *out with the algorithm's encoded frontier (queue / stack).
+/// Handed to DiscoveryOptions::on_checkpoint lazily so the
 /// frontier is only serialized when a checkpoint actually happens.
 using FrontierSaver = std::function<void(std::string*)>;
 
@@ -67,15 +67,15 @@ struct DiscoveryOptions {
   /// makes the run unwind as ResourceExhausted — the anytime partial-
   /// result path — so a SIGINT'd session still checkpoints and reports.
   std::function<bool()> interrupt;
-  /// Checkpoint tick, invoked by frontier-capable drivers (SQ/RQ/PQ) at
-  /// points where their traversal state is consistent (top of the node
-  /// loop / a plane boundary). The callee decides whether a checkpoint is
-  /// actually due; the FrontierSaver serializes the frontier on demand.
+  /// Checkpoint tick, invoked by the resumable drivers (SQ/RQ) at the top
+  /// of their node loop, where the traversal state is consistent. The
+  /// callee decides whether a checkpoint is actually due; the
+  /// FrontierSaver serializes the frontier on demand.
   std::function<void(DiscoveryRun&, const FrontierSaver&)> on_checkpoint;
-  /// DiscoveryRun::SaveState blob to restore before the first query
-  /// (crash-consistent resume; see docs/robustness.md).
+  /// DiscoveryRun::SaveState blob to restore before the first query: a
+  /// federated backend resuming from its round barrier (SQ/RQ).
   std::optional<std::string> resume_run_state;
-  /// Matching frontier blob from the same checkpoint; the driver resumes
+  /// Matching frontier blob from the same barrier; the driver resumes
   /// its traversal from it instead of the root.
   std::optional<std::string> resume_frontier;
 };
@@ -148,7 +148,7 @@ class SkylineCollector {
   void Finish(DiscoveryResult* result) const;
 
   /// Serializes the confirmed skyline (ids + tuples, insertion order) for
-  /// checkpoint snapshots.
+  /// federation's round barriers.
   void SaveState(std::string* out) const;
 
   /// Rebuilds a collector from SaveState bytes. Only legal on an empty

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
-#include <string>
 
 #include "core/pq_2dsub_sky.h"
-#include "net/wire.h"
 
 namespace hdsky {
 namespace core {
@@ -13,63 +11,9 @@ namespace core {
 using common::Result;
 using common::Status;
 using data::Schema;
-using data::Tuple;
 using data::Value;
-using interface::Query;
 using interface::QueryResult;
 using interface::HiddenDatabase;
-
-namespace {
-
-// Frontier codec for checkpoint/resume: the index of the next plane in
-// the (sum, lex)-sorted combination order plus the covering observations
-// that prune planes, tagged 'P' against cross-algorithm blob mixups.
-void EncodePqFrontier(int64_t next_combo,
-                      const std::vector<CoveringObservation>& observations,
-                      std::string* out) {
-  net::Encoder enc(out);
-  enc.PutU8('P');
-  enc.PutU64(static_cast<uint64_t>(next_combo));
-  enc.PutU64(observations.size());
-  for (const CoveringObservation& obs : observations) {
-    net::EncodeQueryBody(obs.query, &enc);
-    enc.PutU32(static_cast<uint32_t>(obs.top1.size()));
-    for (Value v : obs.top1) enc.PutI64(v);
-  }
-}
-
-Status DecodePqFrontier(std::string_view blob, int64_t* next_combo,
-                        std::vector<CoveringObservation>* observations) {
-  net::Decoder dec(blob);
-  uint8_t tag = 0;
-  uint64_t combo = 0;
-  uint64_t obs_len = 0;
-  if (!dec.GetU8(&tag) || tag != 'P' || !dec.GetU64(&combo) ||
-      !dec.GetU64(&obs_len)) {
-    return Status::IOError("malformed PQ frontier blob");
-  }
-  for (uint64_t i = 0; i < obs_len; ++i) {
-    CoveringObservation obs;
-    uint32_t width = 0;
-    if (!net::DecodeQueryBody(&dec, &obs.query) || !dec.GetU32(&width) ||
-        static_cast<size_t>(width) * 8 > dec.remaining()) {
-      return Status::IOError("malformed PQ frontier observation");
-    }
-    obs.top1 = Tuple(width);
-    for (uint32_t a = 0; a < width; ++a) dec.GetI64(&obs.top1[a]);
-    if (!dec.ok()) {
-      return Status::IOError("malformed PQ frontier observation");
-    }
-    observations->push_back(std::move(obs));
-  }
-  if (!dec.exhausted()) {
-    return Status::IOError("PQ frontier blob carries trailing bytes");
-  }
-  *next_combo = static_cast<int64_t>(combo);
-  return Status::OK();
-}
-
-}  // namespace
 
 Result<DiscoveryResult> PqDbSky(HiddenDatabase* iface,
                                 const PqDbSkyOptions& options) {
@@ -127,37 +71,24 @@ Result<DiscoveryResult> PqDbSky(HiddenDatabase* iface,
 
   DiscoveryRun run(iface, options.common);
 
-  std::vector<CoveringObservation> observations;
-  int64_t start_combo = 0;
-  if (options.common.resume_frontier.has_value()) {
-    // Crash-consistent resume: progress, the plane cursor, and the
-    // covering observations come from a checkpoint; the root query and
-    // the planes before the cursor already ran.
-    if (options.common.resume_run_state.has_value()) {
-      HDSKY_RETURN_IF_ERROR(
-          run.RestoreState(*options.common.resume_run_state));
-    }
-    HDSKY_RETURN_IF_ERROR(DecodePqFrontier(*options.common.resume_frontier,
-                                           &start_combo, &observations));
-  } else {
-    // Root query: prunes every plane and seeds the skyline.
-    Result<QueryResult> root = run.Execute(run.MakeBaseQuery());
-    if (!root.ok()) {
-      if (run.exhausted()) return run.Finish();
-      return root.status();
-    }
-    if (root->empty()) return run.Finish();
-    // SELECT * is downward-closed: observe the full answer.
-    for (int i = 0; i < root->size(); ++i) {
-      run.Observe(root->ids[static_cast<size_t>(i)],
-                  root->tuples[static_cast<size_t>(i)]);
-    }
-    if (root->size() < iface->k()) {
-      // Underflow: the entire (filtered) database was returned.
-      return run.Finish();
-    }
-    observations.push_back({run.MakeBaseQuery(), root->tuples[0]});
+  // Root query: prunes every plane and seeds the skyline.
+  Result<QueryResult> root = run.Execute(run.MakeBaseQuery());
+  if (!root.ok()) {
+    if (run.exhausted()) return run.Finish();
+    return root.status();
   }
+  if (root->empty()) return run.Finish();
+  // SELECT * is downward-closed: observe the full answer.
+  for (int i = 0; i < root->size(); ++i) {
+    run.Observe(root->ids[static_cast<size_t>(i)],
+                root->tuples[static_cast<size_t>(i)]);
+  }
+  if (root->size() < iface->k()) {
+    // Underflow: the entire (filtered) database was returned.
+    return run.Finish();
+  }
+  std::vector<CoveringObservation> observations;
+  observations.push_back({run.MakeBaseQuery(), root->tuples[0]});
 
   // Enumerate non-plane value combinations in ascending (sum, lex): a
   // linear extension of dominance, so every plane sees all its potential
@@ -191,14 +122,7 @@ Result<DiscoveryResult> PqDbSky(HiddenDatabase* iface,
                      return a < b;
                    });
 
-  for (int64_t c = start_combo; c < num_planes; ++c) {
-    if (options.common.on_checkpoint) {
-      // Plane boundaries are frontier-consistent: every query of earlier
-      // planes is answered, none of plane c's queries has been issued.
-      options.common.on_checkpoint(run, [&](std::string* out) {
-        EncodePqFrontier(c, observations, out);
-      });
-    }
+  for (int64_t c = 0; c < num_planes; ++c) {
     PlaneSpec plane;
     plane.ax = ax;
     plane.ay = ay;

@@ -193,8 +193,8 @@ common::Status DecodeQuery(std::string_view payload, uint64_t* seq,
 
 /// Body-only query codec (arity + per-attribute interval bounds, no
 /// sequence number), for embedding queries inside larger records — the
-/// recovery journal and the algorithm frontier snapshots reuse it so a
-/// query has exactly one serialized form. DecodeQueryBody consumes its
+/// SQ/RQ frontier blobs reuse it so a query has exactly one serialized
+/// form. DecodeQueryBody consumes its
 /// bytes from `dec` and fails (returning false) on truncation or an
 /// implausible arity.
 void EncodeQueryBody(const interface::Query& q, Encoder* enc);
@@ -207,7 +207,7 @@ void EncodeResult(uint64_t seq, const interface::QueryResult& result,
 common::Status DecodeResult(std::string_view payload, int expected_width,
                             uint64_t* seq, interface::QueryResult* result);
 /// Streaming variant for result bodies embedded inside larger records
-/// (journal records, checkpoint snapshots): consumes exactly one encoded
+/// (journal result records): consumes exactly one encoded
 /// result from `dec`, leaving any following bytes for the caller.
 common::Status DecodeResultBody(Decoder* dec, int expected_width,
                                 uint64_t* seq,

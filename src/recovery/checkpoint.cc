@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include <dirent.h>
@@ -9,7 +10,6 @@
 
 #include "common/fs_util.h"
 #include "net/wire.h"
-#include "recovery/journal.h"
 
 namespace hdsky {
 namespace recovery {
@@ -19,43 +19,34 @@ using common::Status;
 
 namespace {
 
-constexpr char kManifestMagic[] = "hdsky-manifest-v1";
-constexpr char kSnapshotMagic[] = "hdsky-snap-v1";
+constexpr char kManifestMagic[] = "hdsky-manifest-v2";
+constexpr char kManifestMagicV1[] = "hdsky-manifest-v1";
+constexpr char kJournalPrefix[] = "journal-";
 
-std::string EpochFileName(const char* prefix, int64_t epoch) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "-%06" PRId64, epoch);
-  return std::string(prefix) + buf;
-}
-
-/// Parses "journal-NNNNNN" / "snapshot-NNNNNN"; -1 for anything else.
-int64_t EpochOfFileName(const std::string& name) {
-  for (const char* prefix : {"journal-", "snapshot-"}) {
-    const size_t plen = std::strlen(prefix);
-    if (name.size() <= plen || name.compare(0, plen, prefix) != 0) continue;
-    char* end = nullptr;
-    const long long epoch = std::strtoll(name.c_str() + plen, &end, 10);
-    if (end != name.c_str() + plen && *end == '\0' && epoch >= 1) {
-      return static_cast<int64_t>(epoch);
-    }
+/// Parses "journal-NNNNNN"; -1 for anything else.
+int64_t SegmentOfFileName(const std::string& name) {
+  const size_t plen = std::strlen(kJournalPrefix);
+  if (name.size() <= plen || name.compare(0, plen, kJournalPrefix) != 0) {
+    return -1;
   }
-  return -1;
+  char* end = nullptr;
+  const long long segment = std::strtoll(name.c_str() + plen, &end, 10);
+  if (end == name.c_str() + plen || *end != '\0' || segment < 1) return -1;
+  return static_cast<int64_t>(segment);
 }
 
 }  // namespace
 
-std::string JournalFileName(int64_t epoch) {
-  return EpochFileName("journal", epoch);
-}
-
-std::string SnapshotFileName(int64_t epoch) {
-  return EpochFileName("snapshot", epoch);
+std::string JournalFileName(int64_t segment) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%s%06" PRId64, kJournalPrefix, segment);
+  return buf;
 }
 
 Status WriteManifest(const std::string& dir, const Manifest& m) {
   const std::string contents = std::string(kManifestMagic) + " " +
-                               std::to_string(m.epoch) + " " +
-                               (m.has_snapshot ? "1" : "0") + "\n";
+                               std::to_string(m.first) + " " +
+                               std::to_string(m.live) + "\n";
   return common::AtomicWriteFile(dir + "/" + kManifestFileName, contents);
 }
 
@@ -64,106 +55,40 @@ Result<Manifest> ReadManifest(const std::string& dir) {
   std::string contents;
   HDSKY_ASSIGN_OR_RETURN(contents, common::ReadFileToString(path));
   char magic[32] = {0};
-  long long epoch = 0;
-  int has_snapshot = -1;
-  if (std::sscanf(contents.c_str(), "%31s %lld %d", magic, &epoch,
-                  &has_snapshot) != 3 ||
-      std::strcmp(magic, kManifestMagic) != 0 || epoch < 1 ||
-      (has_snapshot != 0 && has_snapshot != 1)) {
+  long long a = 0;
+  long long b = -1;
+  if (std::sscanf(contents.c_str(), "%31s %lld %lld", magic, &a, &b) != 3) {
     return Status::IOError(path + ": malformed manifest");
   }
-  Manifest m;
-  m.epoch = static_cast<int64_t>(epoch);
-  m.has_snapshot = has_snapshot == 1;
-  return m;
+  if (std::strcmp(magic, kManifestMagicV1) == 0) {
+    // v1: "<epoch> <has_snapshot>". Before its first checkpoint a v1
+    // directory is exactly a v2 one holding segment 1; after it, its
+    // history lives in a snapshot this release no longer reads.
+    if (a == 1 && b == 0) return Manifest{1, 1};
+    if (a >= 1 && b == 1) {
+      return Status::Unsupported(
+          dir + ": journal directory written by an older release (MANIFEST "
+          "v1 with snapshot-" + std::to_string(a) + "); this release reads "
+          "only sealed journal segments. Finish the session with the "
+          "release that wrote it, or start over with a fresh --journal "
+          "directory");
+    }
+    return Status::IOError(path + ": malformed manifest");
+  }
+  if (std::strcmp(magic, kManifestMagic) != 0 || a < 1 || b < a) {
+    return Status::IOError(path + ": malformed manifest");
+  }
+  return Manifest{static_cast<int64_t>(a), static_cast<int64_t>(b)};
 }
 
-void RemoveOtherEpochFiles(const std::string& dir, int64_t keep_epoch) {
+void RemoveSegmentsAfter(const std::string& dir, int64_t live) {
   DIR* d = ::opendir(dir.c_str());
   if (d == nullptr) return;
   while (dirent* entry = ::readdir(d)) {
     const std::string name = entry->d_name;
-    const int64_t epoch = EpochOfFileName(name);
-    if (epoch >= 1 && epoch != keep_epoch) {
-      ::unlink((dir + "/" + name).c_str());
-    }
+    if (SegmentOfFileName(name) > live) ::unlink((dir + "/" + name).c_str());
   }
   ::closedir(d);
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot blob.
-
-Status WriteSnapshot(const std::string& path, int width,
-                     const Snapshot& snap) {
-  std::string payload;
-  net::Encoder enc(&payload);
-  enc.PutString(kSnapshotMagic);
-  enc.PutU32(static_cast<uint32_t>(width));
-  enc.PutU64(snap.last_seq);
-  enc.PutString(snap.state_blob);
-  enc.PutU64(static_cast<uint64_t>(snap.entries.size()));
-  for (const SnapshotEntry& e : snap.entries) {
-    enc.PutString(e.signature);
-    net::EncodeResult(0, e.result, &payload);
-  }
-  std::string framed;
-  AppendFrame(payload, &framed);
-  return common::AtomicWriteFile(path, framed);
-}
-
-Result<Snapshot> ReadSnapshot(const std::string& path, int width) {
-  std::string data;
-  HDSKY_ASSIGN_OR_RETURN(data, common::ReadFileToString(path));
-  if (data.size() < kRecordHeaderBytes) {
-    return Status::IOError(path + ": snapshot truncated");
-  }
-  JournalContents frame;
-  {
-    // Reuse the journal frame parser on the single-record snapshot file;
-    // the snapshot was written atomically, so a torn or trailing byte is
-    // damage, not an interrupted append.
-    auto parsed = ReadJournalFile(path);
-    HDSKY_RETURN_IF_ERROR(parsed.status());
-    frame = std::move(parsed).value();
-  }
-  if (frame.torn || frame.payloads.size() != 1 ||
-      frame.valid_bytes != static_cast<int64_t>(data.size())) {
-    return Status::IOError(path + ": snapshot framing damaged");
-  }
-  net::Decoder dec(frame.payloads[0]);
-  std::string magic;
-  uint32_t snap_width = 0;
-  uint64_t entry_count = 0;
-  Snapshot snap;
-  dec.GetString(&magic);
-  dec.GetU32(&snap_width);
-  dec.GetU64(&snap.last_seq);
-  dec.GetString(&snap.state_blob);
-  if (!dec.GetU64(&entry_count) || magic != kSnapshotMagic) {
-    return Status::IOError(path + ": malformed snapshot header");
-  }
-  if (snap_width != static_cast<uint32_t>(width)) {
-    return Status::IOError(path + ": snapshot width " +
-                           std::to_string(snap_width) +
-                           " does not match schema width " +
-                           std::to_string(width));
-  }
-  for (uint64_t i = 0; i < entry_count; ++i) {
-    SnapshotEntry e;
-    if (!dec.GetString(&e.signature) ||
-        e.signature.size() != static_cast<size_t>(width) * 16) {
-      return Status::IOError(path + ": malformed snapshot entry");
-    }
-    uint64_t seq = 0;
-    HDSKY_RETURN_IF_ERROR(
-        net::DecodeResultBody(&dec, width, &seq, &e.result));
-    snap.entries.push_back(std::move(e));
-  }
-  if (!dec.exhausted()) {
-    return Status::IOError(path + ": snapshot carries trailing bytes");
-  }
-  return snap;
 }
 
 // ---------------------------------------------------------------------------

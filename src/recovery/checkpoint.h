@@ -1,27 +1,25 @@
-// Atomic checkpoints for durable discovery sessions.
+// Segmented journal directories and their checkpoints.
 //
-// A journal directory holds, at any instant, one *epoch* of state:
+// A journal directory holds the whole paid history of a session as a run
+// of journal segments (see journal.h):
 //
-//   MANIFEST            "hdsky-manifest-v1 <epoch> <has_snapshot>"
-//   journal-<epoch>     the live write-ahead journal (see journal.h)
-//   snapshot-<epoch>    compacted state the journal is a suffix of
-//                       (absent in epoch 1, before the first checkpoint)
+//   MANIFEST        "hdsky-manifest-v2 <first> <live>"
+//   journal-<n>     segment n; first..live-1 are sealed, live takes appends
 //
-// A checkpoint compacts journal history into the next epoch: write
-// snapshot-(e+1) and a fresh journal-(e+1), then atomically swing MANIFEST
-// to epoch e+1, then delete the epoch-e files. Every write along the way
-// is temp-file + fsync + rename (common/fs_util.h), so a crash at any
-// boundary leaves MANIFEST pointing at one complete, self-consistent
-// snapshot+journal pair: before the manifest swing recovery still sees
-// epoch e (the half-built e+1 files are deleted as orphans); after it,
-// epoch e+1 is live and the stale epoch-e files are deleted on the next
-// open.
+// A checkpoint seals the live segment: it appends a checkpoint record with
+// the caller's session-state blob and fsyncs, creates journal-(live+1)
+// with a synced header, then atomically swings MANIFEST to name it as the
+// live segment. No answer is ever rewritten and no segment deleted, so a
+// checkpoint costs the same at the thousandth answer as at the first. A
+// crash at any boundary leaves MANIFEST naming whole segments: before the
+// swing the half-built next segment is debris that the next open deletes,
+// after it the sealed segment is already durable.
 //
-// The snapshot is a single CRC32C-framed blob containing the replay map
-// (signature -> answer), the highest wire sequence number accounted for,
-// and an opaque session-state blob (algorithm name + DiscoveryRun progress
-// + frontier) that lets a resumed run fast-forward instead of replaying
-// from the first query.
+// A resume reads every segment from first to live in order. Sealed
+// segments must be whole and end in their checkpoint record (a torn tail
+// there is corruption, not a crash residue); only the live segment may
+// end torn. The last checkpoint record carries the resume state, and a
+// dangling intent is simply the last intent-or-result record overall.
 
 #ifndef HDSKY_RECOVERY_CHECKPOINT_H_
 #define HDSKY_RECOVERY_CHECKPOINT_H_
@@ -29,65 +27,40 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/status.h"
-#include "interface/hidden_database.h"
 
 namespace hdsky {
 namespace recovery {
 
 inline constexpr char kManifestFileName[] = "MANIFEST";
 
-/// "journal-000007" / "snapshot-000007" for epoch 7.
-std::string JournalFileName(int64_t epoch);
-std::string SnapshotFileName(int64_t epoch);
+/// "journal-000007" for segment 7.
+std::string JournalFileName(int64_t segment);
 
 struct Manifest {
-  int64_t epoch = 1;
-  /// False only for epoch 1 (no checkpoint has run yet).
-  bool has_snapshot = false;
+  /// Oldest segment of the session's history.
+  int64_t first = 1;
+  /// The segment appends go to; every segment before it is sealed.
+  int64_t live = 1;
 };
 
-/// Atomically replaces dir/MANIFEST.
+/// Atomically replaces dir/MANIFEST with a v2 manifest.
 common::Status WriteManifest(const std::string& dir, const Manifest& m);
 
 /// NotFound when no manifest exists (a fresh directory); IOError on any
-/// malformation — a damaged manifest is never guessed around.
+/// malformation — a damaged manifest is never guessed around. A v1
+/// manifest without a snapshot (no checkpoint ever ran) reads as segment
+/// 1 alone; one whose epoch has a snapshot is Unsupported, since this
+/// release reads no snapshots.
 common::Result<Manifest> ReadManifest(const std::string& dir);
 
-/// Deletes journal-*/snapshot-* files of every epoch except `keep_epoch`:
-/// half-built next-epoch files after a crash before the manifest swing,
-/// or stale previous-epoch files after a crash before cleanup.
-void RemoveOtherEpochFiles(const std::string& dir, int64_t keep_epoch);
+/// Deletes journal-<n> for every n > `live`: the half-built next segment
+/// of a checkpoint that died before its manifest swing.
+void RemoveSegmentsAfter(const std::string& dir, int64_t live);
 
 // ---------------------------------------------------------------------------
-// Snapshot blob.
-
-struct SnapshotEntry {
-  std::string signature;
-  interface::QueryResult result;
-};
-
-struct Snapshot {
-  /// Highest wire sequence number covered by the compacted history.
-  uint64_t last_seq = 0;
-  /// Opaque session state (EncodeSessionState), possibly empty.
-  std::string state_blob;
-  /// Replay map in insertion order.
-  std::vector<SnapshotEntry> entries;
-};
-
-/// Writes the snapshot atomically (temp + fsync + rename).
-common::Status WriteSnapshot(const std::string& path, int width,
-                             const Snapshot& snap);
-
-/// Reads and verifies a snapshot; any damage (bad CRC, truncation, width
-/// mismatch) rejects the whole file — snapshots are atomic or absent.
-common::Result<Snapshot> ReadSnapshot(const std::string& path, int width);
-
-// ---------------------------------------------------------------------------
-// Session state: what the discovery driver needs to fast-forward.
+// Session state: what a checkpoint records for the resume path.
 
 struct SessionState {
   /// Resolved algorithm name ("sq", "rq", ...); a resume under a different
@@ -96,8 +69,8 @@ struct SessionState {
   /// DiscoveryRun::SaveState blob (progress counters + confirmed skyline +
   /// anytime trace). Empty means "replay from the start".
   std::string run_state;
-  /// Algorithm-specific frontier blob (queue / stack / plane cursor).
-  /// Empty means "replay from the start".
+  /// Algorithm-specific frontier blob (queue / stack). Empty means
+  /// "replay from the start".
   std::string frontier;
 };
 

@@ -16,10 +16,11 @@
 //   journal.append.pre_sync   record handed to the OS, fsync not yet run
 //   journal.append.torn       record half-written: a torn tail on disk
 //   checkpoint.pre_snapshot   checkpoint decided, nothing written yet
-//   checkpoint.pre_manifest   snapshot+journal of the new epoch on disk,
-//                             manifest still points at the old epoch
-//   checkpoint.pre_cleanup    manifest renamed, old epoch files not yet
-//                             deleted
+//   checkpoint.pre_manifest   live segment sealed and the next segment's
+//                             header on disk, manifest still names the
+//                             old live segment
+//   checkpoint.pre_cleanup    manifest swung to the next segment, the
+//                             writer not yet switched to it
 //   federation.checkpoint.pre_state   a federation round fully executed,
 //                             DIR/STATE still describing the previous one
 //   federation.checkpoint.post_state  DIR/STATE atomically swung to the

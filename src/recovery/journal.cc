@@ -82,6 +82,14 @@ std::string EncodeResultRecord(uint64_t seq, std::string_view signature,
   return out;
 }
 
+std::string EncodeCheckpointRecord(std::string_view state) {
+  std::string out;
+  net::Encoder enc(&out);
+  enc.PutU8(static_cast<uint8_t>(RecordType::kCheckpoint));
+  enc.PutString(state);
+  return out;
+}
+
 Result<int> DecodeHeaderRecord(std::string_view payload) {
   net::Decoder dec(payload);
   uint8_t tag = 0;
@@ -127,6 +135,13 @@ Result<JournalRecord> DecodeRecord(std::string_view payload, int width) {
         return Status::IOError("journal result record has trailing bytes");
       }
       break;
+    }
+    case RecordType::kCheckpoint: {
+      rec.type = RecordType::kCheckpoint;
+      if (!dec.GetString(&rec.state) || !dec.exhausted()) {
+        return Status::IOError("malformed journal checkpoint record");
+      }
+      return rec;
     }
     default:
       return Status::IOError("unknown journal record tag " +

@@ -9,10 +9,10 @@
 //   8       n     payload
 //
 // The first record is always a header record binding the journal to a
-// schema width; every later record is an intent or a result record (see
-// RecordType). Payloads are encoded with the net/wire.h Encoder, so a
-// query answer has exactly one serialized form across the wire protocol,
-// the journal, and checkpoint snapshots.
+// schema width; every later record is an intent, a result or a checkpoint
+// record (see RecordType). Payloads are encoded with the net/wire.h
+// Encoder, so a query answer has exactly one serialized form across the
+// wire protocol and the journal.
 //
 // Write discipline. Records are appended with write(2) and group-fsync'd
 // every Options::sync_every records (1 = every record durable before
@@ -68,6 +68,9 @@ enum class RecordType : uint8_t {
   kIntent = 1,
   /// The paid-for answer, keyed by the query's predicate signature.
   kResult = 2,
+  /// A checkpoint's opaque session-state blob (checkpoint.h), the last
+  /// record of every sealed segment; a resume reads the last one.
+  kCheckpoint = 3,
 };
 
 struct JournalRecord {
@@ -79,18 +82,21 @@ struct JournalRecord {
   std::string signature;
   /// Result records only.
   interface::QueryResult result;
+  /// Checkpoint records only.
+  std::string state;
 };
 
 std::string EncodeHeaderRecord(int width);
 std::string EncodeIntentRecord(uint64_t seq, std::string_view signature);
 std::string EncodeResultRecord(uint64_t seq, std::string_view signature,
                                const interface::QueryResult& result);
+std::string EncodeCheckpointRecord(std::string_view state);
 
 /// Decodes a header record; fails on anything else.
 common::Result<int> DecodeHeaderRecord(std::string_view payload);
-/// Decodes an intent or result record. `width` is the schema arity the
-/// journal header declared; signatures and tuples are validated against
-/// it.
+/// Decodes an intent, result or checkpoint record. `width` is the schema
+/// arity the journal header declared; signatures and tuples are validated
+/// against it.
 common::Result<JournalRecord> DecodeRecord(std::string_view payload,
                                            int width);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include <sys/stat.h>
@@ -47,93 +48,100 @@ Status JournalingDatabase::OpenImpl() {
   auto manifest = ReadManifest(dir_);
   if (!manifest.ok()) {
     if (!manifest.status().IsNotFound()) return manifest.status();
-    // Fresh directory. A journal file without a manifest is debris from a
+    // Fresh directory. A segment without a manifest is debris from a
     // crash before the very first manifest write — nothing was ever
-    // recoverable from it, so clear the slate (epoch 0 keeps nothing).
-    RemoveOtherEpochFiles(dir_, 0);
-    HDSKY_ASSIGN_OR_RETURN(
-        writer_,
-        JournalWriter::Create(dir_ + "/" + JournalFileName(1), width, wopts));
-    HDSKY_RETURN_IF_ERROR(WriteManifest(dir_, Manifest{1, false}));
-    epoch_ = 1;
+    // recoverable from it, so clear the slate.
+    RemoveSegmentsAfter(dir_, 0);
+    HDSKY_ASSIGN_OR_RETURN(writer_,
+                           JournalWriter::Create(SegmentPath(1), width, wopts));
+    return WriteManifest(dir_, manifest_);
+  }
+
+  // Resuming: the manifest names the segments; one past the live segment
+  // is a checkpoint that died before its manifest swing.
+  resumed_ = true;
+  manifest_ = *manifest;
+  RemoveSegmentsAfter(dir_, manifest_.live);
+  const auto start = std::chrono::steady_clock::now();
+  int64_t live_bytes = 0;
+  for (int64_t n = manifest_.first; n <= manifest_.live; ++n) {
+    HDSKY_RETURN_IF_ERROR(ReadSegment(n, width, &live_bytes));
+  }
+  read_ms_ = std::chrono::duration<double, std::milli>(
+                 std::chrono::steady_clock::now() - start)
+                 .count();
+  const std::string live = SegmentPath(manifest_.live);
+  if (live_bytes == 0) {
+    // Created but died before the header reached the disk: an empty file
+    // holds nothing, so recreate it whole.
+    ::unlink(live.c_str());
+    HDSKY_ASSIGN_OR_RETURN(writer_, JournalWriter::Create(live, width, wopts));
     return Status::OK();
   }
+  HDSKY_ASSIGN_OR_RETURN(writer_,
+                         JournalWriter::OpenForAppend(live, live_bytes, wopts));
+  return Status::OK();
+}
 
-  // Resuming: the manifest names the one live epoch; files of any other
-  // epoch are crash debris (half-built next epoch, or a previous epoch
-  // whose cleanup never ran).
-  resumed_ = true;
-  epoch_ = manifest->epoch;
-  RemoveOtherEpochFiles(dir_, epoch_);
-
-  if (manifest->has_snapshot) {
-    Snapshot snap;
-    HDSKY_ASSIGN_OR_RETURN(
-        snap,
-        ReadSnapshot(dir_ + "/" + SnapshotFileName(epoch_), width));
-    last_seq_ = snap.last_seq;
-    restored_state_ = std::move(snap.state_blob);
-    for (SnapshotEntry& e : snap.entries) {
-      Insert(e.signature, std::move(e.result));
-    }
-  }
-
-  const std::string journal_path = dir_ + "/" + JournalFileName(epoch_);
-  auto contents = ReadJournalFile(journal_path);
+Status JournalingDatabase::ReadSegment(int64_t n, int width,
+                                       int64_t* live_bytes) {
+  const std::string path = SegmentPath(n);
+  const bool live = n == manifest_.live;
+  auto contents = ReadJournalFile(path);
   if (!contents.ok()) {
     if (contents.status().IsNotFound()) {
-      return Status::IOError(dir_ + ": manifest names epoch " +
-                             std::to_string(epoch_) +
-                             " but its journal file is missing");
+      return Status::IOError(dir_ + ": manifest names segment " +
+                             std::to_string(n) + " but its file is missing");
     }
     return contents.status();
   }
-  if (contents->payloads.empty()) {
-    // Created but died before the header reached the disk: an empty file
-    // holds nothing, so recreate it whole.
-    ::unlink(journal_path.c_str());
-    HDSKY_ASSIGN_OR_RETURN(writer_,
-                           JournalWriter::Create(journal_path, width, wopts));
-    return Status::OK();
+  if (!live && (contents->torn || contents->payloads.empty())) {
+    // A sealed segment was fsynced whole before the manifest named its
+    // successor, so a short one is damage, never a crash residue.
+    return Status::IOError(path + ": sealed journal segment is torn " +
+                           "(interior corruption; refusing to resume)");
   }
+  if (contents->payloads.empty()) return Status::OK();  // an empty live one
   int journal_width = 0;
   HDSKY_ASSIGN_OR_RETURN(journal_width,
                          DecodeHeaderRecord(contents->payloads[0]));
   if (journal_width != width) {
-    return Status::IOError(journal_path + ": journal width " +
+    return Status::IOError(path + ": journal width " +
                            std::to_string(journal_width) +
                            " does not match schema width " +
                            std::to_string(width));
   }
+  RecordType last = RecordType::kHeader;
   for (size_t i = 1; i < contents->payloads.size(); ++i) {
     JournalRecord rec;
     HDSKY_ASSIGN_OR_RETURN(rec, DecodeRecord(contents->payloads[i], width));
-    last_seq_ = std::max(last_seq_, rec.seq);
-    if (rec.type == RecordType::kIntent) {
-      pending_signature_ = rec.signature;
-      pending_seq_ = rec.seq;
-    } else {
-      Insert(rec.signature, std::move(rec.result));
-      pending_signature_.reset();
-      pending_seq_.reset();
+    last = rec.type;
+    switch (rec.type) {
+      case RecordType::kCheckpoint:
+        restored_state_ = std::move(rec.state);
+        break;
+      case RecordType::kIntent:
+        last_seq_ = std::max(last_seq_, rec.seq);
+        pending_signature_ = std::move(rec.signature);
+        pending_seq_ = rec.seq;
+        break;
+      default:
+        last_seq_ = std::max(last_seq_, rec.seq);
+        replay_.emplace(std::move(rec.signature), std::move(rec.result));
+        pending_signature_.reset();
+        pending_seq_.reset();
+        break;
     }
   }
-  HDSKY_ASSIGN_OR_RETURN(
-      writer_,
-      JournalWriter::OpenForAppend(journal_path, contents->valid_bytes,
-                                   wopts));
+  if (!live && last != RecordType::kCheckpoint) {
+    // Every seal ends its segment with a checkpoint record, so a sealed
+    // segment without one lost records on a frame boundary.
+    return Status::IOError(path + ": sealed journal segment does not end "
+                           "in its checkpoint record (interior corruption; "
+                           "refusing to resume)");
+  }
+  if (live) *live_bytes = contents->valid_bytes;
   return Status::OK();
-}
-
-void JournalingDatabase::Insert(const std::string& signature,
-                                interface::QueryResult result) {
-  const auto [it, inserted] = replay_.emplace(signature, std::move(result));
-  (void)it;
-  if (inserted) order_.push_back(signature);
-}
-
-Status JournalingDatabase::AppendRecord(const std::string& payload) {
-  return writer_->Append(payload);
 }
 
 Result<interface::QueryResult> JournalingDatabase::Execute(
@@ -141,7 +149,7 @@ Result<interface::QueryResult> JournalingDatabase::Execute(
   HDSKY_RETURN_IF_ERROR(ValidateQuery(q));
   if (options_.auto_checkpoint && checkpoint_due_) {
     // Between queries every point is consistent for pure-replay resume.
-    // A failed checkpoint loses nothing: the current epoch keeps growing
+    // A failed checkpoint loses nothing: the live segment keeps growing
     // and the next Execute retries.
     (void)Checkpoint(options_.auto_checkpoint_state);
   }
@@ -170,7 +178,7 @@ Result<interface::QueryResult> JournalingDatabase::Execute(
         "with different flags?)");
   } else {
     seq = options_.seq_provider ? options_.seq_provider() : last_seq_ + 1;
-    HDSKY_RETURN_IF_ERROR(AppendRecord(EncodeIntentRecord(seq, signature)));
+    HDSKY_RETURN_IF_ERROR(writer_->Append(EncodeIntentRecord(seq, signature)));
     pending_signature_ = signature;
     pending_seq_ = seq;
   }
@@ -185,8 +193,8 @@ Result<interface::QueryResult> JournalingDatabase::Execute(
   }
   ++stats_.paid;
   HDSKY_RETURN_IF_ERROR(
-      AppendRecord(EncodeResultRecord(seq, signature, answer.value())));
-  Insert(signature, answer.value());
+      writer_->Append(EncodeResultRecord(seq, signature, answer.value())));
+  replay_.emplace(signature, answer.value());
   pending_signature_.reset();
   pending_seq_.reset();
   if (++paid_since_checkpoint_ >= options_.checkpoint_every) {
@@ -229,46 +237,29 @@ Status JournalingDatabase::ResolvePending() {
 
 Status JournalingDatabase::Checkpoint(const std::string& state_blob) {
   CrashPointHit("checkpoint.pre_snapshot");
+  // Seal: the state record ends the segment, and the fsync makes the
+  // whole segment durable before any manifest can name its successor.
+  HDSKY_RETURN_IF_ERROR(writer_->Append(EncodeCheckpointRecord(state_blob)));
   HDSKY_RETURN_IF_ERROR(writer_->Sync());
-  const int width = backend_->schema().num_attributes();
-  const int64_t next_epoch = epoch_ + 1;
-  const std::string snapshot_path =
-      dir_ + "/" + SnapshotFileName(next_epoch);
-  const std::string journal_path = dir_ + "/" + JournalFileName(next_epoch);
-
-  Snapshot snap;
-  snap.last_seq = last_seq_;
-  snap.state_blob = state_blob;
-  snap.entries.reserve(order_.size());
-  for (const std::string& sig : order_) {
-    snap.entries.push_back(SnapshotEntry{sig, replay_.at(sig)});
-  }
-  HDSKY_RETURN_IF_ERROR(WriteSnapshot(snapshot_path, width, snap));
-
-  // A failed earlier checkpoint attempt may have left next-epoch debris.
-  ::unlink(journal_path.c_str());
+  Manifest next = manifest_;
+  ++next.live;
+  const std::string path = SegmentPath(next.live);
+  // A failed earlier checkpoint attempt may have left next-segment debris.
+  ::unlink(path.c_str());
   std::unique_ptr<JournalWriter> next_writer;
   HDSKY_ASSIGN_OR_RETURN(
       next_writer,
-      JournalWriter::Create(journal_path, width,
+      JournalWriter::Create(path, backend_->schema().num_attributes(),
                             JournalWriter::Options{options_.sync_every}));
-  if (pending_signature_.has_value()) {
-    // Carry the unresolved intent across the rotation: compaction must not
-    // forget that a query may already be charged server-side.
-    HDSKY_RETURN_IF_ERROR(next_writer->Append(
-        EncodeIntentRecord(*pending_seq_, *pending_signature_)));
-    HDSKY_RETURN_IF_ERROR(next_writer->Sync());
-  }
 
   CrashPointHit("checkpoint.pre_manifest");
-  // The commit point: after this rename recovery reads epoch e+1; before
-  // it, epoch e (the files written above are then deleted as debris).
-  HDSKY_RETURN_IF_ERROR(WriteManifest(dir_, Manifest{next_epoch, true}));
+  // The commit point: after this rename recovery reads the new segment as
+  // live; before it, the file created above is deleted as debris.
+  HDSKY_RETURN_IF_ERROR(WriteManifest(dir_, next));
   CrashPointHit("checkpoint.pre_cleanup");
 
   writer_ = std::move(next_writer);
-  epoch_ = next_epoch;
-  RemoveOtherEpochFiles(dir_, epoch_);
+  manifest_ = next;
   paid_since_checkpoint_ = 0;
   checkpoint_due_ = false;
   return Status::OK();

@@ -3,9 +3,9 @@
 //
 // JournalingDatabase wraps any backend and keeps a journal directory (see
 // journal.h / checkpoint.h) recording every answer the session paid for.
-// On open it rebuilds the replay map from the live snapshot + journal
-// suffix; an Execute whose query is already journaled is served locally at
-// zero backend cost. Because the discovery algorithms are deterministic, a
+// On open it rebuilds the replay map from every journal segment in order;
+// an Execute whose query is already journaled is served locally at zero
+// backend cost. Because the discovery algorithms are deterministic, a
 // crashed run restarted over the same journal replays its paid prefix for
 // free and continues paying only for genuinely new queries — the backbone
 // of crash-consistent resume (docs/robustness.md).
@@ -20,10 +20,10 @@
 // cache answers without charging the budget a second time.
 //
 // Checkpoints. After Options::checkpoint_every paid queries the decorator
-// marks a checkpoint due; the discovery driver calls Checkpoint() at a
-// frontier-consistent boundary (or, with auto_checkpoint, the decorator
-// checkpoints itself between queries), compacting the journal into the
-// next epoch's snapshot.
+// marks a checkpoint due; with auto_checkpoint it checkpoints itself at
+// the next Execute, otherwise the driver calls Checkpoint() from its own
+// boundaries. A checkpoint seals the live segment and opens the next one;
+// it never rewrites an answer.
 //
 // Thread safety: NONE — single-threaded like RemoteHiddenDatabase; a
 // CachingDatabase stacked on top (serialize_backend = true) may share it
@@ -38,7 +38,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "interface/hidden_database.h"
 #include "recovery/checkpoint.h"
@@ -55,7 +54,7 @@ class JournalingDatabase : public interface::HiddenDatabase {
     /// exactly-once accounting against a remote server; raise it to trade
     /// a bounded replay window for fewer fsyncs.
     int sync_every = 1;
-    /// Paid queries between checkpoints.
+    /// Paid queries between checkpoints: answers per sealed segment.
     int64_t checkpoint_every = 256;
     /// When true the decorator checkpoints itself at the next Execute once
     /// due (every point between queries is consistent for pure replay).
@@ -82,8 +81,10 @@ class JournalingDatabase : public interface::HiddenDatabase {
 
   /// Opens (or creates) the journal directory and rebuilds the replay map.
   /// `backend` must outlive the returned object. Fails on interior journal
-  /// corruption, a damaged snapshot/manifest, or a schema-width mismatch —
-  /// never silently discards paid history.
+  /// corruption (a torn sealed segment included), a damaged or missing
+  /// manifest or segment, or a schema-width mismatch — never silently
+  /// discards paid history. A directory holding an older release's
+  /// snapshot is Unsupported.
   static common::Result<std::unique_ptr<JournalingDatabase>> Open(
       interface::HiddenDatabase* backend, const std::string& dir,
       const Options& options);
@@ -102,23 +103,25 @@ class JournalingDatabase : public interface::HiddenDatabase {
 
   /// True when the directory held a previous session's state.
   bool resumed() const { return resumed_; }
-  /// Session-state blob from the live snapshot (empty for fresh sessions
-  /// or cache-only checkpoints): the driver decodes it to fast-forward.
+  /// Session-state blob of the last checkpoint record (empty for fresh
+  /// sessions and for journals that never checkpointed).
   const std::string& restored_state() const { return restored_state_; }
+  /// Wall time Open spent reading the journal segments.
+  double read_ms() const { return read_ms_; }
 
   /// True when checkpoint_every paid queries have accrued since the last
   /// checkpoint; drivers poll this at frontier-consistent boundaries.
   bool checkpoint_due() const { return checkpoint_due_; }
 
-  /// Compacts journal history into the next epoch: snapshot + fresh
-  /// journal, atomic manifest swing, old-epoch cleanup. `state_blob` is
-  /// stored in the snapshot for the resume path. On failure the session
-  /// keeps appending to the current epoch (a failed checkpoint loses
+  /// Seals the live segment: appends `state_blob` as a checkpoint record
+  /// (the resume path reads the last one) and fsyncs, creates the next
+  /// segment, and atomically swings MANIFEST to it. On failure the session
+  /// keeps appending to the current segment (a failed checkpoint loses
   /// nothing).
   common::Status Checkpoint(const std::string& state_blob);
 
   /// Final checkpoint at the end of a run (or on interrupt): everything
-  /// journaled is compacted and `state_blob` becomes the resume state.
+  /// journaled is sealed and `state_blob` becomes the resume state.
   common::Status Finish(const std::string& state_blob);
 
   /// Forces unsynced journal appends to disk.
@@ -151,8 +154,9 @@ class JournalingDatabase : public interface::HiddenDatabase {
   common::Status ResolvePending();
 
   const Stats& stats() const { return stats_; }
-  int64_t entries() const { return static_cast<int64_t>(order_.size()); }
-  int64_t epoch() const { return epoch_; }
+  int64_t entries() const { return static_cast<int64_t>(replay_.size()); }
+  /// The live segment's number: one more than the checkpoints taken.
+  int64_t epoch() const { return manifest_.live; }
 
  private:
   JournalingDatabase(interface::HiddenDatabase* backend, std::string dir,
@@ -160,28 +164,30 @@ class JournalingDatabase : public interface::HiddenDatabase {
       : backend_(backend), dir_(std::move(dir)), options_(options) {}
 
   common::Status OpenImpl();
-  common::Status AppendRecord(const std::string& payload);
-  void Insert(const std::string& signature, interface::QueryResult result);
+  /// Replays segment `n` into the replay map. Only the live segment may
+  /// end torn or hold no header; its valid length lands in *live_bytes.
+  common::Status ReadSegment(int64_t n, int width, int64_t* live_bytes);
+  std::string SegmentPath(int64_t n) const {
+    return dir_ + "/" + JournalFileName(n);
+  }
 
   interface::HiddenDatabase* backend_;
   std::string dir_;
   Options options_;
 
   std::unique_ptr<JournalWriter> writer_;
-  int64_t epoch_ = 1;
+  Manifest manifest_;
 
-  /// Replay map plus insertion order (snapshots preserve it so replayed
-  /// sessions compact identically).
   std::unordered_map<std::string, interface::QueryResult> replay_;
-  std::vector<std::string> order_;
 
-  /// Highest wire seq accounted for (snapshot + journal + this process).
+  /// Highest wire seq accounted for (every segment + this process).
   uint64_t last_seq_ = 0;
   std::optional<std::string> pending_signature_;
   std::optional<uint64_t> pending_seq_;
 
   bool resumed_ = false;
   std::string restored_state_;
+  double read_ms_ = 0;
 
   Stats stats_;
   int64_t paid_since_checkpoint_ = 0;

@@ -438,7 +438,7 @@ FlagTable DiscoverFlags(SessionConfig* c) {
       Int("--sync-every", "N", 1, 1000000,
           "journal group-fsync interval (default 1)", &c->sync_every),
       Int("--checkpoint-every", "N", 1, INT64_MAX,
-          "paid queries between checkpoints (default 256)",
+          "answers per sealed journal segment (default 256)",
           &c->checkpoint_every),
       String("--trace", "PATH", "write the anytime progress trace as CSV",
              &c->trace),

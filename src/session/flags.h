@@ -34,6 +34,11 @@ enum ExitCode : int {
   kExitFailure = 1,
   /// EX_USAGE: a flag or flag combination is invalid. No work was done.
   kExitUsage = 64,
+  /// EX_DATAERR: a --journal directory was written by an older release
+  /// in a format this one does not read (a v1 snapshot). Nothing in it
+  /// was changed: finish the session with that release, or start over
+  /// with a fresh directory.
+  kExitDataFormat = 65,
   /// EX_UNAVAILABLE: a backend is shedding load, or a durable session
   /// being resumed cannot reach a backend it must replay against. Nothing
   /// is broken and the journal keeps every paid answer; retry later.

@@ -135,34 +135,39 @@ struct Stack {
     return kExitOk;
   }
 
-  /// The journal layer in `dir`. `auto_checkpoint` lets the journal
-  /// compact itself between queries, where any point is consistent for
-  /// pure replay; frontier-capable algorithms checkpoint instead from
-  /// their own consistent boundaries.
+  /// The journal layer in `dir`. It seals a segment between queries,
+  /// where any point is consistent, and a resume replays the journal
+  /// through the algorithm from its first query.
   ExitCode OpenJournal(const SessionConfig& c, const std::string& dir,
-                       const std::string& algorithm, bool auto_checkpoint,
+                       const std::string& algorithm,
                        const std::string& resuming_label, std::FILE* err) {
     JournalingDatabase::Options jopts;
     jopts.sync_every = static_cast<int>(c.sync_every);
     jopts.checkpoint_every = c.checkpoint_every;
-    jopts.auto_checkpoint = auto_checkpoint;
     jopts.auto_checkpoint_state = AlgorithmState(algorithm);
     if (remote) {
       RemoteHiddenDatabase* r = remote.get();
       jopts.seq_provider = [r] { return r->next_seq(); };
     }
     auto opened = JournalingDatabase::Open(top, dir, jopts);
-    if (!opened.ok()) return ReportFailure(err, "journal", opened.status());
+    if (!opened.ok()) {
+      const ExitCode rc = ReportFailure(err, "journal", opened.status());
+      // Unsupported: an older release's snapshot directory.
+      return opened.status().IsUnsupported() ? kExitDataFormat : rc;
+    }
     journal = std::move(opened).value();
     // Continue the wire sequence where the journal left off; a dangling
     // intent re-sends under its original number and hits the server's
     // replay cache instead of the budget.
     if (remote) remote->set_next_seq(journal->next_wire_seq());
     if (journal->resumed()) {
-      std::fprintf(err, "journal : %s (%lld journaled answers, epoch %lld)\n",
+      std::fprintf(err,
+                   "journal : %s (%lld journaled answers, epoch %lld, read "
+                   "in %.1f ms)\n",
                    resuming_label.c_str(),
                    static_cast<long long>(journal->entries()),
-                   static_cast<long long>(journal->epoch()));
+                   static_cast<long long>(journal->epoch()),
+                   journal->read_ms());
     }
     top = journal.get();
     return kExitOk;
@@ -193,12 +198,6 @@ std::string ResolveAlgorithm(const SessionConfig& c,
     return any_range ? "band-rq" : "band-pq";
   }
   return c.algorithm == "auto" ? "mq" : c.algorithm;
-}
-
-/// Only SQ/RQ/PQ expose checkpointable frontiers; the other algorithms
-/// resume by full replay through the journal (free but linear).
-bool FrontierCapable(const std::string& algorithm) {
-  return algorithm == "sq" || algorithm == "rq" || algorithm == "pq";
 }
 
 common::Result<core::DiscoveryResult> RunAlgorithm(
@@ -477,10 +476,8 @@ ExitCode RunSingle(const SessionConfig& c, const SessionEnv& env,
   }
 
   const std::string algorithm = ResolveAlgorithm(c, s.top->schema());
-  const bool frontier_capable = c.band == 0 && FrontierCapable(algorithm);
   if (!c.journal.empty()) {
     const ExitCode rc = s.OpenJournal(c, c.journal, algorithm,
-                                      !frontier_capable,
                                       "resuming " + c.journal, env.err);
     if (rc != kExitOk) return rc;
   }
@@ -492,24 +489,6 @@ ExitCode RunSingle(const SessionConfig& c, const SessionEnv& env,
   core::DiscoveryOptions common;
   common.interrupt = env.interrupt;
   JournalingDatabase* journal = s.journal.get();
-  if (journal && frontier_capable) {
-    common.on_checkpoint = [journal, &algorithm, &env](
-                               core::DiscoveryRun& run,
-                               const core::FrontierSaver& save_frontier) {
-      if (!journal->checkpoint_due()) return;
-      recovery::SessionState state;
-      state.algorithm = algorithm;
-      run.SaveState(&state.run_state);
-      save_frontier(&state.frontier);
-      const Status st =
-          journal->Checkpoint(recovery::EncodeSessionState(state));
-      if (!st.ok()) {
-        // A failed checkpoint loses nothing: the session keeps appending
-        // to the current epoch and will try again.
-        std::fprintf(env.err, "checkpoint: %s\n", st.ToString().c_str());
-      }
-    };
-  }
   if (journal && journal->resumed() && !journal->restored_state().empty()) {
     auto state = recovery::DecodeSessionState(journal->restored_state());
     if (!state.ok()) return ReportFailure(env.err, "journal", state.status());
@@ -523,20 +502,13 @@ ExitCode RunSingle(const SessionConfig& c, const SessionEnv& env,
                    algorithm.c_str(), state->algorithm.c_str());
       return kExitFailure;
     }
-    if (frontier_capable && !state->frontier.empty()) {
-      // Fast-forward from the checkpointed frontier. Without one the run
-      // restarts from the root and replays its paid prefix through the
-      // journal: slower to walk, but equally free and equally correct.
-      common.resume_run_state = state->run_state;
-      common.resume_frontier = state->frontier;
-    }
   }
 
   auto result = RunAlgorithm(algorithm, c.band, s.top, common);
   const bool interrupted = env.interrupt && env.interrupt();
   if (journal) {
     // Final checkpoint, on success AND on interrupt/failure: everything
-    // journaled so far compacts into a snapshot a later run resumes from.
+    // journaled so far is sealed for a later run to replay.
     const Status st = journal->Finish(AlgorithmState(algorithm));
     if (!st.ok()) {
       std::fprintf(env.err, "journal: final checkpoint: %s\n",
@@ -652,8 +624,8 @@ ExitCode RunFederated(const SessionConfig& c, const SessionEnv& env,
     if (rc != kExitOk) return rc;
     if (durable) {
       // The coordinator's own frontier state lives in DIR/STATE; each
-      // backend journal only replays, so it compacts between queries.
-      rc = backends[i].OpenJournal(c, dir, c.algorithm, true,
+      // backend journal only replays.
+      rc = backends[i].OpenJournal(c, dir, c.algorithm,
                                    endpoint + " resuming", env.err);
       if (rc != kExitOk) return rc;
     }
@@ -704,10 +676,10 @@ ExitCode RunFederated(const SessionConfig& c, const SessionEnv& env,
                                 .count();
   const bool interrupted = env.interrupt && env.interrupt();
   if (durable) {
-    // Final compaction, on success AND on interrupt/failure: every paid
-    // answer (torn-round payments included) folds into each backend's
-    // snapshot, and the last consistent round barrier in DIR/STATE is
-    // what a rerun resumes from.
+    // Final seal, on success AND on interrupt/failure: every paid answer
+    // (torn-round payments included) is durable in each backend's
+    // journal, and the last consistent round barrier in DIR/STATE is what
+    // a rerun resumes from.
     const std::string blob = AlgorithmState(c.algorithm);
     for (size_t i = 0; i < backends.size(); ++i) {
       JournalingDatabase& j = *backends[i].journal;

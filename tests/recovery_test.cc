@@ -1,12 +1,14 @@
 // Recovery suite: CRC-framed journal records, torn-tail vs interior
-// corruption, atomic checkpoint epochs, the JournalingDatabase replay
-// contract (reopening a journal never re-charges a paid query), and
-// crash-consistent frontier resume of SQ/RQ/PQ-DB-SKY — a resumed run
-// must end with the exact skyline AND the exact anytime trace of the
-// uninterrupted run.
+// corruption, sealed journal segments, the JournalingDatabase replay
+// contract (reopening a journal never re-charges a paid query), the
+// frontier resume of SQ/RQ-DB-SKY that federation uses, and replay resume
+// through a journal — a resumed run must end with the exact skyline AND
+// the exact anytime trace of the uninterrupted run.
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -140,6 +142,16 @@ TEST(JournalRecordTest, IntentAndResultRoundTrip) {
   EXPECT_FALSE(DecodeRecord(EncodeIntentRecord(1, sig), width + 1).ok());
 }
 
+TEST(JournalRecordTest, CheckpointRecordRoundTrip) {
+  const std::string blob("state\0blob", 10);
+  auto rec = DecodeRecord(EncodeCheckpointRecord(blob), 3);
+  ASSERT_TRUE(rec.ok()) << rec.status();
+  EXPECT_EQ(rec->type, RecordType::kCheckpoint);
+  EXPECT_EQ(rec->state, blob);
+  // Trailing bytes are damage.
+  EXPECT_FALSE(DecodeRecord(EncodeCheckpointRecord(blob) + "x", 3).ok());
+}
+
 // ---------------------------------------------------------------------------
 // Journal file: write / read / torn tail / interior corruption.
 
@@ -239,61 +251,39 @@ TEST(JournalFileTest, EmptyFileYieldsZeroRecords) {
 }
 
 // ---------------------------------------------------------------------------
-// Manifest + snapshot.
+// Manifest + session state.
 
 TEST(CheckpointTest, ManifestRoundTripAndDamage) {
   ScopedDir dir("manifest");
   EXPECT_TRUE(ReadManifest(dir.path).status().IsNotFound());
 
   Manifest m;
-  m.epoch = 7;
-  m.has_snapshot = true;
+  m.first = 1;
+  m.live = 7;
   ASSERT_TRUE(WriteManifest(dir.path, m).ok());
   auto back = ReadManifest(dir.path);
   ASSERT_TRUE(back.ok()) << back.status();
-  EXPECT_EQ(back->epoch, 7);
-  EXPECT_TRUE(back->has_snapshot);
+  EXPECT_EQ(back->first, 1);
+  EXPECT_EQ(back->live, 7);
 
   // A damaged manifest is an error, never a guess.
-  ASSERT_TRUE(
-      common::AtomicWriteFile(dir.path + "/" + kManifestFileName, "junk")
-          .ok());
-  EXPECT_FALSE(ReadManifest(dir.path).ok());
-}
-
-TEST(CheckpointTest, SnapshotRoundTripAndDamage) {
-  ScopedDir dir("snapshot");
-  const std::string path = dir.path + "/snapshot-000002";
-  Snapshot snap;
-  snap.last_seq = 42;
-  snap.state_blob = "opaque-state";
-  Query q(3);
-  q.AddEquals(1, 2);
-  QueryResult r;
-  r.ids = {3};
-  r.tuples = {{7, 8, 9}};
-  snap.entries.push_back({q.Signature(), r});
-  ASSERT_TRUE(WriteSnapshot(path, 3, snap).ok());
-
-  auto back = ReadSnapshot(path, 3);
-  ASSERT_TRUE(back.ok()) << back.status();
-  EXPECT_EQ(back->last_seq, 42u);
-  EXPECT_EQ(back->state_blob, "opaque-state");
-  ASSERT_EQ(back->entries.size(), 1u);
-  EXPECT_EQ(back->entries[0].signature, q.Signature());
-  EXPECT_EQ(back->entries[0].result.ids, r.ids);
-
-  // Width mismatch and bit damage both reject the whole snapshot.
-  EXPECT_FALSE(ReadSnapshot(path, 4).ok());
-  {
-    std::FILE* f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fseek(f, 16, SEEK_SET), 0);
-    const char flip = '\xff';
-    std::fwrite(&flip, 1, 1, f);
-    std::fclose(f);
+  const std::string path = dir.path + "/" + kManifestFileName;
+  for (const char* junk : {"junk", "hdsky-manifest-v2 3 2\n",
+                           "hdsky-manifest-v2 0 1\n",
+                           "hdsky-manifest-v1 1 2\n"}) {
+    ASSERT_TRUE(common::AtomicWriteFile(path, junk).ok());
+    EXPECT_TRUE(ReadManifest(dir.path).status().IsIOError()) << junk;
   }
-  EXPECT_FALSE(ReadSnapshot(path, 3).ok());
+
+  // A v1 manifest before its first checkpoint is segment 1 alone; one
+  // that names a snapshot is refused as an older format.
+  ASSERT_TRUE(common::AtomicWriteFile(path, "hdsky-manifest-v1 1 0\n").ok());
+  back = ReadManifest(dir.path);
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(back->first, 1);
+  EXPECT_EQ(back->live, 1);
+  ASSERT_TRUE(common::AtomicWriteFile(path, "hdsky-manifest-v1 4 1\n").ok());
+  EXPECT_TRUE(ReadManifest(dir.path).status().IsUnsupported());
 }
 
 TEST(CheckpointTest, SessionStateRoundTrip) {
@@ -313,17 +303,21 @@ TEST(CheckpointTest, SessionStateRoundTrip) {
   EXPECT_TRUE(empty->algorithm.empty());
 }
 
-TEST(CheckpointTest, RemoveOtherEpochFilesKeepsLiveEpoch) {
-  ScopedDir dir("epochs");
-  for (const char* name : {"journal-000001", "snapshot-000001",
-                           "journal-000002", "snapshot-000002"}) {
+TEST(CheckpointTest, RemoveSegmentsAfterKeepsTheNamedSegments) {
+  ScopedDir dir("segments");
+  for (const char* name : {"journal-000001", "journal-000002",
+                           "journal-000003", "MANIFEST", "SESSION"}) {
     ASSERT_TRUE(common::AtomicWriteFile(dir.path + "/" + name, "x").ok());
   }
-  RemoveOtherEpochFiles(dir.path, 2);
-  EXPECT_FALSE(std::filesystem::exists(dir.path + "/journal-000001"));
-  EXPECT_FALSE(std::filesystem::exists(dir.path + "/snapshot-000001"));
+  RemoveSegmentsAfter(dir.path, 2);
+  EXPECT_TRUE(std::filesystem::exists(dir.path + "/journal-000001"));
   EXPECT_TRUE(std::filesystem::exists(dir.path + "/journal-000002"));
-  EXPECT_TRUE(std::filesystem::exists(dir.path + "/snapshot-000002"));
+  EXPECT_FALSE(std::filesystem::exists(dir.path + "/journal-000003"));
+  EXPECT_TRUE(std::filesystem::exists(dir.path + "/MANIFEST"));
+  EXPECT_TRUE(std::filesystem::exists(dir.path + "/SESSION"));
+  RemoveSegmentsAfter(dir.path, 0);
+  EXPECT_FALSE(std::filesystem::exists(dir.path + "/journal-000001"));
+  EXPECT_TRUE(std::filesystem::exists(dir.path + "/MANIFEST"));
 }
 
 // ---------------------------------------------------------------------------
@@ -400,38 +394,6 @@ TEST(JournalingDatabaseTest, ReopenReplaysWithoutRecharging) {
   EXPECT_EQ((*journal)->stats().replayed, 4);
   EXPECT_EQ((*journal)->stats().paid, 0);
   EXPECT_EQ(counting.executes(), 4);  // unchanged
-}
-
-TEST(JournalingDatabaseTest, CheckpointCompactsAndSurvivesReopen) {
-  const Table t = MakeSqTable();
-  auto iface = MakeInterface(&t, interface::MakeSumRanking(), 5);
-  CountingDatabase counting(iface.get());
-  ScopedDir dir("compact");
-
-  JournalingDatabase::Options opts;
-  opts.checkpoint_every = 2;
-  opts.auto_checkpoint = true;
-  {
-    auto journal = JournalingDatabase::Open(&counting, dir.path, opts);
-    ASSERT_TRUE(journal.ok()) << journal.status();
-    for (data::Value v = 0; v < 5; ++v) {
-      Query q(3);
-      q.AddEquals(0, v);
-      ASSERT_TRUE((*journal)->Execute(q).ok());
-    }
-    // checkpoint_every=2 with auto_checkpoint: at least one compaction
-    // happened mid-run.
-    EXPECT_GT((*journal)->epoch(), 1);
-  }
-  auto journal = JournalingDatabase::Open(&counting, dir.path, opts);
-  ASSERT_TRUE(journal.ok()) << journal.status();
-  EXPECT_EQ((*journal)->entries(), 5);
-  for (data::Value v = 0; v < 5; ++v) {
-    Query q(3);
-    q.AddEquals(0, v);
-    ASSERT_TRUE((*journal)->Execute(q).ok());
-  }
-  EXPECT_EQ(counting.executes(), 5);
 }
 
 TEST(JournalingDatabaseTest, DanglingIntentResendsUnderSameSeq) {
@@ -590,6 +552,236 @@ TEST(JournalingDatabaseTest, WidthMismatchIsRejected) {
   const Table other = std::move(dataset::GenerateSmallDomain(o)).value();
   auto other_iface = MakeInterface(&other, interface::MakeSumRanking(), 5);
   EXPECT_FALSE(JournalingDatabase::Open(other_iface.get(), dir.path, {}).ok());
+}
+
+/// Every regular file name in `dir`, sorted.
+std::vector<std::string> FileNames(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+Query EqualsQuery(data::Value v) {
+  Query q(3);
+  q.AddEquals(0, v);
+  return q;
+}
+
+/// Appends the first half of one more frame to `path`: a crash mid-append.
+void AppendTornFrame(const std::string& path) {
+  std::string frame;
+  AppendFrame(EncodeIntentRecord(99, EqualsQuery(7).Signature()), &frame);
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(frame.data(), 1, frame.size() / 2, f);
+  std::fclose(f);
+}
+
+TEST(JournalingDatabaseTest, CheckpointNeverRewritesAnAnswer) {
+  const Table t = MakeSqTable();
+  auto iface = MakeInterface(&t, interface::MakeSumRanking(), 5);
+  CountingDatabase counting(iface.get());
+  ScopedDir dir("sealed");
+
+  constexpr int64_t kEvery = 3;
+  constexpr int kQueries = 8;
+  JournalingDatabase::Options opts;
+  opts.checkpoint_every = kEvery;
+  auto journal = JournalingDatabase::Open(&counting, dir.path, opts);
+  ASSERT_TRUE(journal.ok()) << journal.status();
+
+  // Bytes of each segment at the moment it was first seen sealed.
+  std::map<int64_t, std::string> sealed;
+  const auto check_sealed = [&] {
+    for (int64_t n = 1; n < (*journal)->epoch(); ++n) {
+      auto bytes =
+          common::ReadFileToString(dir.path + "/" + JournalFileName(n));
+      ASSERT_TRUE(bytes.ok()) << bytes.status();
+      const auto [it, first_seen] = sealed.emplace(n, *bytes);
+      if (!first_seen) {
+        EXPECT_EQ(it->second, *bytes) << "segment " << n << " was rewritten";
+      }
+    }
+  };
+  for (data::Value v = 0; v < kQueries; ++v) {
+    ASSERT_TRUE((*journal)->Execute(EqualsQuery(v)).ok());
+    check_sealed();
+  }
+  ASSERT_TRUE((*journal)->Finish("final-state").ok());
+  check_sealed();
+
+  // 8 answers at 3 per segment: two sealed mid-run, the third by Finish,
+  // and a fresh live segment after it.
+  EXPECT_EQ((*journal)->epoch(), 4);
+  ASSERT_EQ(sealed.size(), 3u);
+  const std::vector<std::string> expected = {
+      "MANIFEST", "journal-000001", "journal-000002", "journal-000003",
+      "journal-000004"};
+  EXPECT_EQ(FileNames(dir.path), expected);  // no snapshot, nothing deleted
+
+  // Each sealed segment holds its own answers once, then its checkpoint
+  // record; the last checkpoint record is the resume state.
+  int64_t answers = 0;
+  for (const auto& [n, bytes] : sealed) {
+    auto contents = ReadJournalFile(dir.path + "/" + JournalFileName(n));
+    ASSERT_TRUE(contents.ok()) << contents.status();
+    EXPECT_FALSE(contents->torn);
+    auto last = DecodeRecord(contents->payloads.back(), 3);
+    ASSERT_TRUE(last.ok()) << last.status();
+    EXPECT_EQ(last->type, RecordType::kCheckpoint);
+    for (size_t i = 1; i < contents->payloads.size(); ++i) {
+      auto rec = DecodeRecord(contents->payloads[i], 3);
+      ASSERT_TRUE(rec.ok());
+      if (rec->type == RecordType::kResult) ++answers;
+    }
+  }
+  EXPECT_EQ(answers, kQueries);
+  journal->reset();
+
+  auto reopened = JournalingDatabase::Open(&counting, dir.path, opts);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ((*reopened)->entries(), kQueries);
+  EXPECT_EQ((*reopened)->restored_state(), "final-state");
+  EXPECT_EQ((*reopened)->epoch(), 4);
+  for (data::Value v = 0; v < kQueries; ++v) {
+    ASSERT_TRUE((*reopened)->Execute(EqualsQuery(v)).ok());
+  }
+  EXPECT_EQ((*reopened)->stats().replayed, kQueries);
+  EXPECT_EQ(counting.executes(), kQueries);  // every answer replayed
+}
+
+TEST(JournalingDatabaseTest, TornSealedSegmentIsRejectedTornLiveIsTruncated) {
+  const Table t = MakeSqTable();
+  auto iface = MakeInterface(&t, interface::MakeSumRanking(), 5);
+  CountingDatabase counting(iface.get());
+  ScopedDir dir("torn_segment");
+
+  JournalingDatabase::Options opts;
+  opts.checkpoint_every = 2;
+  {
+    auto journal = JournalingDatabase::Open(&counting, dir.path, opts);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    for (data::Value v = 0; v < 5; ++v) {
+      ASSERT_TRUE((*journal)->Execute(EqualsQuery(v)).ok());
+    }
+    ASSERT_EQ((*journal)->epoch(), 3);  // segments 1 and 2 sealed
+  }
+
+  // A torn live segment is what a crash mid-append leaves: the tail is
+  // cut off and the session carries on.
+  const std::string live = dir.path + "/" + JournalFileName(3);
+  const auto whole_size = std::filesystem::file_size(live);
+  AppendTornFrame(live);
+  ASSERT_GT(std::filesystem::file_size(live), whole_size);
+  {
+    auto journal = JournalingDatabase::Open(&counting, dir.path, opts);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    EXPECT_EQ((*journal)->entries(), 5);
+    EXPECT_FALSE((*journal)->pending_intent_signature().has_value());
+    EXPECT_EQ(std::filesystem::file_size(live), whole_size);
+  }
+
+  // A sealed segment that lost its last records on a frame boundary
+  // reads as whole, but a seal always ends in its checkpoint record.
+  const std::string second = dir.path + "/" + JournalFileName(2);
+  {
+    auto contents = ReadJournalFile(second);
+    ASSERT_TRUE(contents.ok());
+    std::filesystem::resize_file(
+        second, static_cast<uintmax_t>(contents->valid_bytes) -
+                    kRecordHeaderBytes - contents->payloads.back().size());
+  }
+  auto cut = JournalingDatabase::Open(&counting, dir.path, opts);
+  EXPECT_TRUE(cut.status().IsIOError()) << cut.status();
+  EXPECT_NE(cut.status().message().find(JournalFileName(2)),
+            std::string::npos)
+      << cut.status();
+
+  // A sealed segment was synced whole before MANIFEST named its
+  // successor, so a torn tail there is corruption too.
+  const std::string first = dir.path + "/" + JournalFileName(1);
+  AppendTornFrame(first);
+  const auto torn_size = std::filesystem::file_size(first);
+  auto refused = JournalingDatabase::Open(&counting, dir.path, opts);
+  EXPECT_TRUE(refused.status().IsIOError()) << refused.status();
+  EXPECT_NE(refused.status().message().find(JournalFileName(1)),
+            std::string::npos)
+      << refused.status();
+  EXPECT_EQ(std::filesystem::file_size(first), torn_size);  // left as is
+  EXPECT_EQ(counting.executes(), 5);
+}
+
+TEST(JournalingDatabaseTest, DanglingIntentInASealedSegmentResumes) {
+  const Table t = MakeSqTable();
+  auto iface = MakeInterface(&t, interface::MakeSumRanking(), 5);
+  RevivableDatabase flaky(iface.get());
+  ScopedDir dir("sealed_intent");
+
+  const Query paid = EqualsQuery(1);
+  const Query in_flight = EqualsQuery(2);
+  JournalingDatabase::Options opts;
+  {
+    auto journal = JournalingDatabase::Open(&flaky, dir.path, opts);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    ASSERT_TRUE((*journal)->Execute(paid).ok());
+    // The backend dies with the query in flight: its intent is journaled
+    // and the checkpoint after it seals the intent into segment 1.
+    flaky.dead = true;
+    EXPECT_FALSE((*journal)->Execute(in_flight).ok());
+    ASSERT_TRUE((*journal)->Checkpoint("state").ok());
+    EXPECT_EQ((*journal)->epoch(), 2);
+  }
+  auto live = ReadJournalFile(dir.path + "/" + JournalFileName(2));
+  ASSERT_TRUE(live.ok());
+  EXPECT_EQ(live->payloads.size(), 1u);  // header only: no intent copy
+
+  flaky.dead = false;
+  {
+    auto journal = JournalingDatabase::Open(&flaky, dir.path, opts);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    ASSERT_TRUE((*journal)->pending_intent_signature().has_value());
+    EXPECT_EQ(*(*journal)->pending_intent_signature(), in_flight.Signature());
+    EXPECT_EQ((*journal)->next_wire_seq(), 2u);
+    ASSERT_TRUE((*journal)->Execute(paid).ok());  // replays, intent stays
+    EXPECT_EQ((*journal)->stats().replayed, 1);
+    ASSERT_TRUE((*journal)->Execute(in_flight).ok());  // re-sent as seq 2
+    EXPECT_FALSE((*journal)->pending_intent_signature().has_value());
+    EXPECT_EQ((*journal)->next_wire_seq(), 3u);
+  }
+  auto journal = JournalingDatabase::Open(&flaky, dir.path, opts);
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  EXPECT_FALSE((*journal)->pending_intent_signature().has_value());
+  EXPECT_EQ((*journal)->entries(), 2);
+  EXPECT_EQ(flaky.executes(), 2);
+}
+
+TEST(JournalingDatabaseTest, SnapshotDirectoryOfAnOlderReleaseIsRefused) {
+  const Table t = MakeSqTable();
+  auto iface = MakeInterface(&t, interface::MakeSumRanking(), 5);
+  ScopedDir dir("v1");
+  const std::string manifest = "hdsky-manifest-v1 3 1\n";
+  for (const auto& [name, contents] :
+       std::map<std::string, std::string>{{"MANIFEST", manifest},
+                                          {"snapshot-000003", "snap"},
+                                          {"journal-000003", "tail"}}) {
+    ASSERT_TRUE(
+        common::AtomicWriteFile(dir.path + "/" + name, contents).ok());
+  }
+  auto refused = JournalingDatabase::Open(iface.get(), dir.path, {});
+  ASSERT_TRUE(refused.status().IsUnsupported()) << refused.status();
+  EXPECT_NE(refused.status().message().find("fresh --journal directory"),
+            std::string::npos)
+      << refused.status();
+  // Refusing touches nothing: the older release can still finish it.
+  const std::vector<std::string> expected = {"MANIFEST", "journal-000003",
+                                             "snapshot-000003"};
+  EXPECT_EQ(FileNames(dir.path), expected);
+  auto kept = common::ReadFileToString(dir.path + "/MANIFEST");
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(*kept, manifest);
 }
 
 // ---------------------------------------------------------------------------
@@ -839,9 +1031,62 @@ TEST(FrontierResumeTest, RqDbSky) {
       6);
 }
 
-TEST(FrontierResumeTest, PqDbSky) {
+// ---------------------------------------------------------------------------
+// Replay resume: a single-site run interrupted over a journal and rerun
+// over it replays every paid answer through the algorithm, pays only for
+// the rest, and ends with the uninterrupted skyline AND trace.
+
+template <typename Algo>
+void ExpectReplayResumeEquivalence(const Table& t, Algo&& algo,
+                                   int64_t stop_after) {
+  auto ref_iface = MakeInterface(&t, interface::MakeSumRanking(), 5);
+  auto reference = algo(ref_iface.get(), DiscoveryOptions());
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_TRUE(reference->complete);
+  ASSERT_LT(stop_after, reference->query_cost)
+      << "stop_after must interrupt before the run finishes";
+
+  ScopedDir dir("replay_resume");
+  JournalingDatabase::Options jopts;
+  jopts.checkpoint_every = 3;
+  auto int_iface = MakeInterface(&t, interface::MakeSumRanking(), 5);
+  CountingDatabase paid_first(int_iface.get());
+  {
+    auto journal = JournalingDatabase::Open(&paid_first, dir.path, jopts);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    DiscoveryOptions interrupted;
+    interrupted.interrupt = [&] { return paid_first.executes() >= stop_after; };
+    auto partial = algo(journal->get(), interrupted);
+    ASSERT_TRUE(partial.ok()) << partial.status();
+    ASSERT_FALSE(partial->complete);
+    ASSERT_TRUE((*journal)->Finish("").ok());
+    ASSERT_GT((*journal)->epoch(), 2) << "no segment was sealed mid-run";
+  }
+
+  auto res_iface = MakeInterface(&t, interface::MakeSumRanking(), 5);
+  CountingDatabase paid_second(res_iface.get());
+  auto journal = JournalingDatabase::Open(&paid_second, dir.path, jopts);
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  auto resumed = algo(journal->get(), DiscoveryOptions());
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_TRUE(resumed->complete);
+  EXPECT_EQ((*journal)->stats().replayed, paid_first.executes());
+  EXPECT_EQ(paid_first.executes() + paid_second.executes(),
+            reference->query_cost);
+  EXPECT_EQ(resumed->query_cost, reference->query_cost);
+  EXPECT_EQ(resumed->skyline_ids, reference->skyline_ids);
+  ASSERT_EQ(resumed->trace.size(), reference->trace.size());
+  for (size_t i = 0; i < reference->trace.size(); ++i) {
+    EXPECT_EQ(resumed->trace[i].queries_issued,
+              reference->trace[i].queries_issued);
+    EXPECT_EQ(resumed->trace[i].skyline_discovered,
+              reference->trace[i].skyline_discovered);
+  }
+}
+
+TEST(ReplayResumeTest, PqDbSky) {
   const Table t = MakePqTable();
-  ExpectFrontierResumeEquivalence(
+  ExpectReplayResumeEquivalence(
       t,
       [](interface::HiddenDatabase* iface, const DiscoveryOptions& common) {
         core::PqDbSkyOptions opts;
@@ -849,6 +1094,18 @@ TEST(FrontierResumeTest, PqDbSky) {
         return core::PqDbSky(iface, opts);
       },
       10);
+}
+
+TEST(ReplayResumeTest, RqDbSky) {
+  const Table t = MakeRqTable();
+  ExpectReplayResumeEquivalence(
+      t,
+      [](interface::HiddenDatabase* iface, const DiscoveryOptions& common) {
+        core::RqDbSkyOptions opts;
+        opts.common = common;
+        return core::RqDbSky(iface, opts);
+      },
+      5);
 }
 
 // A frontier blob narrower than the live schema must be rejected before

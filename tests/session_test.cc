@@ -10,6 +10,9 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -53,6 +56,11 @@ class SessionTest : public ::testing::Test {
     SessionReport report = RunSession(c, env_);
     EXPECT_EQ(report.exit, kExitOk);
     return report;
+  }
+
+  static std::string ReadFile(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
   }
 
   static std::vector<data::TupleId> Ids(const core::DiscoveryResult& r) {
@@ -113,6 +121,54 @@ TEST_F(SessionTest, ResumingAFinishedJournalPaysNothing) {
   EXPECT_EQ(Ids(resumed.result), Ids(first.result));
   EXPECT_EQ(resumed.result.query_cost, first.result.query_cost);
   EXPECT_EQ(resumed.journal.paid, 0);
+}
+
+TEST_F(SessionTest, ResumeLineReportsItsReadTimeAndReplaysEveryAnswer) {
+  SessionConfig c = Demo();
+  c.journal = dir_ + "/journal";
+  c.checkpoint_every = 16;
+  c.trace = dir_ + "/trace1.csv";
+  c.out = dir_ + "/skyline1.csv";
+  const SessionReport first = Run(c);
+  ASSERT_GT(first.result.query_cost, 32);  // several sealed segments
+
+  std::FILE* err = std::tmpfile();
+  ASSERT_NE(err, nullptr);
+  env_.err = err;
+  c.trace = dir_ + "/trace2.csv";
+  c.out = dir_ + "/skyline2.csv";
+  const SessionReport resumed = Run(c);
+  env_.err = sink_;
+  std::string printed(static_cast<size_t>(std::ftell(err)), '\0');
+  std::rewind(err);
+  printed.resize(std::fread(printed.data(), 1, printed.size(), err));
+  std::fclose(err);
+
+  const std::regex line("journal : resuming " + c.journal +
+                        " \\(([0-9]+) journaled answers, epoch [0-9]+, read "
+                        "in [0-9]+\\.[0-9] ms\\)\n");
+  std::smatch m;
+  ASSERT_TRUE(std::regex_search(printed, m, line)) << printed;
+  EXPECT_EQ(std::stoll(m[1].str()), first.result.query_cost);
+
+  EXPECT_EQ(resumed.journal.paid, 0);
+  EXPECT_EQ(resumed.journal.replayed, first.result.query_cost);
+  EXPECT_EQ(ReadFile(dir_ + "/trace2.csv"), ReadFile(dir_ + "/trace1.csv"));
+  EXPECT_EQ(ReadFile(dir_ + "/skyline2.csv"),
+            ReadFile(dir_ + "/skyline1.csv"));
+  EXPECT_FALSE(ReadFile(dir_ + "/skyline1.csv").empty());
+}
+
+TEST_F(SessionTest, JournalOfAnOlderSnapshotFormatIsRefused) {
+  SessionConfig c = Demo();
+  c.journal = dir_ + "/journal";
+  std::filesystem::create_directory(c.journal);
+  std::FILE* f = std::fopen((c.journal + "/MANIFEST").c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs("hdsky-manifest-v1 2 1\n", f);
+  std::fclose(f);
+  EXPECT_EQ(RunSession(c, env_).exit, kExitDataFormat);
+  EXPECT_EQ(ReadFile(c.journal + "/MANIFEST"), "hdsky-manifest-v1 2 1\n");
 }
 
 TEST_F(SessionTest, InterruptedJournalResumesWithoutRepaying) {
