@@ -1,14 +1,14 @@
 // Microbenchmarks of the substrate (classic wall-clock google-benchmark):
-// top-k query evaluation through the interface (broad vs selective, with
-// and without the k-d index), local skyline operators, K-skyband, and
-// k-d index construction. These quantify the simulator itself, not the
-// paper's query-cost metric.
+// top-k query evaluation through the interface (broad vs selective, the
+// k-d leaf walk in memory and out of core, against a naive rank-order
+// scan), local skyline operators, K-skyband, and the in-memory k-d leaf
+// build. These quantify the simulator itself, not the paper's query-cost
+// metric.
 
 #include <unistd.h>
 
 #include <cstdlib>
 #include <map>
-#include <numeric>
 
 #include <benchmark/benchmark.h>
 
@@ -16,7 +16,7 @@
 #include "data/paged_table.h"
 #include "dataset/pack.h"
 #include "dataset/synthetic.h"
-#include "interface/kd_index.h"
+#include "data/kd_tree.h"
 #include "interface/ranking.h"
 #include "skyline/bbs.h"
 #include "skyline/compute.h"
@@ -44,19 +44,13 @@ const data::Table& Data(int64_t n) {
   return it->second;
 }
 
-/// Interface with all fast paths disabled: the row-at-a-time rank-order
-/// scan the vectorized engine replaced. The *Naive benches pin the
-/// pre-engine baseline so CI can assert the engine never regresses past
-/// it (scripts/compare_bench.py).
-std::unique_ptr<interface::TopKInterface> MakeNaiveInterface(
-    const data::Table* t, int k) {
-  interface::TopKOptions opts;
-  opts.k = k;
-  opts.vectorized_scan = false;
-  opts.kd_index_threshold = -1;
-  return bench::Unwrap(interface::TopKInterface::Create(
-                           t, interface::MakeSumRanking(), opts),
-                       "TopKInterface::Create");
+/// The sum ranking's static order over `t` (a copy; setup, never timed).
+std::vector<data::TupleId> SumOrder(const data::Table& t) {
+  auto ranking = interface::MakeSumRanking();
+  if (!ranking->Bind(&t, t.schema().ranking_attributes()).ok()) {
+    std::abort();
+  }
+  return *ranking->static_order();
 }
 
 interface::Query BroadQuery() {
@@ -84,15 +78,40 @@ void RunQueryBench(benchmark::State& state, interface::HiddenDatabase* iface,
   state.SetItemsProcessed(state.iterations());
 }
 
+/// The reference the selective-query gate in scripts/compare_bench.py
+/// holds the walk to: a row-at-a-time scan in rank order that stops at
+/// the (k+1)-th match, then materializes the answer.
+void RunNaiveBench(benchmark::State& state, const data::Table& t,
+                   const interface::Query& q, int k) {
+  const std::vector<data::TupleId> order = SumOrder(t);
+  const int m = t.schema().num_attributes();
+  interface::QueryResult r;
+  for (auto _ : state) {
+    r.ids.clear();
+    r.overflow = false;
+    for (const data::TupleId row : order) {
+      if (!q.MatchesRow(t, row)) continue;
+      if (r.size() == k) {
+        r.overflow = true;
+        break;
+      }
+      r.ids.push_back(row);
+    }
+    r.tuples.resize(r.ids.size());
+    for (size_t i = 0; i < r.ids.size(); ++i) {
+      r.tuples[i].resize(static_cast<size_t>(m));
+      for (int a = 0; a < m; ++a) {
+        r.tuples[i][static_cast<size_t>(a)] = t.value(r.ids[i], a);
+      }
+    }
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
 void BM_ExecuteBroadQuery(benchmark::State& state) {
   const data::Table& t = Data(state.range(0));
   auto iface = bench::MakeInterface(&t, interface::MakeSumRanking(), 10);
-  RunQueryBench(state, iface.get(), BroadQuery());
-}
-
-void BM_ExecuteBroadQueryNaive(benchmark::State& state) {
-  const data::Table& t = Data(state.range(0));
-  auto iface = MakeNaiveInterface(&t, 10);
   RunQueryBench(state, iface.get(), BroadQuery());
 }
 
@@ -103,9 +122,7 @@ void BM_ExecuteSelectiveQuery(benchmark::State& state) {
 }
 
 void BM_ExecuteSelectiveQueryNaive(benchmark::State& state) {
-  const data::Table& t = Data(state.range(0));
-  auto iface = MakeNaiveInterface(&t, 10);
-  RunQueryBench(state, iface.get(), SelectiveQuery());
+  RunNaiveBench(state, Data(state.range(0)), SelectiveQuery(), 10);
 }
 
 void BM_ExecutePointQuery(benchmark::State& state) {
@@ -124,13 +141,13 @@ void BM_ExecutePointQuery(benchmark::State& state) {
 // drop the pool between iterations (buffer-pool-cold; see
 // docs/performance.md for what that does and does not measure), the *Warm
 // benches reuse whatever the pool retained, and the BM_OocMem* twins run
-// the identical queries through the memory-resident rank-order scan (k-d
-// index off) — on the broad query, the pair the 2x warm gate in
-// scripts/compare_bench.py compares. Counters: pool_bytes, data_bytes,
-// evictions, bytes_read_per_iter (stored bytes fetched from disk per
-// query), and exact_match (1 when a differential
-// battery of queries returned bit-identical answers from the paged and
-// in-memory interfaces). HDSKY_BUFFER_POOL_BYTES shrinks the pool
+// the identical queries through the same walk over the in-memory leaves
+// — on the broad query, the pair the warm gate in
+// scripts/compare_bench.py compares: one walk, two leaf sources.
+// Counters: pool_bytes, data_bytes, evictions, bytes_read_per_iter
+// (stored bytes fetched from disk per query), and exact_match (1 when a
+// differential battery of queries returned bit-identical answers from
+// the paged and in-memory interfaces). HDSKY_BUFFER_POOL_BYTES shrinks the pool
 // further (CI's eviction-churn smoke); values above the 1/8 cap are
 // clamped so the ratio gate stays meaningful.
 //
@@ -168,20 +185,6 @@ struct OocGroup {
   OocContext mmap;
   OocContext pread;
 };
-
-/// Memory-resident twin of the paged engine's work: vectorized rank-order
-/// scan with the k-d index disabled. On the broad query this is the path
-/// the in-memory engine itself takes, so the warm gate holds the paged
-/// walk to the in-memory engine's best answer.
-std::unique_ptr<interface::TopKInterface> MakeScanInterface(
-    const data::Table* t, int k) {
-  interface::TopKOptions opts;
-  opts.k = k;
-  opts.kd_index_threshold = -1;
-  return bench::Unwrap(interface::TopKInterface::Create(
-                           t, interface::MakeSumRanking(), opts),
-                       "TopKInterface::Create");
-}
 
 std::vector<interface::Query> DifferentialBattery() {
   std::vector<interface::Query> battery;
@@ -224,7 +227,7 @@ OocContext MakeOocContext(const data::Table& t, const std::string& path,
       "TopKInterface::CreatePaged");
 
   // Differential battery: every query shape must return bit-identical
-  // answers from the paged and in-memory interfaces.
+  // answers from the paged leaves and the in-memory ones.
   auto mem = bench::MakeInterface(&t, interface::MakeSumRanking(), kOocK);
   ctx.exact = true;
   interface::QueryResult rp, rm;
@@ -295,8 +298,15 @@ void RunOocQueryBench(benchmark::State& state, const OocContext& ctx,
                       const interface::Query& q, bool cold) {
   interface::QueryResult r;
   if (!cold) {
-    auto prime = ctx.iface->Execute(q, &r);  // fault the working set in
-    benchmark::DoNotOptimize(prime);
+    // Fault the working set in: repeat until a pass adds no pool miss,
+    // so the first timed repetition is as warm as the rest. A pool
+    // smaller than the working set never gets there; stop trying then.
+    for (int pass = 0; pass < 16; ++pass) {
+      const uint64_t misses = ctx.table->pool_stats().misses;
+      auto prime = ctx.iface->Execute(q, &r);
+      benchmark::DoNotOptimize(prime);
+      if (ctx.table->pool_stats().misses == misses) break;
+    }
   }
   const uint64_t bytes_before = ctx.table->pool_stats().bytes_read;
   for (auto _ : state) {
@@ -376,23 +386,24 @@ void BM_OocSelectiveQueryWarm(benchmark::State& state) {
 
 void BM_OocMemBroadQuery(benchmark::State& state) {
   const data::Table& t = Data(state.range(0));
-  auto iface = MakeScanInterface(&t, kOocK);
+  auto iface = bench::MakeInterface(&t, interface::MakeSumRanking(), kOocK);
   RunQueryBench(state, iface.get(), BroadQuery());
 }
 
 void BM_OocMemSelectiveQuery(benchmark::State& state) {
   const data::Table& t = Data(state.range(0));
-  auto iface = MakeScanInterface(&t, kOocK);
+  auto iface = bench::MakeInterface(&t, interface::MakeSumRanking(), kOocK);
   RunQueryBench(state, iface.get(), SelectiveQuery());
 }
 
-void BM_KdIndexBuild(benchmark::State& state) {
+/// The in-memory k-d leaf build TopKInterface::Create runs under a
+/// static ranking (the ranking's bind is not timed).
+void BM_KdLeavesBuild(benchmark::State& state) {
   const data::Table& t = Data(state.range(0));
-  std::vector<int64_t> rank(static_cast<size_t>(t.num_rows()));
-  std::iota(rank.begin(), rank.end(), 0);
+  const std::vector<data::TupleId> order = SumOrder(t);
   for (auto _ : state) {
-    interface::KdIndex index(&t, rank);
-    benchmark::DoNotOptimize(index.num_nodes());
+    auto leaves = bench::Unwrap(data::KdLeaves::Build(t, order), "build");
+    benchmark::DoNotOptimize(leaves->tree().num_nodes());
   }
 }
 
@@ -449,7 +460,6 @@ void BM_KSkyband(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_ExecuteBroadQuery)->Arg(10000)->Arg(100000);
-BENCHMARK(BM_ExecuteBroadQueryNaive)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_ExecuteSelectiveQuery)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_ExecuteSelectiveQueryNaive)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_ExecutePointQuery)->Arg(10000)->Arg(100000);
@@ -465,7 +475,7 @@ BENCHMARK(BM_OocSelectiveQueryColdCompPread)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_OocSelectiveQueryWarm)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_OocMemBroadQuery)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_OocMemSelectiveQuery)->Arg(10000)->Arg(100000);
-BENCHMARK(BM_KdIndexBuild)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KdLeavesBuild)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SkylineBNL)->Arg(10000)->Arg(50000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SkylineSFS)->Arg(10000)->Arg(50000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SkylineDnC)->Arg(10000)->Arg(50000)->Unit(benchmark::kMillisecond);

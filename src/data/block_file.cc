@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <numeric>
 #include <utility>
 
 #include <fcntl.h>
@@ -12,7 +13,6 @@
 #include "common/crc32c.h"
 #include "common/fs_util.h"
 #include "data/encoding.h"
-#include "data/kd_split.h"
 
 namespace hdsky {
 namespace data {
@@ -119,138 +119,28 @@ std::string EncodeHeader(uint32_t rows_per_block, uint32_t num_attrs,
   return h;
 }
 
-/// Builds the k-d tree over rows in rank order and streams one page per
-/// leaf to `out` as the leaves complete.
-class TreeWriter {
+/// Streams one page per leaf to `out` as the k-d build completes the
+/// leaves (the BuildKdTree leaf callback), and records their extents.
+class PageWriter {
  public:
-  TreeWriter(common::AtomicFileWriter* out, int num_attrs,
-             const BlockFileOptions& options,
-             const std::vector<TupleId>& ids, std::vector<Value>* rows,
+  PageWriter(common::AtomicFileWriter* out, int num_attrs,
+             Compression compression, const std::vector<TupleId>& ids,
+             const int64_t* ranks, const Value* rows,
              BlockFileWriteStats* stats)
       : out_(out),
         m_(num_attrs),
-        rows_per_block_(options.rows_per_block),
-        compression_(options.compression),
+        compression_(compression),
         ids_(ids),
-        rows_(*rows),
-        stats_(stats) {
-    keys_.resize(ids.size());
-    for (size_t r = 0; r < keys_.size(); ++r) {
-      keys_[r] = static_cast<int64_t>(r);
-    }
-  }
+        ranks_(ranks),
+        rows_(rows),
+        stats_(stats) {}
 
-  Result<int32_t> Build(int64_t begin, int64_t end, int depth) {
-    const int32_t id = static_cast<int32_t>(nodes_.size());
-    nodes_.push_back(BlockFile::KdNode{0, -1, -1, -1, 0});
-    boxes_.resize(boxes_.size() + 2 * static_cast<size_t>(m_));
-    stats_->kd_depth = std::max(stats_->kd_depth, depth);
-    int64_t split = begin;
-    if (end - begin > rows_per_block_) {
-      int dim = 0;
-      Value pivot = 0;
-      split = KdMedianSplit(begin, end, depth, m_, keys_.data(),
-                            rows_.data(), &dim, &pivot);
-      if (split == begin) {
-        // No dimension splits the range (every median is its range's
-        // minimum). Halve it in rank order instead: the walk follows the
-        // boxes and minimum ranks, never split planes, so any cut is
-        // exact, and this one keeps every leaf within rows_per_block.
-        SortByRank(begin, end);
-        split = begin + (end - begin) / 2;
-      }
-    }
-    if (split == begin) {
-      HDSKY_RETURN_IF_ERROR(WriteLeaf(begin, end, id));
-      return id;
-    }
-    HDSKY_ASSIGN_OR_RETURN(const int32_t left,
-                           Build(begin, split, depth + 1));
-    HDSKY_ASSIGN_OR_RETURN(const int32_t right, Build(split, end, depth + 1));
-    BlockFile::KdNode& node = nodes_[static_cast<size_t>(id)];
-    node.left = left;
-    node.right = right;
-    node.rows = static_cast<uint32_t>(end - begin);
-    node.min_rank = std::min(nodes_[static_cast<size_t>(left)].min_rank,
-                             nodes_[static_cast<size_t>(right)].min_rank);
-    Value* box = Box(id);
-    const Value* lb = Box(left);
-    const Value* rb = Box(right);
-    for (int a = 0; a < m_; ++a) {
-      box[2 * a] = std::min(lb[2 * a], rb[2 * a]);
-      box[2 * a + 1] = std::max(lb[2 * a + 1], rb[2 * a + 1]);
-    }
-    return id;
-  }
-
-  /// Appends the directory: page extents, the node array, its CRC.
-  std::string Directory() const {
-    std::string dir;
-    for (const BlockFile::Extent& e : extents_) {
-      Put(e.offset, &dir);
-      Put(e.bytes, &dir);
-    }
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      const BlockFile::KdNode& n = nodes_[i];
-      Put(n.min_rank, &dir);
-      Put(n.left, &dir);
-      Put(n.right, &dir);
-      Put(n.page, &dir);
-      Put(n.rows, &dir);
-      dir.append(reinterpret_cast<const char*>(
-                     boxes_.data() + i * 2 * static_cast<size_t>(m_)),
-                 2 * static_cast<size_t>(m_) * sizeof(Value));
-    }
-    Put(common::Crc32c(dir), &dir);
-    return dir;
-  }
-
-  size_t num_pages() const { return extents_.size(); }
-  size_t num_nodes() const { return nodes_.size(); }
-
- private:
-  Value* Box(int32_t id) {
-    return boxes_.data() + static_cast<size_t>(id) * 2 *
-                               static_cast<size_t>(m_);
-  }
-
-  /// Sorts rows [begin, end) by rank, permuting keys and values together.
-  void SortByRank(int64_t begin, int64_t end) {
+  /// Writes leaf [begin, end): its rows are in rank order and its values
+  /// attribute-major, so each run is contiguous.
+  Status WriteLeaf(int64_t begin, int64_t end) {
     const size_t len = static_cast<size_t>(end - begin);
-    const size_t m = static_cast<size_t>(m_);
-    by_rank_.resize(len);
-    for (size_t i = 0; i < len; ++i) {
-      by_rank_[i] = {keys_[static_cast<size_t>(begin) + i],
-                     static_cast<int64_t>(i)};
-    }
-    std::sort(by_rank_.begin(), by_rank_.end());
-    sorted_.resize(len * m);
-    const Value* base = rows_.data() + static_cast<size_t>(begin) * m;
-    for (size_t i = 0; i < len; ++i) {
-      keys_[static_cast<size_t>(begin) + i] = by_rank_[i].first;
-      std::memcpy(sorted_.data() + i * m,
-                  base + static_cast<size_t>(by_rank_[i].second) * m,
-                  m * sizeof(Value));
-    }
-    std::copy(sorted_.begin(), sorted_.end(),
-              rows_.begin() + static_cast<std::ptrdiff_t>(begin * m_));
-  }
-
-  void AppendRun(const Value* values, size_t n, size_t column) {
-    const size_t bytes = compression_ == Compression::kAuto
-                             ? EncodeRun(values, n, &page_)
-                             : EncodeRunAs(Encoding::kRaw, values, n, &page_);
-    stats_->columns[column].raw_bytes += n * sizeof(Value);
-    stats_->columns[column].encoded_bytes += bytes;
-  }
-
-  Status WriteLeaf(int64_t begin, int64_t end, int32_t id) {
-    SortByRank(begin, end);
-    const size_t len = static_cast<size_t>(end - begin);
-    const size_t m = static_cast<size_t>(m_);
-    const int64_t* ranks = keys_.data() + begin;
-    const Value* rows = rows_.data() + static_cast<size_t>(begin) * m;
-
+    const int64_t* ranks = ranks_ + begin;
+    const Value* values = rows_ + static_cast<size_t>(begin) * m_;
     page_.assign(kPageHeaderBytes, 0);
     run_.resize(len);
     for (size_t i = 0; i < len; ++i) {
@@ -258,18 +148,8 @@ class TreeWriter {
     }
     AppendRun(run_.data(), len, 0);
     AppendRun(ranks, len, 1);
-    Value* box = Box(id);
-    for (size_t a = 0; a < m; ++a) {
-      Value lo = kNullValue;
-      Value hi = INT64_MIN;
-      for (size_t i = 0; i < len; ++i) {
-        run_[i] = rows[i * m + a];
-        lo = std::min(lo, run_[i]);
-        hi = std::max(hi, run_[i]);
-      }
-      box[2 * a] = lo;
-      box[2 * a + 1] = hi;
-      AppendRun(run_.data(), len, 2 + a);
+    for (size_t a = 0; a < static_cast<size_t>(m_); ++a) {
+      AppendRun(values + a * len, len, 2 + a);
     }
     const size_t stored = page_.size();
     const uint32_t crc = common::Crc32c(std::string_view(
@@ -278,30 +158,52 @@ class TreeWriter {
     const uint32_t count = static_cast<uint32_t>(len);
     std::memcpy(page_.data(), &crc, 4);
     std::memcpy(page_.data() + 4, &count, 4);
-
-    BlockFile::KdNode& node = nodes_[static_cast<size_t>(id)];
-    node.min_rank = ranks[0];
-    node.page = static_cast<int32_t>(extents_.size());
-    node.rows = count;
     extents_.push_back(BlockFile::Extent{out_->bytes_appended(),
                                          static_cast<uint32_t>(stored)});
     return out_->Append(page_.data(), page_.size());
   }
 
+  /// The directory: page extents, the node array, its CRC.
+  std::string Directory(const KdTree& tree) const {
+    std::string dir;
+    for (const BlockFile::Extent& e : extents_) {
+      Put(e.offset, &dir);
+      Put(e.bytes, &dir);
+    }
+    for (int32_t i = 0; i < tree.num_nodes(); ++i) {
+      const KdNode& n = tree.node(i);
+      Put(n.min_rank, &dir);
+      Put(n.left, &dir);
+      Put(n.right, &dir);
+      Put(n.page, &dir);
+      Put(n.rows, &dir);
+      dir.append(reinterpret_cast<const char*>(tree.node_box(i)),
+                 2 * static_cast<size_t>(m_) * sizeof(Value));
+    }
+    Put(common::Crc32c(dir), &dir);
+    return dir;
+  }
+
+  size_t num_pages() const { return extents_.size(); }
+
+ private:
+  void AppendRun(const Value* values, size_t n, size_t column) {
+    const size_t bytes = compression_ == Compression::kAuto
+                             ? EncodeRun(values, n, &page_)
+                             : EncodeRunAs(Encoding::kRaw, values, n, &page_);
+    stats_->columns[column].raw_bytes += n * sizeof(Value);
+    stats_->columns[column].encoded_bytes += bytes;
+  }
+
   common::AtomicFileWriter* out_;
   const int m_;
-  const int64_t rows_per_block_;
   const Compression compression_;
   const std::vector<TupleId>& ids_;
-  std::vector<Value>& rows_;
+  const int64_t* ranks_;
+  const Value* rows_;
   BlockFileWriteStats* stats_;
-  std::vector<int64_t> keys_;  // ranks, permuted with rows_
-  std::vector<BlockFile::KdNode> nodes_;
-  std::vector<Value> boxes_;
   std::vector<BlockFile::Extent> extents_;
   // Scratch reused across leaves.
-  std::vector<std::pair<int64_t, int64_t>> by_rank_;
-  std::vector<Value> sorted_;
   std::vector<Value> run_;
   std::vector<uint8_t> page_;
 };
@@ -344,21 +246,31 @@ Result<BlockFileWriteStats> WriteBlockFile(const std::string& path,
   BlockFileWriteStats stats;
   stats.rows = static_cast<int64_t>(ids.size());
   stats.columns.resize(static_cast<size_t>(m) + 2);
-  TreeWriter tree(out.get(), m, options, ids, &rows, &stats);
-  if (!ids.empty()) {
-    HDSKY_RETURN_IF_ERROR(
-        tree.Build(0, static_cast<int64_t>(ids.size()), 0).status());
-  }
+  // The rows arrive in rank order, so row r's key is its rank r.
+  std::vector<int64_t> ranks(ids.size());
+  std::iota(ranks.begin(), ranks.end(), int64_t{0});
+  PageWriter pages(out.get(), m, options.compression, ids, ranks.data(),
+                   rows.data(), &stats);
+  KdTree tree;
+  HDSKY_ASSIGN_OR_RETURN(
+      stats.kd_depth,
+      BuildKdTree(m, options.rows_per_block,
+                  static_cast<int64_t>(ids.size()), ranks.data(),
+                  rows.data(),
+                  [&](int64_t begin, int64_t end) {
+                    return pages.WriteLeaf(begin, end);
+                  },
+                  &tree));
   const uint64_t dir_offset = out->bytes_appended();
-  const std::string dir = tree.Directory();
+  const std::string dir = pages.Directory(tree);
   HDSKY_RETURN_IF_ERROR(out->Append(dir.data(), dir.size()));
   const std::string header = EncodeHeader(
       static_cast<uint32_t>(options.rows_per_block),
       static_cast<uint32_t>(m), options.compression, ids.size(),
-      tree.num_pages(), tree.num_nodes(), dir_offset, ranking, schema);
+      pages.num_pages(), tree.nodes.size(), dir_offset, ranking, schema);
   HDSKY_RETURN_IF_ERROR(out->WriteAt(0, header.data(), header.size()));
-  stats.data_pages = static_cast<int64_t>(tree.num_pages());
-  stats.kd_nodes = static_cast<int64_t>(tree.num_nodes());
+  stats.data_pages = static_cast<int64_t>(pages.num_pages());
+  stats.kd_nodes = static_cast<int64_t>(tree.nodes.size());
   stats.file_bytes = out->bytes_appended();
   HDSKY_RETURN_IF_ERROR(out->Commit());
   return stats;
@@ -483,28 +395,30 @@ Result<std::unique_ptr<BlockFile>> BlockFile::Open(
     prev_end = e.offset + e.bytes;
   }
   const size_t box_values = 2 * static_cast<size_t>(num_attrs);
-  f->nodes_.resize(static_cast<size_t>(num_nodes));
-  f->boxes_.resize(static_cast<size_t>(num_nodes) * box_values);
-  for (size_t i = 0; i < f->nodes_.size(); ++i) {
-    KdNode& n = f->nodes_[i];
+  KdTree& tree = f->tree_;
+  tree.num_attrs = f->num_attrs_;
+  tree.nodes.resize(static_cast<size_t>(num_nodes));
+  tree.boxes.resize(static_cast<size_t>(num_nodes) * box_values);
+  for (size_t i = 0; i < tree.nodes.size(); ++i) {
+    KdNode& n = tree.nodes[i];
     d.Get(&n.min_rank);
     d.Get(&n.left);
     d.Get(&n.right);
     d.Get(&n.page);
     d.Get(&n.rows);
-    d.Raw(f->boxes_.data() + i * box_values, box_values * sizeof(Value));
+    d.Raw(tree.boxes.data() + i * box_values, box_values * sizeof(Value));
   }
   HDSKY_RETURN_IF_ERROR(f->ValidateTree());
   return f;
 }
 
 Status BlockFile::ValidateTree() {
-  const int32_t n = num_nodes();
+  const int32_t n = tree_.num_nodes();
   const int64_t pages = num_data_pages();
   page_leaf_.assign(static_cast<size_t>(pages), -1);
   if (n == 0) return Status::OK();
-  if (nodes_[0].rows != static_cast<uint64_t>(num_rows_) ||
-      nodes_[0].min_rank != 0) {
+  if (tree_.nodes[0].rows != static_cast<uint64_t>(num_rows_) ||
+      tree_.nodes[0].min_rank != 0) {
     return Corrupt(path_, "k-d root does not cover the rows from rank 0");
   }
   std::vector<uint8_t> reached(static_cast<size_t>(n), 0);
@@ -515,8 +429,8 @@ Status BlockFile::ValidateTree() {
   while (!stack.empty()) {
     const int32_t i = stack.back();
     stack.pop_back();
-    const KdNode& node = nodes_[static_cast<size_t>(i)];
-    const Value* box = node_box(i);
+    const KdNode& node = tree_.node(i);
+    const Value* box = tree_.node_box(i);
     for (int a = 0; a < num_attrs_; ++a) {
       if (box[2 * a] > box[2 * a + 1]) {
         return Corrupt(path_, "k-d node " + std::to_string(i) +
@@ -561,10 +475,10 @@ Status BlockFile::ValidateTree() {
       reached[static_cast<size_t>(c)] = 1;
       ++reached_count;
       stack.push_back(c);
-      const KdNode& child = nodes_[static_cast<size_t>(c)];
+      const KdNode& child = tree_.node(c);
       child_rows += child.rows;
       child_min = std::min(child_min, child.min_rank);
-      const Value* cbox = node_box(c);
+      const Value* cbox = tree_.node_box(c);
       for (int a = 0; a < num_attrs_; ++a) {
         if (cbox[2 * a] < box[2 * a] || cbox[2 * a + 1] > box[2 * a + 1]) {
           return Corrupt(path_, "k-d node " + std::to_string(i) +
@@ -603,7 +517,7 @@ Status BlockFile::DecodePage(int64_t page_id, const uint8_t* raw,
   }
   const std::string page = "page " + std::to_string(page_id);
   const int32_t leaf_id = page_leaf_[static_cast<size_t>(page_id)];
-  const KdNode& leaf = nodes_[static_cast<size_t>(leaf_id)];
+  const KdNode& leaf = tree_.node(leaf_id);
   if (raw_len != extent(page_id).bytes || raw_len < kPageHeaderBytes) {
     return Corrupt(path_, page + " fetched with wrong extent");
   }
@@ -649,7 +563,7 @@ Status BlockFile::DecodePage(int64_t page_id, const uint8_t* raw,
       return Corrupt(path_, page + " ranks are not strictly ascending");
     }
   }
-  const Value* box = node_box(leaf_id);
+  const Value* box = tree_.node_box(leaf_id);
   for (int a = 0; a < num_attrs_; ++a) {
     const Value* run = v.values + static_cast<int64_t>(a) * v.rows;
     for (int64_t i = 0; i < v.rows; ++i) {

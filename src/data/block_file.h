@@ -7,9 +7,9 @@
 //                           name, serialized schema, CRC32C), padded to
 //                           a 4 KiB boundary
 //   pages 0..L-1            data pages, one per leaf of an exact-median
-//                           k-d tree over all rows (data/kd_split.h, the
-//                           split rule KdIndex uses), in leaf order, back
-//                           to back
+//                           k-d tree over all rows (data/kd_tree.h, the
+//                           builder the in-memory leaves use too), in
+//                           leaf order, back to back
 //   directory               per-page extents {offset, stored bytes}, then
 //                           the k-d node array, then a CRC32C; it ends
 //                           the file
@@ -43,9 +43,10 @@
 // Open does not look; the paged engine's merge fails any query whose
 // answer would hold both rows.
 //
-// Out-of-core queries (exec::PagedEngine) walk the tree best-first by
-// minimum rank, skip nodes whose box misses the query, and pin only the
-// leaf pages they scan, so a box query reads the few pages it touches.
+// Out-of-core queries (interface/exec/leaf_walk.h) walk the tree
+// best-first by minimum rank, skip nodes whose box misses the query, and
+// pin only the leaf pages they scan, so a box query reads the few pages
+// it touches.
 //
 // Files written in the retired formats (v1: rank-ordered fixed slots,
 // v2: rank-ordered encoded pages, both with zone-map index levels) are
@@ -69,6 +70,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "data/kd_tree.h"
 #include "data/schema.h"
 #include "data/value.h"
 
@@ -78,12 +80,6 @@ namespace data {
 inline constexpr uint32_t kBlockFileVersion = 3;
 inline constexpr size_t kBlockFileAlign = 4096;
 inline constexpr size_t kPageHeaderBytes = 8;  // u32 CRC + u32 count
-
-/// Most rows per leaf page when the caller does not choose: the smallest
-/// size on the measured plateau of server CPU per query (256 to 2,048
-/// rows on perfbench's `rq_paged_journal`; docs/storage.md, "Choosing
-/// the page size").
-inline constexpr int64_t kDefaultRowsPerBlock = 256;
 
 enum class Compression : uint8_t {
   /// Every run stored raw.
@@ -170,25 +166,9 @@ class BlockFile {
            static_cast<uint64_t>(num_attrs_ + 1) * sizeof(Value);
   }
 
-  /// A k-d node of the directory. Internal nodes have left, right >= 0
-  /// and page == -1; leaves have left == right == -1 and page = their
-  /// data page index, the id the BufferPool pins it by.
-  struct KdNode {
-    int64_t min_rank;
-    int32_t left;
-    int32_t right;
-    int32_t page;
-    uint32_t rows;
-  };
-  int32_t num_nodes() const { return static_cast<int32_t>(nodes_.size()); }
-  const KdNode& node(int32_t i) const {
-    return nodes_[static_cast<size_t>(i)];
-  }
-  /// Node i's box: box[2a] = min, box[2a + 1] = max of attribute a.
-  const Value* node_box(int32_t i) const {
-    return boxes_.data() +
-           static_cast<size_t>(i) * 2 * static_cast<size_t>(num_attrs_);
-  }
+  /// The k-d directory; a leaf's `page` is the data page the BufferPool
+  /// pins it by.
+  const KdTree& tree() const { return tree_; }
 
   /// Physical location of a page's stored (possibly encoded) bytes.
   /// Data pages are indexed [0, num_data_pages()) here and below.
@@ -204,8 +184,7 @@ class BlockFile {
   /// + values (never exceeds page_bytes()).
   size_t frame_bytes(int64_t page) const {
     return FrameBytesFor(
-        nodes_[static_cast<size_t>(page_leaf_[static_cast<size_t>(page)])]
-            .rows);
+        tree_.node(page_leaf_[static_cast<size_t>(page)]).rows);
   }
 
   /// Validates the fetched bytes of a page (row count from the
@@ -216,12 +195,6 @@ class BlockFile {
   common::Status DecodePage(int64_t page, const uint8_t* raw,
                             size_t raw_len, uint8_t* frame) const;
 
-  struct DataPageView {
-    int64_t rows;
-    const TupleId* ids;
-    const int64_t* ranks;  // strictly ascending
-    const Value* values;   // attribute-major runs: values[a * rows + i]
-  };
   DataPageView data_page(const uint8_t* frame) const {
     DataPageView v;
     v.rows = static_cast<int64_t>(
@@ -253,8 +226,7 @@ class BlockFile {
   int num_attrs_ = 0;
   int64_t num_rows_ = 0;
   std::vector<Extent> extents_;  // data page b at extents_[b]
-  std::vector<KdNode> nodes_;
-  std::vector<Value> boxes_;  // 2 * num_attrs_ per node
+  KdTree tree_;
   std::vector<int32_t> page_leaf_;  // data page b -> its leaf node
 };
 

@@ -2,8 +2,8 @@
 // plus the BufferPool that bounds its resident working set. This is the
 // paged counterpart of an in-memory Table for the query path: it does
 // not support appends or row-at-a-time access (the data lives in the
-// leaf pages of a k-d tree); TopKInterface::CreatePaged and the
-// exec::PagedEngine consume it directly.
+// leaf pages of a k-d tree); TopKInterface::CreatePaged and the leaf
+// walk (interface/exec/leaf_walk.h) consume it directly.
 
 #ifndef HDSKY_DATA_PAGED_TABLE_H_
 #define HDSKY_DATA_PAGED_TABLE_H_

@@ -1,8 +1,9 @@
-#include "interface/exec/paged_engine.h"
+#include "interface/exec/leaf_walk.h"
 
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "data/block_file.h"
@@ -12,16 +13,17 @@ namespace hdsky {
 namespace interface {
 namespace exec {
 
-using data::BlockFile;
 using data::BufferPool;
+using data::DataPageView;
+using data::KdTree;
 using data::TupleId;
 using data::Value;
 using common::Status;
 
 namespace {
 
-/// Per-thread reusable buffers, mirroring VectorEngine's discipline:
-/// steady-state execution allocates only the QueryResult handed back.
+/// Per-thread reusable buffers: steady-state execution allocates only
+/// the QueryResult handed back.
 struct Scratch {
   /// Pending k-d nodes as (minimum rank, node id), a min-heap.
   std::vector<std::pair<int64_t, int32_t>> heap;
@@ -50,17 +52,16 @@ bool Misses(const Value* box, const std::vector<AttrBound>& bounds) {
   return false;
 }
 
-/// Scans one pinned leaf page and merges its matches into the best
-/// k+1. Rows sit in rank order, so only the rows ranked above
-/// `threshold` (the current (k+1)-th best) and, of those, the first
-/// `want` matches can enter. Fails if a match has the rank of one
-/// already held: Open and DecodePage cannot see a rank repeated across
-/// two pages without decoding every page, but the merge meets any such
-/// pair that would share an answer.
-Status ScanLeaf(const BlockFile& file, const uint8_t* frame,
-                const std::vector<AttrBound>& bounds, int64_t threshold,
-                int64_t want, Scratch* scr) {
-  const BlockFile::DataPageView view = file.data_page(frame);
+/// Scans one leaf and merges its matches into the best k+1. Rows sit in
+/// rank order, so only the rows ranked above `threshold` (the current
+/// (k+1)-th best) and, of those, the first `want` matches can enter.
+/// Returns false if a match has the rank of one already held: a block
+/// file's Open and DecodePage cannot see a rank repeated across two pages
+/// without decoding every page, but the merge meets any such pair that
+/// would share an answer.
+bool ScanLeaf(const DataPageView& view, size_t m,
+              const std::vector<AttrBound>& bounds, int64_t threshold,
+              int64_t want, Scratch* scr) {
   const int64_t rows = view.rows;
   const int64_t limit =
       std::lower_bound(view.ranks, view.ranks + rows, threshold) -
@@ -101,9 +102,8 @@ Status ScanLeaf(const BlockFile& file, const uint8_t* frame,
       count += c;
     }
   }
-  if (count == 0) return Status::OK();
+  if (count == 0) return true;
 
-  const size_t m = static_cast<size_t>(file.num_attributes());
   const size_t first = scr->ids.size();
   scr->ids.resize(first + static_cast<size_t>(count));
   scr->ranks.resize(first + static_cast<size_t>(count));
@@ -156,24 +156,38 @@ Status ScanLeaf(const BlockFile& file, const uint8_t* frame,
       best[static_cast<size_t>(pos)] = base + static_cast<int32_t>(j--);
     }
   }
-  if (repeated) {
-    return Status::IOError(file.path() + ": a rank appears on two pages");
+  return !repeated;
+}
+
+/// In-memory leaves: a view into the flat arrays.
+struct MemoryLeaves {
+  const data::KdLeaves& leaves;
+
+  const KdTree& tree() const { return leaves.tree(); }
+  template <typename Fn>
+  Status WithLeaf(int32_t page, Fn&& fn) const {
+    return fn(leaves.leaf(page));
   }
-  return Status::OK();
-}
+  std::string name() const { return "in-memory leaves"; }
+};
 
-}  // namespace
+/// Paged leaves: the leaf's page, pinned for the scan.
+struct PooledLeaves {
+  const data::PagedTable& table;
 
-PagedEngine::PagedEngine(const data::PagedTable* table) : table_(table) {}
+  const KdTree& tree() const { return table.file().tree(); }
+  template <typename Fn>
+  Status WithLeaf(int32_t page, Fn&& fn) const {
+    HDSKY_ASSIGN_OR_RETURN(BufferPool::PageRef ref, table.pool()->Pin(page));
+    return fn(table.file().data_page(ref.data()));
+  }
+  std::string name() const { return table.file().path(); }
+};
 
-data::BufferPool::Stats PagedEngine::pool_stats() const {
-  return table_->pool_stats();
-}
-
-Status PagedEngine::ExecuteTopK(const std::vector<AttrBound>& bounds,
-                                int k, QueryResult* out) const {
-  const BlockFile& file = table_->file();
-  BufferPool* pool = table_->pool();
+template <typename Leaves>
+Status Walk(const Leaves& leaves, const std::vector<AttrBound>& bounds,
+            int k, QueryResult* out) {
+  const KdTree& tree = leaves.tree();
   Scratch& scr = LocalScratch();
   scr.heap.clear();
   scr.ids.clear();
@@ -181,15 +195,15 @@ Status PagedEngine::ExecuteTopK(const std::vector<AttrBound>& bounds,
   scr.values.clear();
   scr.best.clear();
   const int64_t want = static_cast<int64_t>(k) + 1;
-  const int num_attrs = file.num_attributes();
+  const size_t m = static_cast<size_t>(tree.num_attrs);
   const auto by_min_rank = std::greater<std::pair<int64_t, int32_t>>();
 
   // Best-first by minimum rank: a node's rows are all ranked at or
   // below its minimum, so once the next node's minimum is past the
   // (k+1)-th best match held, nothing left can enter the answer.
   int64_t threshold = std::numeric_limits<int64_t>::max();
-  if (file.num_nodes() > 0 && !Misses(file.node_box(0), bounds)) {
-    scr.heap.emplace_back(file.node(0).min_rank, 0);
+  if (tree.num_nodes() > 0 && !Misses(tree.node_box(0), bounds)) {
+    scr.heap.emplace_back(tree.node(0).min_rank, 0);
   }
   while (!scr.heap.empty()) {
     std::pop_heap(scr.heap.begin(), scr.heap.end(), by_min_rank);
@@ -199,12 +213,12 @@ Status PagedEngine::ExecuteTopK(const std::vector<AttrBound>& bounds,
     // Descend without the heap round trip: the child holding the node's
     // minimum rank is what the heap would hand back next anyway.
     int32_t id = top;
-    while (id >= 0 && file.node(id).left >= 0) {
-      const BlockFile::KdNode& node = file.node(id);
+    while (id >= 0 && tree.node(id).left >= 0) {
+      const data::KdNode& node = tree.node(id);
       id = -1;
       for (const int32_t child : {node.left, node.right}) {
-        if (Misses(file.node_box(child), bounds)) continue;
-        const int64_t child_min = file.node(child).min_rank;
+        if (Misses(tree.node_box(child), bounds)) continue;
+        const int64_t child_min = tree.node(child).min_rank;
         if (child_min == node.min_rank) {
           id = child;
         } else if (child_min < threshold) {
@@ -214,11 +228,14 @@ Status PagedEngine::ExecuteTopK(const std::vector<AttrBound>& bounds,
       }
     }
     if (id < 0) continue;
-    HDSKY_ASSIGN_OR_RETURN(
-        BufferPool::PageRef ref,
-        pool->Pin(file.node(id).page));
-    HDSKY_RETURN_IF_ERROR(
-        ScanLeaf(file, ref.data(), bounds, threshold, want, &scr));
+    HDSKY_RETURN_IF_ERROR(leaves.WithLeaf(
+        tree.node(id).page, [&](const DataPageView& view) {
+          if (!ScanLeaf(view, m, bounds, threshold, want, &scr)) {
+            return Status::IOError(leaves.name() +
+                                   ": a rank appears on two pages");
+          }
+          return Status::OK();
+        }));
     if (static_cast<int64_t>(scr.best.size()) == want) {
       threshold = scr.ranks[static_cast<size_t>(scr.best.back())];
     }
@@ -233,12 +250,24 @@ Status PagedEngine::ExecuteTopK(const std::vector<AttrBound>& bounds,
     const size_t c = static_cast<size_t>(scr.best[i]);
     out->ids[i] = scr.ids[c];
     data::Tuple& t = out->tuples[i];
-    t.assign(scr.values.begin() +
-                 static_cast<std::ptrdiff_t>(c * static_cast<size_t>(num_attrs)),
-             scr.values.begin() + static_cast<std::ptrdiff_t>(
-                                      (c + 1) * static_cast<size_t>(num_attrs)));
+    t.assign(scr.values.begin() + static_cast<std::ptrdiff_t>(c * m),
+             scr.values.begin() + static_cast<std::ptrdiff_t>((c + 1) * m));
   }
   return Status::OK();
+}
+
+}  // namespace
+
+Status ExecuteTopK(const data::KdLeaves& leaves,
+                   const std::vector<AttrBound>& bounds, int k,
+                   QueryResult* out) {
+  return Walk(MemoryLeaves{leaves}, bounds, k, out);
+}
+
+Status ExecuteTopK(const data::PagedTable& table,
+                   const std::vector<AttrBound>& bounds, int k,
+                   QueryResult* out) {
+  return Walk(PooledLeaves{table}, bounds, k, out);
 }
 
 }  // namespace exec

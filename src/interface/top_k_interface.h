@@ -15,12 +15,15 @@
 // interface types, domains), k, and query answers. The ranking function
 // and n stay hidden.
 //
-// Execution engine (static-order rankings): queries compile into clamped
-// per-attribute bounds once, then route by estimated selectivity — small
-// match sets through the k-d index, everything else through the
-// column-at-a-time scan of exec::VectorEngine (blocked columns in rank
-// order, zone maps, selection-vector kernels, k+1 early exit). Every
-// path returns bit-identical QueryResults; see docs/performance.md.
+// Execution (static-order rankings): Create clusters the rows into the
+// leaves of an exact-median k-d tree in memory (data::KdLeaves), the same
+// tree a packed file stores on disk, and every query compiles into
+// clamped per-attribute bounds and runs the best-first k-d leaf walk
+// (interface/exec/leaf_walk.h) over it. CreatePaged runs the same walk
+// over a packed file's pages through its buffer pool. A ranking with no
+// static order (layered-random, adversarial: the paper's §3.2 average
+// and worst cases) scans every row and lets the policy pick the top k.
+// See docs/performance.md.
 
 #ifndef HDSKY_INTERFACE_TOP_K_INTERFACE_H_
 #define HDSKY_INTERFACE_TOP_K_INTERFACE_H_
@@ -30,12 +33,10 @@
 #include <vector>
 
 #include "common/status.h"
+#include "data/kd_tree.h"
 #include "data/paged_table.h"
 #include "data/table.h"
-#include "interface/exec/paged_engine.h"
-#include "interface/exec/vector_engine.h"
 #include "interface/hidden_database.h"
-#include "interface/kd_index.h"
 #include "interface/query.h"
 #include "interface/ranking.h"
 
@@ -61,21 +62,6 @@ struct TopKOptions {
   /// returns ResourceExhausted — discovery algorithms turn that into an
   /// anytime partial result (Section 7.1).
   int64_t query_budget = 0;
-  /// Build the selective-query k-d index when the table has at least
-  /// this many rows; < 0 disables the index. The default keeps the
-  /// historical behaviour (index pays off only when selective queries
-  /// would otherwise scan a large table).
-  int64_t kd_index_threshold = 4096;
-  /// Floor of the k-d retrieval abort threshold: retrieval gives up —
-  /// and the rank-order scan takes over — once more than
-  /// max(2k + 2, kd_abort_floor) matches are enumerated. Must be >= 0.
-  int64_t kd_abort_floor = 256;
-  /// Column-at-a-time scan engine (blocked columns + zone maps +
-  /// selection vectors) for static-order rankings; false falls back to
-  /// the naive row-at-a-time rank-order scan. Answers are bit-identical
-  /// either way (tests/exec_test.cc proves it); the switch exists for
-  /// differential testing and perf baselines.
-  bool vectorized_scan = true;
 };
 
 /// The simulated hidden web database: table + ranking policy + top-k
@@ -90,18 +76,20 @@ struct TopKOptions {
 /// external synchronization; see docs/concurrency.md.
 class TopKInterface : public HiddenDatabase {
  public:
-  /// Binds `ranking` to the table. The table must outlive the interface.
+  /// Binds `ranking` to the table and, when the ranking has a static
+  /// order, builds the in-memory k-d leaves. The table must outlive the
+  /// interface.
   static common::Result<std::unique_ptr<TopKInterface>> Create(
       const data::Table* table, std::shared_ptr<RankingPolicy> ranking,
       TopKOptions options);
 
   /// Out-of-core variant over a paged block file: the rank order is the
   /// one baked into the file at pack time (no ranking policy is bound),
-  /// and every query runs through exec::PagedEngine, pinning its working
-  /// set through the table's buffer pool. Budget enforcement, per-thread
-  /// accounting, and validation behave exactly as in the in-memory
-  /// interface. kd_index_threshold / vectorized_scan are ignored. The
-  /// paged table must outlive the interface.
+  /// and every query runs the leaf walk over the file's pages, pinning
+  /// its working set through the table's buffer pool. Budget
+  /// enforcement, per-thread accounting, and validation behave exactly
+  /// as in the in-memory interface. The paged table must outlive the
+  /// interface.
   static common::Result<std::unique_ptr<TopKInterface>> CreatePaged(
       const data::PagedTable* paged, TopKOptions options);
 
@@ -150,10 +138,8 @@ class TopKInterface : public HiddenDatabase {
   /// attribute's domain — the answer is empty without evaluation.
   bool OutsideDomain(const Query& q) const;
 
-  /// Expected match count of the compiled bounds under per-attribute
-  /// uniformity over the schema domains. Only steers the index-vs-scan
-  /// choice (both paths are exact), so a rough estimate is fine.
-  double EstimateMatches(const std::vector<exec::AttrBound>& bounds) const;
+  /// Stateful rankings: scans every row and lets the policy pick.
+  void ScanAndSelect(const Query& q, QueryResult* out);
 
   /// Query accounting is sharded to keep concurrent Execute calls from
   /// bouncing one cache line: each thread lands (by a thread_local-cached
@@ -172,19 +158,15 @@ class TopKInterface : public HiddenDatabase {
 
   const data::Table* table_;
   /// Out-of-core mode (CreatePaged): table_ and ranking_ are null, and
-  /// every answer comes from paged_engine_ over the baked rank order.
+  /// every answer walks the file's leaves in the baked rank order.
   const data::PagedTable* paged_ = nullptr;
   std::shared_ptr<RankingPolicy> ranking_;
+  /// In memory under a static-order ranking: the leaves every answer
+  /// walks. Null for stateful rankings and out of core.
+  std::unique_ptr<data::KdLeaves> leaves_;
   TopKOptions options_;
   StatShard stat_shards_[kStatShards];
   std::atomic<int64_t> budget_used_{0};
-  /// Fast paths for static-order rankings: inverse rank permutation, a
-  /// k-d index for selective queries (large tables), and the vectorized
-  /// rank-order scan engine for everything else.
-  std::vector<int64_t> rank_of_row_;
-  std::unique_ptr<KdIndex> index_;
-  std::unique_ptr<exec::VectorEngine> engine_;
-  std::unique_ptr<exec::PagedEngine> paged_engine_;
 };
 
 }  // namespace interface

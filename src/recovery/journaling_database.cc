@@ -101,6 +101,10 @@ Status JournalingDatabase::ReadSegment(int64_t n, int width,
     return Status::IOError(path + ": sealed journal segment is torn " +
                            "(interior corruption; refusing to resume)");
   }
+  if (live && n > manifest_.first && contents->payloads.size() <= 1) {
+    // Nothing was written since the previous segment was sealed.
+    sealed_state_ = restored_state_;
+  }
   if (contents->payloads.empty()) return Status::OK();  // an empty live one
   int journal_width = 0;
   HDSKY_ASSIGN_OR_RETURN(journal_width,
@@ -179,6 +183,7 @@ Result<interface::QueryResult> JournalingDatabase::Execute(
   } else {
     seq = options_.seq_provider ? options_.seq_provider() : last_seq_ + 1;
     HDSKY_RETURN_IF_ERROR(writer_->Append(EncodeIntentRecord(seq, signature)));
+    sealed_state_.reset();
     pending_signature_ = signature;
     pending_seq_ = seq;
   }
@@ -194,6 +199,7 @@ Result<interface::QueryResult> JournalingDatabase::Execute(
   ++stats_.paid;
   HDSKY_RETURN_IF_ERROR(
       writer_->Append(EncodeResultRecord(seq, signature, answer.value())));
+  sealed_state_.reset();
   replay_.emplace(signature, answer.value());
   pending_signature_.reset();
   pending_seq_.reset();
@@ -260,12 +266,16 @@ Status JournalingDatabase::Checkpoint(const std::string& state_blob) {
 
   writer_ = std::move(next_writer);
   manifest_ = next;
+  sealed_state_ = state_blob;
   paid_since_checkpoint_ = 0;
   checkpoint_due_ = false;
   return Status::OK();
 }
 
 Status JournalingDatabase::Finish(const std::string& state_blob) {
+  // Sealing again would only add an empty segment: a resumed finished
+  // journal would grow by one on every rerun.
+  if (sealed_state_ == state_blob) return Status::OK();
   return Checkpoint(state_blob);
 }
 

@@ -121,7 +121,9 @@ class JournalingDatabase : public interface::HiddenDatabase {
   common::Status Checkpoint(const std::string& state_blob);
 
   /// Final checkpoint at the end of a run (or on interrupt): everything
-  /// journaled is sealed and `state_blob` becomes the resume state.
+  /// journaled is sealed and `state_blob` becomes the resume state. A
+  /// no-op when no record was written since the last seal and that seal
+  /// already holds `state_blob`.
   common::Status Finish(const std::string& state_blob);
 
   /// Forces unsynced journal appends to disk.
@@ -190,6 +192,9 @@ class JournalingDatabase : public interface::HiddenDatabase {
   double read_ms_ = 0;
 
   Stats stats_;
+  /// The last seal's state blob while the live segment holds no record
+  /// written since; empty once a record lands or before any seal.
+  std::optional<std::string> sealed_state_;
   int64_t paid_since_checkpoint_ = 0;
   bool checkpoint_due_ = false;
 };

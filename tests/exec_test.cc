@@ -1,27 +1,36 @@
-// Differential tests of the query-execution paths behind TopKInterface.
+// Differential tests of the k-d leaf walk behind TopKInterface.
 //
-// The interface promises that every execution strategy — the vectorized
-// column-at-a-time engine, the k-d index walk, and the naive
-// row-at-a-time rank-order scan — returns *bit-identical* QueryResults
-// and identical AccessStats for any legal query. These tests drive all
-// configurations with the same randomized query streams (including NULL
-// values, empty intervals, point predicates, and out-of-domain bounds)
-// and assert byte equality, plus that kd_abort_floor / kd_index_threshold
-// settings never change answers, only speed.
+// Every static-ranking query runs one best-first walk over k-d leaves
+// that come from one of three sources: the in-memory leaves TopKInterface
+// builds, and a packed format-v3 file read through an mmap or a pread
+// buffer pool. These tests drive all three with the same randomized query
+// streams (NULL values, empty intervals, point predicates, out-of-domain
+// bounds) and require answers bit-identical to a naive row-at-a-time
+// rank-order scan that lives in the test, plus identical AccessStats.
+// They also pin the build: the in-memory tree is the tree the file
+// stores, and a range no dimension splits is halved by rank.
 
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include "data/kd_tree.h"
+#include "data/paged_table.h"
 #include "data/schema.h"
 #include "data/table.h"
+#include "dataset/pack.h"
 #include "dataset/synthetic.h"
 #include "interface/exec/kernels.h"
 #include "interface/ranking.h"
 #include "interface/top_k_interface.h"
+#include "tests/test_util.h"
 
 namespace {
 
@@ -31,23 +40,6 @@ using interface::Query;
 using interface::QueryResult;
 using interface::TopKInterface;
 using interface::TopKOptions;
-
-std::unique_ptr<TopKInterface> Make(const data::Table* table,
-                                    const TopKOptions& opts) {
-  auto r = TopKInterface::Create(table, interface::MakeSumRanking(), opts);
-  EXPECT_TRUE(r.ok()) << r.status();
-  return std::move(r).value();
-}
-
-TopKOptions Opts(int k, bool vectorized, int64_t kd_threshold,
-                 int64_t abort_floor = 256) {
-  TopKOptions o;
-  o.k = k;
-  o.vectorized_scan = vectorized;
-  o.kd_index_threshold = kd_threshold;
-  o.kd_abort_floor = abort_floor;
-  return o;
-}
 
 data::Table SyntheticTable(int64_t n, int m, int64_t domain,
                            dataset::Distribution dist, uint64_t seed) {
@@ -62,9 +54,9 @@ data::Table SyntheticTable(int64_t n, int m, int64_t domain,
   return std::move(r).value();
 }
 
-/// A table where a fraction of cells is NULL — the vectorized kernels
-/// must exclude NULL from every constrained attribute exactly like
-/// Interval::Contains does.
+/// A table where a fraction of cells is NULL — the kernels must exclude
+/// NULL from every constrained attribute exactly like Interval::Contains
+/// does.
 data::Table NullLacedTable(int64_t n, int m, data::Value domain_max,
                            double null_frac, uint64_t seed) {
   std::vector<data::AttributeSpec> specs(static_cast<size_t>(m));
@@ -89,6 +81,59 @@ data::Table NullLacedTable(int64_t n, int m, data::Value domain_max,
   }
   return t;
 }
+
+/// A table packed under the sum ranking into a temporary file, which is
+/// removed with the object.
+class PackedFile {
+ public:
+  explicit PackedFile(const data::Table& table) {
+    std::string tmpl = (std::filesystem::temp_directory_path() /
+                        "hdsky_exec.XXXXXX")
+                           .string();
+    EXPECT_NE(::mkdtemp(tmpl.data()), nullptr);
+    dir_ = tmpl;
+    path_ = dir_ + "/t.hdb";
+    auto rows = dataset::PackTable(table, interface::MakeSumRanking(),
+                                   path_, data::BlockFileOptions{});
+    EXPECT_TRUE(rows.ok()) << rows.status();
+  }
+  ~PackedFile() { std::filesystem::remove_all(dir_); }
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string dir_;
+  std::string path_;
+};
+
+/// The three leaf sources over one table, each behind a TopKInterface.
+/// The pread pool holds a few pages, so its walk evicts as it goes.
+struct LeafSources {
+  LeafSources(const data::Table& table, int k) : file(table) {
+    TopKOptions o;
+    o.k = k;
+    auto mem = TopKInterface::Create(&table, interface::MakeSumRanking(), o);
+    EXPECT_TRUE(mem.ok()) << mem.status();
+    ifaces.push_back(std::move(mem).value());
+    for (const auto& [kind, pool] :
+         {std::pair{data::ReadPathKind::kMmap, size_t{256} << 20},
+          std::pair{data::ReadPathKind::kPread, size_t{32} << 10}}) {
+      data::PagedTableOptions popts;
+      popts.read_path = kind;
+      popts.buffer_pool_bytes = pool;
+      auto paged = data::PagedTable::Open(file.path(), popts);
+      EXPECT_TRUE(paged.ok()) << paged.status();
+      auto iface = TopKInterface::CreatePaged(paged->get(), o);
+      EXPECT_TRUE(iface.ok()) << iface.status();
+      tables.push_back(std::move(paged).value());
+      ifaces.push_back(std::move(iface).value());
+    }
+  }
+
+  PackedFile file;
+  std::vector<std::unique_ptr<data::PagedTable>> tables;
+  std::vector<std::unique_ptr<TopKInterface>> ifaces;
+};
 
 /// Random conjunctive query mixing broad, selective, point, inverted
 /// (empty), and out-of-domain predicates. All attributes are RQ, so
@@ -154,76 +199,74 @@ void ExpectSameStats(const AccessStats& a, const AccessStats& b,
   EXPECT_EQ(a.rejected_queries, b.rejected_queries) << label;
 }
 
-/// Runs the same query stream through every interface and asserts the
-/// answers are byte-identical to the first (reference) interface's.
-void RunDifferential(const data::Table& table,
-                     std::vector<std::unique_ptr<TopKInterface>>& ifaces,
-                     int num_random, uint64_t seed) {
+const char* kSourceNames[] = {"memory", "v3 mmap", "v3 pread"};
+
+/// Runs the same query stream through every leaf source and asserts each
+/// answer is byte-identical to the naive oracle's, and every source's
+/// AccessStats to the oracle's tally.
+void RunDifferential(const data::Table& table, int k, int num_random,
+                     uint64_t seed) {
+  LeafSources sources(table, k);
+  const std::vector<data::TupleId> order = testutil::SumOrder(table);
   std::mt19937_64 rng(seed);
   std::vector<Query> queries = EdgeQueries(table.schema());
   for (int i = 0; i < num_random; ++i) {
     queries.push_back(RandomQuery(rng, table.schema()));
   }
+  AccessStats expected;
+  QueryResult got;
   for (const Query& q : queries) {
-    auto ref = ifaces[0]->Execute(q);
-    ASSERT_TRUE(ref.ok()) << ref.status();
-    for (size_t c = 1; c < ifaces.size(); ++c) {
-      auto got = ifaces[c]->Execute(q);
-      ASSERT_TRUE(got.ok()) << got.status();
-      const std::string label =
-          "config " + std::to_string(c) + " query " +
-          q.ToString(table.schema());
-      EXPECT_EQ(ref.value().ids, got.value().ids) << label;
-      EXPECT_EQ(ref.value().tuples, got.value().tuples) << label;
-      EXPECT_EQ(ref.value().overflow, got.value().overflow) << label;
+    const QueryResult want = testutil::NaiveTopK(table, order, q, k);
+    ++expected.queries_issued;
+    expected.tuples_returned += want.size();
+    expected.overflowed_queries += want.overflow ? 1 : 0;
+    expected.empty_queries += want.empty() ? 1 : 0;
+    for (size_t s = 0; s < sources.ifaces.size(); ++s) {
+      ASSERT_TRUE(sources.ifaces[s]->Execute(q, &got).ok());
+      const std::string label = std::string(kSourceNames[s]) + " query " +
+                                q.ToString(table.schema());
+      EXPECT_EQ(want.ids, got.ids) << label;
+      EXPECT_EQ(want.tuples, got.tuples) << label;
+      EXPECT_EQ(want.overflow, got.overflow) << label;
     }
   }
-  for (size_t c = 1; c < ifaces.size(); ++c) {
-    ExpectSameStats(ifaces[0]->stats(), ifaces[c]->stats(),
-                    "config " + std::to_string(c));
+  for (size_t s = 0; s < sources.ifaces.size(); ++s) {
+    ExpectSameStats(expected, sources.ifaces[s]->stats(), kSourceNames[s]);
   }
-}
-
-/// The four path combinations: vectorized on/off x k-d index forced/off.
-/// Config 0 (both fast paths disabled) is the naive reference.
-std::vector<std::unique_ptr<TopKInterface>> AllPaths(
-    const data::Table& table, int k) {
-  std::vector<std::unique_ptr<TopKInterface>> ifaces;
-  ifaces.push_back(Make(&table, Opts(k, false, -1)));  // naive scan
-  ifaces.push_back(Make(&table, Opts(k, false, 0)));   // kd + naive
-  ifaces.push_back(Make(&table, Opts(k, true, -1)));   // engine only
-  ifaces.push_back(Make(&table, Opts(k, true, 0)));    // kd + engine
-  return ifaces;
 }
 
 TEST(ExecDifferentialTest, IndependentData) {
   const data::Table t = SyntheticTable(
       3000, 4, 50, dataset::Distribution::kIndependent, 7001);
-  auto ifaces = AllPaths(t, 5);
-  RunDifferential(t, ifaces, 400, 901);
+  RunDifferential(t, 5, 400, 901);
 }
 
 TEST(ExecDifferentialTest, AntiCorrelatedData) {
   const data::Table t = SyntheticTable(
       2000, 3, 1000, dataset::Distribution::kAntiCorrelated, 7002);
-  auto ifaces = AllPaths(t, 10);
-  RunDifferential(t, ifaces, 300, 902);
+  RunDifferential(t, 10, 300, 902);
 }
 
 TEST(ExecDifferentialTest, NullLacedData) {
   const data::Table t = NullLacedTable(1500, 3, 49, 0.2, 7003);
-  auto ifaces = AllPaths(t, 5);
-  RunDifferential(t, ifaces, 400, 903);
+  RunDifferential(t, 5, 400, 903);
+}
+
+TEST(ExecDifferentialTest, LargeKSpansManyLeaves) {
+  // k above the leaf size: answers merge matches from many leaves.
+  const data::Table t = SyntheticTable(
+      4000, 3, 200, dataset::Distribution::kIndependent, 7007);
+  RunDifferential(t, 600, 100, 907);
 }
 
 TEST(ExecDifferentialTest, NullsNeverMatchConstrainedAttributes) {
   const data::Table t = NullLacedTable(400, 2, 19, 0.5, 7004);
-  auto ifaces = AllPaths(t, 400);  // k > n: full match set comes back
+  LeafSources sources(t, 400);  // k > n: full match set comes back
   // Constrained over the whole domain: every non-NULL value matches, no
   // NULL may.
   Query q(2);
   q.AddAtLeast(0, 0);
-  for (auto& iface : ifaces) {
+  for (auto& iface : sources.ifaces) {
     auto r = iface->Execute(q);
     ASSERT_TRUE(r.ok()) << r.status();
     EXPECT_FALSE(r.value().overflow);
@@ -233,26 +276,69 @@ TEST(ExecDifferentialTest, NullsNeverMatchConstrainedAttributes) {
   }
 }
 
-TEST(ExecDifferentialTest, AbortFloorAndThresholdNeverChangeAnswers) {
-  const data::Table t = SyntheticTable(
-      2500, 4, 40, dataset::Distribution::kIndependent, 7005);
-  std::vector<std::unique_ptr<TopKInterface>> ifaces;
-  ifaces.push_back(Make(&t, Opts(5, false, -1)));  // naive reference
-  ifaces.push_back(Make(&t, Opts(5, true, 0, 0)));  // floor 0 -> 2k+2
-  ifaces.push_back(Make(&t, Opts(5, true, 0, 7)));
-  ifaces.push_back(Make(&t, Opts(5, true, 0, 1 << 20)));  // never aborts
-  ifaces.push_back(Make(&t, Opts(5, true, 10000)));  // threshold > n
-  ifaces.push_back(Make(&t, Opts(5, true, 2500)));   // threshold == n
-  RunDifferential(t, ifaces, 300, 904);
+TEST(KdBuildTest, MemoryTreeIsThePackedFilesTree) {
+  const data::Table t = NullLacedTable(3000, 3, 99, 0.1, 7008);
+  auto leaves = data::KdLeaves::Build(t, testutil::SumOrder(t));
+  ASSERT_TRUE(leaves.ok()) << leaves.status();
+  const data::KdTree& mem = (*leaves)->tree();
+  PackedFile file(t);
+  auto opened = data::BlockFile::Open(file.path());
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  const data::KdTree& disk = (*opened)->tree();
+  ASSERT_GT(mem.num_nodes(), 1);
+  ASSERT_EQ(mem.num_nodes(), disk.num_nodes());
+  EXPECT_EQ(mem.boxes, disk.boxes);
+  for (int32_t i = 0; i < mem.num_nodes(); ++i) {
+    EXPECT_EQ(mem.node(i).min_rank, disk.node(i).min_rank) << "node " << i;
+    EXPECT_EQ(mem.node(i).left, disk.node(i).left) << "node " << i;
+    EXPECT_EQ(mem.node(i).right, disk.node(i).right) << "node " << i;
+    EXPECT_EQ(mem.node(i).page, disk.node(i).page) << "node " << i;
+    EXPECT_EQ(mem.node(i).rows, disk.node(i).rows) << "node " << i;
+  }
 }
 
-TEST(ExecDifferentialTest, RejectsNegativeAbortFloor) {
-  const data::Table t = SyntheticTable(
-      50, 2, 10, dataset::Distribution::kIndependent, 7006);
-  TopKOptions o = Opts(1, true, 0, -1);
-  auto r = TopKInterface::Create(&t, interface::MakeSumRanking(), o);
-  EXPECT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+TEST(KdBuildTest, IdenticalRowsAreHalvedByRank) {
+  // No dimension splits a range of identical rows, so the build halves
+  // by rank: every leaf holds a run of consecutive ranks, and none
+  // exceeds the leaf size.
+  auto schema = data::Schema::Create(
+      {{"a", data::AttributeKind::kRanking, data::InterfaceType::kRQ, 0, 9},
+       {"b", data::AttributeKind::kRanking, data::InterfaceType::kRQ, 0,
+        9}});
+  ASSERT_TRUE(schema.ok()) << schema.status();
+  data::Table t(std::move(schema).value());
+  const int64_t n = 5 * data::kDefaultRowsPerBlock + 17;
+  for (int64_t r = 0; r < n; ++r) ASSERT_TRUE(t.Append({4, 7}).ok());
+  const std::vector<data::TupleId> order = testutil::SumOrder(t);
+  auto leaves = data::KdLeaves::Build(t, order);
+  ASSERT_TRUE(leaves.ok()) << leaves.status();
+  const data::KdTree& tree = (*leaves)->tree();
+  int64_t next_rank = 0;
+  int32_t num_leaves = 0;
+  for (int32_t i = 0; i < tree.num_nodes(); ++i) {
+    if (tree.node(i).left >= 0) continue;
+    ++num_leaves;
+    const data::DataPageView v = (*leaves)->leaf(tree.node(i).page);
+    ASSERT_GE(v.rows, 1);
+    EXPECT_LE(v.rows, data::kDefaultRowsPerBlock);
+    EXPECT_EQ(static_cast<int64_t>(tree.node(i).rows), v.rows);
+    for (int64_t r = 0; r < v.rows; ++r) {
+      // Preorder visits the leaves left to right: rank order.
+      EXPECT_EQ(v.ranks[r], next_rank);
+      EXPECT_EQ(v.ids[r], order[static_cast<size_t>(next_rank)]);
+      EXPECT_EQ(v.values[r], 4);
+      EXPECT_EQ(v.values[v.rows + r], 7);
+      ++next_rank;
+    }
+  }
+  EXPECT_EQ(next_rank, n);
+  EXPECT_GE(num_leaves, 6);
+  auto iface = testutil::MakeInterface(&t, interface::MakeSumRanking(), 3);
+  auto r = iface->Execute(Query(2).AddAtMost(0, 4));
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_TRUE(r->overflow);
+  EXPECT_EQ(r->ids, std::vector<data::TupleId>(order.begin(),
+                                               order.begin() + 3));
 }
 
 TEST(ExecKernelTest, CollectBoundsClampsBelowNull) {

@@ -8,19 +8,24 @@
 #include <sstream>
 #include <numeric>
 #include <set>
+#include <string>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "core/rq_db_sky.h"
+#include "data/paged_table.h"
+#include "dataset/pack.h"
 #include "dataset/synthetic.h"
 #include "interface/cache_io.h"
 #include "interface/caching_database.h"
 #include "interface/hidden_database.h"
-#include "interface/kd_index.h"
 #include "interface/ranking.h"
 #include "interface/top_k_interface.h"
 #include "skyline/compute.h"
 #include "skyline/dominance.h"
+#include "tests/test_util.h"
 
 namespace hdsky {
 namespace interface {
@@ -790,7 +795,7 @@ TEST(RankingTest, LayeredRandomTop1IsUniformOverMatchingSkyline) {
 }
 
 // ---------------------------------------------------------------------
-// KdIndex
+// The k-d leaf walk behind TopKInterface, against the naive oracle.
 
 TEST(KdIndexTest, MatchesBruteForceOnRandomQueries) {
   dataset::SyntheticOptions gen;
@@ -799,54 +804,69 @@ TEST(KdIndexTest, MatchesBruteForceOnRandomQueries) {
   gen.domain_size = 64;
   gen.seed = 12;
   const Table t = std::move(dataset::GenerateSynthetic(gen)).value();
-  std::vector<int64_t> rank(static_cast<size_t>(t.num_rows()));
-  std::iota(rank.begin(), rank.end(), 0);
-  KdIndex index(&t, rank);
-
-  common::Rng rng(13);
-  for (int trial = 0; trial < 40; ++trial) {
-    Query q(4);
-    for (int a = 0; a < 4; ++a) {
-      const int mode = static_cast<int>(rng.UniformInt(0, 3));
-      if (mode == 1) {
-        q.AddAtMost(a, rng.UniformInt(0, 63));
-      } else if (mode == 2) {
-        q.AddAtLeast(a, rng.UniformInt(0, 63));
-      } else if (mode == 3) {
-        q.AddEquals(a, rng.UniformInt(0, 63));
+  const std::vector<TupleId> order = testutil::SumOrder(t);
+  for (const int k : {1, 9, 3000}) {
+    auto iface = testutil::MakeInterface(&t, MakeSumRanking(), k);
+    common::Rng rng(13);
+    for (int trial = 0; trial < 40; ++trial) {
+      Query q(4);
+      for (int a = 0; a < 4; ++a) {
+        const int mode = static_cast<int>(rng.UniformInt(0, 3));
+        if (mode == 1) {
+          q.AddAtMost(a, rng.UniformInt(0, 63));
+        } else if (mode == 2) {
+          q.AddAtLeast(a, rng.UniformInt(0, 63));
+        } else if (mode == 3) {
+          q.AddEquals(a, rng.UniformInt(0, 63));
+        }
       }
+      auto got = iface->Execute(q);
+      ASSERT_TRUE(got.ok()) << got.status();
+      const QueryResult want = testutil::NaiveTopK(t, order, q, k);
+      EXPECT_EQ(got->ids, want.ids) << "k " << k << " trial " << trial;
+      EXPECT_EQ(got->tuples, want.tuples) << "k " << k << " trial " << trial;
+      EXPECT_EQ(got->overflow, want.overflow)
+          << "k " << k << " trial " << trial;
     }
-    std::vector<TupleId> got;
-    ASSERT_TRUE(
-        index.RetrieveMatches(q, t.num_rows() + 1, &got));
-    std::sort(got.begin(), got.end());
-    std::vector<TupleId> expected;
-    for (TupleId r = 0; r < t.num_rows(); ++r) {
-      if (q.MatchesRow(t, r)) expected.push_back(r);
-    }
-    EXPECT_EQ(got, expected) << "trial " << trial;
   }
 }
 
-TEST(KdIndexTest, AbortsAboveThreshold) {
+TEST(KdIndexTest, BroadQueryStopsAfterFewLeaves) {
+  // The walk stops once the next node's minimum rank is past the
+  // (k+1)-th best match held, so a broad top-10 query over a packed file
+  // pins a handful of its leaf pages, not all of them.
   dataset::SyntheticOptions gen;
-  gen.num_tuples = 2000;
+  gen.num_tuples = 20000;
   gen.num_attributes = 2;
   gen.domain_size = 100;
   gen.seed = 14;
   const Table t = std::move(dataset::GenerateSynthetic(gen)).value();
-  std::vector<int64_t> rank(static_cast<size_t>(t.num_rows()));
-  std::iota(rank.begin(), rank.end(), 0);
-  KdIndex index(&t, rank);
-  std::vector<TupleId> got;
-  EXPECT_FALSE(index.RetrieveMatches(Query(2), 10, &got));
-  EXPECT_GT(got.size(), 10u);
+  const std::string path = ::testing::TempDir() + "hdsky_kd_stop_" +
+                           std::to_string(::getpid()) + ".hdb";
+  data::BlockFileOptions fopts;
+  fopts.rows_per_block = 64;
+  ASSERT_TRUE(dataset::PackTable(t, MakeSumRanking(), path, fopts).ok());
+  auto paged = data::PagedTable::Open(path, data::PagedTableOptions{});
+  ASSERT_TRUE(paged.ok()) << paged.status();
+  ::unlink(path.c_str());
+  TopKOptions opts;
+  opts.k = 10;
+  auto iface = TopKInterface::CreatePaged(paged->get(), opts);
+  ASSERT_TRUE(iface.ok()) << iface.status();
+  auto r = (*iface)->Execute(Query(2).AddAtMost(0, 90));
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->size(), 10);
+  EXPECT_TRUE(r->overflow);
+  const int64_t pages = (*paged)->file().num_data_pages();
+  ASSERT_GE(pages, 300);
+  EXPECT_LE((*paged)->pool_stats().misses, 4) << "of " << pages;
 }
 
 TEST(KdIndexTest, IndexedInterfaceAgreesWithScan) {
-  // Above the indexing threshold the interface must answer identically.
+  // The walk must answer exactly what the ranking selects from the full
+  // match set.
   dataset::SyntheticOptions gen;
-  gen.num_tuples = 6000;  // >= threshold, index built
+  gen.num_tuples = 6000;
   gen.num_attributes = 3;
   gen.domain_size = 40;
   gen.seed = 15;

@@ -653,6 +653,57 @@ TEST(JournalingDatabaseTest, CheckpointNeverRewritesAnAnswer) {
   EXPECT_EQ(counting.executes(), kQueries);  // every answer replayed
 }
 
+TEST(JournalingDatabaseTest, ResumingAFinishedJournalAddsNoSegment) {
+  const Table t = MakeSqTable();
+  auto iface = MakeInterface(&t, interface::MakeSumRanking(), 5);
+  CountingDatabase counting(iface.get());
+  ScopedDir dir("finished");
+  JournalingDatabase::Options opts;
+  opts.checkpoint_every = 2;
+  {
+    auto journal = JournalingDatabase::Open(&counting, dir.path, opts);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    for (data::Value v = 0; v < 5; ++v) {
+      ASSERT_TRUE((*journal)->Execute(EqualsQuery(v)).ok());
+    }
+    ASSERT_TRUE((*journal)->Finish("final-state").ok());
+  }
+  const auto snapshot = [&] {
+    std::map<std::string, std::string> files;
+    for (const std::string& name : FileNames(dir.path)) {
+      auto bytes = common::ReadFileToString(dir.path + "/" + name);
+      EXPECT_TRUE(bytes.ok()) << bytes.status();
+      files[name] = bytes.ok() ? *bytes : "";
+    }
+    return files;
+  };
+  const auto finished = snapshot();
+  for (int resume = 0; resume < 3; ++resume) {
+    auto journal = JournalingDatabase::Open(&counting, dir.path, opts);
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    const int64_t epoch = (*journal)->epoch();
+    for (data::Value v = 0; v < 5; ++v) {
+      ASSERT_TRUE((*journal)->Execute(EqualsQuery(v)).ok());
+    }
+    ASSERT_TRUE((*journal)->Finish("final-state").ok());
+    EXPECT_EQ((*journal)->epoch(), epoch) << "resume " << resume;
+    EXPECT_EQ(snapshot(), finished) << "resume " << resume;
+  }
+  EXPECT_EQ(counting.executes(), 5);
+
+  // A new answer, or a new resume state, is still sealed.
+  auto journal = JournalingDatabase::Open(&counting, dir.path, opts);
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  const int64_t epoch = (*journal)->epoch();
+  ASSERT_TRUE((*journal)->Finish("other-state").ok());
+  EXPECT_EQ((*journal)->epoch(), epoch + 1);
+  ASSERT_TRUE((*journal)->Execute(EqualsQuery(9)).ok());
+  ASSERT_TRUE((*journal)->Finish("other-state").ok());
+  EXPECT_EQ((*journal)->epoch(), epoch + 2);
+  ASSERT_TRUE((*journal)->Finish("other-state").ok());
+  EXPECT_EQ((*journal)->epoch(), epoch + 2);
+}
+
 TEST(JournalingDatabaseTest, TornSealedSegmentIsRejectedTornLiveIsTruncated) {
   const Table t = MakeSqTable();
   auto iface = MakeInterface(&t, interface::MakeSumRanking(), 5);

@@ -15,7 +15,6 @@
 #include "core/rq_db_sky.h"
 #include "core/sq_db_sky.h"
 #include "dataset/synthetic.h"
-#include "interface/kd_index.h"
 #include "tests/test_util.h"
 
 namespace hdsky {
@@ -132,25 +131,26 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(NullValueTest, KdIndexAgreesWithBruteForceUnderNulls) {
   const Table t = MakeNullySynthetic(3000, 3, 64, 0.15, 705,
                                      InterfaceType::kRQ);
-  std::vector<int64_t> rank(static_cast<size_t>(t.num_rows()));
-  std::iota(rank.begin(), rank.end(), 0);
-  interface::KdIndex index(&t, rank);
-  common::Rng rng(706);
-  for (int trial = 0; trial < 30; ++trial) {
-    Query q(3);
-    for (int a = 0; a < 3; ++a) {
-      const int64_t mode = rng.UniformInt(0, 2);
-      if (mode == 1) q.AddAtMost(a, rng.UniformInt(0, 63));
-      if (mode == 2) q.AddAtLeast(a, rng.UniformInt(0, 63));
+  const std::vector<TupleId> order = testutil::SumOrder(t);
+  for (const int k : {4, 3000}) {
+    auto iface = MakeInterface(&t, MakeSumRanking(), k);
+    common::Rng rng(706);
+    for (int trial = 0; trial < 30; ++trial) {
+      Query q(3);
+      for (int a = 0; a < 3; ++a) {
+        const int64_t mode = rng.UniformInt(0, 2);
+        if (mode == 1) q.AddAtMost(a, rng.UniformInt(0, 63));
+        if (mode == 2) q.AddAtLeast(a, rng.UniformInt(0, 63));
+      }
+      auto got = iface->Execute(q);
+      ASSERT_TRUE(got.ok()) << got.status();
+      const interface::QueryResult want =
+          testutil::NaiveTopK(t, order, q, k);
+      EXPECT_EQ(got->ids, want.ids) << "k " << k << " trial " << trial;
+      EXPECT_EQ(got->tuples, want.tuples) << "k " << k << " trial " << trial;
+      EXPECT_EQ(got->overflow, want.overflow)
+          << "k " << k << " trial " << trial;
     }
-    std::vector<TupleId> got;
-    ASSERT_TRUE(index.RetrieveMatches(q, t.num_rows() + 1, &got));
-    std::sort(got.begin(), got.end());
-    std::vector<TupleId> expected;
-    for (TupleId r = 0; r < t.num_rows(); ++r) {
-      if (q.MatchesRow(t, r)) expected.push_back(r);
-    }
-    EXPECT_EQ(got, expected) << "trial " << trial;
   }
 }
 

@@ -125,9 +125,9 @@ void ExpectLeavesCoverRankOrder(const Table& table, const BlockFile& file,
   std::vector<int> seen(static_cast<size_t>(n), 0);
   std::vector<int32_t> leaf_of_page(
       static_cast<size_t>(file.num_data_pages()), -1);
-  for (int32_t i = 0; i < file.num_nodes(); ++i) {
-    if (file.node(i).left < 0) {
-      leaf_of_page[static_cast<size_t>(file.node(i).page)] = i;
+  for (int32_t i = 0; i < file.tree().num_nodes(); ++i) {
+    if (file.tree().node(i).left < 0) {
+      leaf_of_page[static_cast<size_t>(file.tree().node(i).page)] = i;
     }
   }
   BufferPool::Options popts;
@@ -136,13 +136,13 @@ void ExpectLeavesCoverRankOrder(const Table& table, const BlockFile& file,
   for (int64_t b = 0; b < file.num_data_pages(); ++b) {
     auto page = pool.Pin(b);
     ASSERT_TRUE(page.ok()) << page.status();
-    const BlockFile::DataPageView v = file.data_page(page->data());
+    const data::DataPageView v = file.data_page(page->data());
     ASSERT_GE(v.rows, 1);
     EXPECT_LE(v.rows, rows_per_block);
     const int32_t leaf = leaf_of_page[static_cast<size_t>(b)];
     ASSERT_GE(leaf, 0);
-    EXPECT_EQ(v.ranks[0], file.node(leaf).min_rank);
-    const Value* box = file.node_box(leaf);
+    EXPECT_EQ(v.ranks[0], file.tree().node(leaf).min_rank);
+    const Value* box = file.tree().node_box(leaf);
     for (int64_t i = 0; i < v.rows; ++i) {
       if (i > 0) {
         EXPECT_LT(v.ranks[i - 1], v.ranks[i]);
@@ -175,9 +175,9 @@ TEST(StorageBlockFileTest, RoundTripContentAndRankOrder) {
   EXPECT_EQ(file->num_attributes(), 3);
   EXPECT_EQ(file->ranking_name(), "linear");  // MakeSumRanking's name
   EXPECT_GE(file->num_data_pages(), (500 + 63) / 64);
-  EXPECT_EQ(file->num_nodes(), 2 * file->num_data_pages() - 1);
-  EXPECT_EQ(file->node(0).min_rank, 0);
-  EXPECT_EQ(file->node(0).rows, 500u);
+  EXPECT_EQ(file->tree().num_nodes(), 2 * file->num_data_pages() - 1);
+  EXPECT_EQ(file->tree().node(0).min_rank, 0);
+  EXPECT_EQ(file->tree().node(0).rows, 500u);
   EXPECT_EQ(file->schema().num_attributes(),
             table.schema().num_attributes());
   ExpectLeavesCoverRankOrder(table, *file, 64);
@@ -214,7 +214,7 @@ TEST(StorageBlockFileTest, EmptyTableRoundTrips) {
   std::unique_ptr<BlockFile> file = OpenFile(path);
   EXPECT_EQ(file->num_rows(), 0);
   EXPECT_EQ(file->num_data_pages(), 0);
-  EXPECT_EQ(file->num_nodes(), 0);
+  EXPECT_EQ(file->tree().num_nodes(), 0);
   PagedTableOptions popts;
   auto paged = PagedTable::Open(path, popts);
   ASSERT_TRUE(paged.ok()) << paged.status();
@@ -331,7 +331,7 @@ TEST(BufferPoolTest, PinnedPagesSurviveBudgetPressure) {
 
   auto held = pool.Pin(0);
   ASSERT_TRUE(held.ok()) << held.status();
-  const BlockFile::DataPageView before = file->data_page(held->data());
+  const data::DataPageView before = file->data_page(held->data());
   const TupleId first_id = before.ids[0];
   const Value first_val = before.values[0];
 
@@ -352,7 +352,7 @@ TEST(BufferPoolTest, PinnedPagesSurviveBudgetPressure) {
   }
 
   // The pinned page was never evicted and its bytes never moved.
-  BlockFile::DataPageView after = file->data_page(held->data());
+  data::DataPageView after = file->data_page(held->data());
   EXPECT_EQ(after.ids[0], first_id);
   EXPECT_EQ(after.values[0], first_val);
   EXPECT_EQ(pool.stats().hits, 0u);  // every other pin was a fresh load
@@ -433,7 +433,7 @@ TEST(BufferPoolTest, ConcurrentReadersStayCoherent) {
     for (int64_t b = 0; b < data_pages; ++b) {
       auto page = ref_pool.Pin(b);
       ASSERT_TRUE(page.ok()) << page.status();
-      BlockFile::DataPageView v = file->data_page(page->data());
+      data::DataPageView v = file->data_page(page->data());
       want_ids[static_cast<size_t>(b)].assign(v.ids, v.ids + v.rows);
       want_vals[static_cast<size_t>(b)].assign(
           v.values, v.values + 3 * v.rows);
@@ -464,7 +464,7 @@ TEST(BufferPoolTest, ConcurrentReadersStayCoherent) {
             ++mismatches;
             continue;
           }
-          BlockFile::DataPageView v = file->data_page(page->data());
+          data::DataPageView v = file->data_page(page->data());
           const auto& ids = want_ids[static_cast<size_t>(b)];
           const auto& vals = want_vals[static_cast<size_t>(b)];
           if (v.rows != static_cast<int64_t>(ids.size()) ||
@@ -666,7 +666,7 @@ TEST(StorageBlockFileTest, CompressedRoundTripMatchesRaw) {
   EXPECT_EQ(f1->compression(), Compression::kOff);
   EXPECT_EQ(f2->compression(), Compression::kAuto);
   ASSERT_EQ(f1->num_data_pages(), f2->num_data_pages());
-  ASSERT_EQ(f1->num_nodes(), f2->num_nodes());
+  ASSERT_EQ(f1->tree().num_nodes(), f2->tree().num_nodes());
 
   // Low-cardinality anti-correlated data: the encoded file must be
   // substantially smaller.
@@ -678,9 +678,9 @@ TEST(StorageBlockFileTest, CompressedRoundTripMatchesRaw) {
   BufferPool::Options popts;
   BufferPool p1(f1.get(), popts);
   BufferPool p2(f2.get(), popts);
-  for (int32_t i = 0; i < f1->num_nodes(); ++i) {
-    EXPECT_EQ(f1->node(i).min_rank, f2->node(i).min_rank);
-    EXPECT_EQ(f1->node(i).page, f2->node(i).page);
+  for (int32_t i = 0; i < f1->tree().num_nodes(); ++i) {
+    EXPECT_EQ(f1->tree().node(i).min_rank, f2->tree().node(i).min_rank);
+    EXPECT_EQ(f1->tree().node(i).page, f2->tree().node(i).page);
   }
   for (int64_t page = 0; page < f1->num_data_pages(); ++page) {
     auto r1 = p1.Pin(page);

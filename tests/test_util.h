@@ -31,6 +31,33 @@ inline std::unique_ptr<interface::TopKInterface> MakeInterface(
   return std::move(r).value();
 }
 
+/// The naive reference answer the k-d leaf walk must reproduce: scans
+/// `order` (row ids, best first) row at a time and keeps the first k
+/// matches; a (k+1)-th match only sets overflow.
+inline interface::QueryResult NaiveTopK(const data::Table& table,
+                                        const std::vector<data::TupleId>& order,
+                                        const interface::Query& q, int k) {
+  interface::QueryResult r;
+  for (const data::TupleId row : order) {
+    if (!q.MatchesRow(table, row)) continue;
+    if (r.size() == k) {
+      r.overflow = true;
+      break;
+    }
+    r.ids.push_back(row);
+    r.tuples.push_back(table.GetTuple(row));
+  }
+  return r;
+}
+
+/// The static order of the sum ranking over `table`.
+inline std::vector<data::TupleId> SumOrder(const data::Table& table) {
+  auto ranking = interface::MakeSumRanking();
+  EXPECT_TRUE(
+      ranking->Bind(&table, table.schema().ranking_attributes()).ok());
+  return *ranking->static_order();
+}
+
 /// Distinct ranking-value combinations of a discovery result, sorted —
 /// the granularity at which a top-k interface can possibly reveal the
 /// skyline (value-duplicates hide behind each other).
